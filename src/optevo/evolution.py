@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, FoldExceededError
-from .numerics import (
-    Tolerances,
-    as_matrix,
-    golden_section_min,
-    herm_eig,
-    unitary_exp,
-)
+from .numerics import Tolerances, _scan_arrival, as_matrix, herm_eig, unitary_exp
 from .quantum_states import DensityMatrix, PureState, Units, fs_distance
 
 __all__ = [
@@ -215,8 +209,9 @@ def density_arrival_time(
     """Earliest time in (0, horizon] at which the evolving density comes
     within ``threshold`` of the target in trace norm, or None.
 
-    Same scan-and-refine strategy as the pure-state arrival search; the
-    returned time is the refined local minimizer of the trace distance.
+    Same streaming scan-and-refine search as the pure-state arrival, with
+    each chunk's densities diagonalized in one stacked call; the returned
+    time is the refined local minimizer of the trace distance.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -224,33 +219,16 @@ def density_arrival_time(
     if rho.n != w.size or target.n != w.size:
         raise DimensionMismatchError("generator and densities must share one dimension")
     hbar = units.hbar
-    delta_e_max = float(w[-1] - w[0]) / 2.0
-    if delta_e_max > 1e-12 * max(1.0, float(np.max(np.abs(w)))):
-        step = 0.01 * hbar / delta_e_max
-    else:
-        step = horizon / 10_000.0
-    count = int(np.ceil(horizon / step))
-    count = min(max(count, 8), 2_000_000)
-    times = np.linspace(0.0, horizon, count + 1)
     start = v.conj().T @ rho.matrix @ v
     goal = v.conj().T @ target.matrix @ v
 
-    def distance(t: float) -> float:
-        phases = np.exp(-1j * w * (float(t) / hbar))
-        rotated = start * np.outer(phases, phases.conj())
-        return float(np.sum(np.abs(np.linalg.eigvalsh(rotated - goal))))
+    def values(table: np.ndarray, base: np.ndarray | float) -> np.ndarray:
+        phases = table * base
+        rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
+        return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
 
-    values = np.array([distance(t) for t in times])
+    def distance(t: float) -> float:
+        return float(values(np.exp(-1j * w * (t / hbar))[None, :], 1.0)[0])
+
     gate = max(100.0 * threshold, 5e-2)
-    xtol = max(1e-12, 1e-10 * horizon)
-    for i in range(1, count + 1):
-        left = values[i - 1]
-        here = values[i]
-        right = values[i + 1] if i < count else np.inf
-        if here <= left and here <= right and here <= gate:
-            lo = times[i - 1]
-            hi = times[i + 1] if i < count else times[i]
-            t_min, f_min = golden_section_min(distance, lo, hi, xtol)
-            if f_min <= threshold and t_min > 0.0:
-                return float(min(t_min, horizon))
-    return None
+    return _scan_arrival(values, distance, w, hbar, horizon, gate, threshold)[0]

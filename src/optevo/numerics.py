@@ -188,3 +188,84 @@ def golden_section_min(f, a: float, b: float, xtol: float) -> tuple[float, float
             fd = f(d)
     x = (a + b) / 2.0
     return x, f(x)
+
+
+def _parabolic_polish(f, t0: float, delta: float) -> float:
+    """One parabolic vertex step around a quadratic minimum.
+
+    Golden section stalls once function values merge into the roundoff
+    plateau, leaving the minimizer only sqrt(eps)-accurate; sampling the
+    quadratic at +-delta, far outside the plateau, recovers the center.
+    Falls back to the input point when the local shape is not convex.
+    """
+    f_lo = f(t0 - delta)
+    f_mid = f(t0)
+    f_hi = f(t0 + delta)
+    curvature = f_lo - 2.0 * f_mid + f_hi
+    if not curvature > 0.0:
+        return t0
+    shift = 0.5 * delta * (f_lo - f_hi) / curvature
+    if abs(shift) > delta:
+        return t0
+    polished = t0 + shift
+    return polished if f(polished) <= max(f_mid, 1e-12) else t0
+
+
+# Phase entries (grid points times dimension) in one chunk of an arrival
+# scan, so its memory stays bounded whatever the horizon.
+_SCAN_CHUNK = 1 << 15
+
+
+def _scan_arrival(values, objective, w, hbar, horizon, gate, threshold, xtol=0.0):
+    """First refined local minimum in (0, horizon] at most ``threshold``.
+
+    Streams the grid ``i * horizon / count`` (the last point exactly
+    ``horizon``) of step at most 0.01 hbar / delta_e_max, so the ray moves at
+    most 0.01 rad a step, in chunks of ``_SCAN_CHUNK`` phase entries that
+    overlap by two points. ``values(table, base)`` gives the objective on a
+    chunk's rows ``table * base`` of exp(-i w t / hbar), ``base`` being the
+    row at the chunk's first time. Each grid point no larger than both
+    neighbours (+inf past ``horizon``) and ``gate`` is refined in time order:
+    golden section over its two cells to ``max(xtol, 1e-10 * bracket)``,
+    floored at the float spacing, then a parabolic polish of ``objective``.
+    Returns the first refined time with value at most ``threshold``, or None,
+    and a dict of counters: grid_points evaluated, step, chunks, refined
+    minima and objective evaluations.
+    """
+    delta_e_max = float(w[-1] - w[0]) / 2.0
+    if delta_e_max > 1e-12 * max(1.0, float(np.max(np.abs(w)))):
+        step = 0.01 * hbar / delta_e_max
+    else:
+        step = horizon / 10_000.0
+    count = max(int(np.ceil(horizon / step)), 8)
+    dt = horizon / count
+    size = min(max(3, _SCAN_CHUNK // w.size), count + 1)
+    table = np.exp(-1j * np.outer(np.arange(size) * dt, w) / hbar)
+    stats = dict(grid_points=0, step=step, chunks=0, refined=0, evaluations=0)
+
+    def counted(t: float) -> float:
+        stats["evaluations"] += 1
+        return objective(t)
+
+    first = stop = 0
+    while stop <= count:
+        stop = stats["grid_points"] = min(first + size, count + 1)
+        stats["chunks"] += 1
+        vals = values(table[: stop - first], np.exp(-1j * w * (first * dt / hbar)))
+        here = vals[1:]
+        right = np.append(vals[2:], np.inf)
+        minima = (here <= vals[:-1]) & (here <= right) & (here <= gate)
+        if stop <= count:  # the chunk's last point is judged in the next chunk
+            minima[-1] = False
+        for i in (first + 1 + np.nonzero(minima)[0]).tolist():
+            stats["refined"] += 1
+            lo = (i - 1) * dt
+            hi = (i + 1) * dt if i + 1 < count else horizon
+            tol = max(xtol, 1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
+            t_min, f_min = golden_section_min(counted, lo, hi, tol)
+            t_min = _parabolic_polish(counted, t_min, 0.02 * step)
+            f_min = min(f_min, counted(t_min))
+            if f_min <= threshold and t_min > 0.0:
+                return float(min(t_min, horizon)), stats
+        first = stop - 2
+    return None, stats

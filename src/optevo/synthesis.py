@@ -39,9 +39,9 @@ from .lie_flag import SuVector
 from .numerics import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    _scan_arrival,
     as_matrix,
     frobenius,
-    golden_section_min,
     herm_eig,
     is_hermitian,
 )
@@ -285,9 +285,6 @@ def qsl_time(phi: PureState, psi: PureState, h, units: Units = Units()) -> float
     return units.hbar * fs_distance(phi, psi) / delta_e
 
 
-_GRID_CAP = 2_000_000
-
-
 def first_arrival_time(
     h,
     phi: PureState,
@@ -301,10 +298,11 @@ def first_arrival_time(
 
     The infidelity 1 - |<psi|phi(t)>|^2 is scanned on a uniform grid of
     step 0.01 hbar / delta_e_max (the ray cannot move more than 0.01 rad
-    per step), every local minimum that could reach arrival is refined by
-    golden section, and the first refined minimum with infidelity at most
-    1e-9 is returned. The returned time is the refined minimizer, located
-    far more tightly than 1e-7.
+    per step), streamed in fixed-size chunks with no cap on its length.
+    Every local minimum that could reach arrival is refined by golden
+    section, and the first refined minimum with infidelity at most 1e-9 is
+    returned. The returned time is the refined minimizer, located far more
+    tightly than 1e-7.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -312,15 +310,6 @@ def first_arrival_time(
     hbar = units.hbar
     if phi.n != w.size or psi.n != w.size:
         raise DimensionMismatchError("generator and states must share one dimension")
-    delta_e_max = float(w[-1] - w[0]) / 2.0
-    if delta_e_max > 1e-12 * max(1.0, float(np.max(np.abs(w)))):
-        step = 0.01 * hbar / delta_e_max
-    else:
-        step = horizon / 10_000.0
-    count = int(np.ceil(horizon / step))
-    count = min(max(count, 8), _GRID_CAP)
-    times = np.linspace(0.0, horizon, count + 1)
-
     start = v.conj().T @ phi.amplitudes
     target = v.conj().T @ psi.amplitudes
     weights = target.conj() * start
@@ -329,49 +318,14 @@ def first_arrival_time(
         ov = complex(np.sum(np.exp(-1j * w * (t / hbar)) * weights))
         return max(0.0, 1.0 - (ov.real * ov.real + ov.imag * ov.imag))
 
-    phases = np.exp(-1j * np.outer(times, w) / hbar)
-    overlaps = phases @ weights
-    values = np.maximum(0.0, 1.0 - np.abs(overlaps) ** 2)
+    def values(table: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, 1.0 - np.abs(table @ (base * weights)) ** 2)
 
     # A grid point adjacent to a true arrival sits within 0.005 rad of the
-    # target, so its infidelity is below ~2.5e-5; the gate only skips minima
-    # that provably cannot reach the arrival threshold.
-    gate = 1e-4
+    # target, so its infidelity is below ~2.5e-5; the gate 1e-4 only skips
+    # minima that provably cannot reach the arrival threshold.
     xtol = max(1e-12, 1e-10 * horizon)
-    for i in range(1, count + 1):
-        left = values[i - 1]
-        here = values[i]
-        right = values[i + 1] if i < count else np.inf
-        if here <= left and here <= right and here <= gate:
-            lo = times[i - 1]
-            hi = times[i + 1] if i < count else times[i]
-            t_min, f_min = golden_section_min(infidelity, lo, hi, xtol)
-            t_min = _parabolic_polish(infidelity, t_min, 0.02 * step)
-            f_min = min(f_min, infidelity(t_min))
-            if f_min <= 1e-9 and t_min > 0.0:
-                return float(min(t_min, horizon))
-    return None
-
-
-def _parabolic_polish(f, t0: float, delta: float) -> float:
-    """One parabolic vertex step around a quadratic minimum.
-
-    Golden section stalls once function values merge into the roundoff
-    plateau, leaving the minimizer only sqrt(eps)-accurate; sampling the
-    quadratic at +-delta, far outside the plateau, recovers the center.
-    Falls back to the input point when the local shape is not convex.
-    """
-    f_lo = f(t0 - delta)
-    f_mid = f(t0)
-    f_hi = f(t0 + delta)
-    curvature = f_lo - 2.0 * f_mid + f_hi
-    if not curvature > 0.0:
-        return t0
-    shift = 0.5 * delta * (f_lo - f_hi) / curvature
-    if abs(shift) > delta:
-        return t0
-    polished = t0 + shift
-    return polished if f(polished) <= max(f_mid, 1e-12) else t0
+    return _scan_arrival(values, infidelity, w, hbar, horizon, 1e-4, 1e-9, xtol)[0]
 
 
 def equigeodesic_vector_of(

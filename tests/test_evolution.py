@@ -6,6 +6,8 @@ differences by summing absolute eigenvalues, and the flat unit speed of a
 maximal-speed qubit transfer.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from optevo import (
     subspace_leakage,
     trace_distance,
 )
+from optevo import evolution
 
 ATOL = 1e-12
 FLAT_TOL = 1e-6
@@ -213,10 +216,32 @@ class TestDensityArrival:
         t = density_arrival_time(SIGMA_Y, rho, target, 10.0)
         assert t == pytest.approx(np.pi / 2.0, abs=1e-7)
 
-    def test_commuting_generator_never_arrives(self):
+    @pytest.mark.parametrize("horizon", [10.0, 300.0, 1e3, 3e3, 1e4, 1e5])
+    def test_first_arrival_at_long_horizons(self, horizon):
+        # A golden-section tolerance of 1e-10 * horizon left the V-shaped
+        # trace distance above threshold from horizon 1000 on, skipping to
+        # 3 pi / 2 and later arrivals.
+        rho = DensityMatrix(np.diag([0.9, 0.1]))
+        target = DensityMatrix(np.diag([0.1, 0.9]))
+        t = density_arrival_time(SIGMA_Y, rho, target, horizon)
+        assert t == pytest.approx(np.pi / 2.0, abs=1e-9)
+
+    def test_commuting_generator_never_arrives(self, record_scans):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         target = DensityMatrix(np.diag([0.3, 0.7]))
+        scans = record_scans(evolution)
         assert density_arrival_time(SIGMA_Z, rho, target, 50.0) is None
+        assert scans[0]["grid_points"] == math.ceil(50.0 * 1.0 / 0.01) + 1
+
+    def test_early_arrival_stops_after_one_chunk(self, record_scans):
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        target = DensityMatrix(np.diag([0.3, 0.7]))
+        scans = record_scans(evolution)
+        assert density_arrival_time(SIGMA_Y, rho, target, 1e4) == pytest.approx(
+            np.pi / 2.0, abs=1e-9
+        )
+        assert scans[0]["chunks"] == 1
+        assert scans[0]["grid_points"] < 1e4 / 0.01
 
     def test_rejects_bad_horizon(self):
         rho = DensityMatrix(np.eye(2) / 2.0)

@@ -5,6 +5,8 @@ Fixed-input expectations were computed by hand from the closed forms:
 eigenvalues of diagonal matrices by inspection.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from optevo import (
     EigenConvergenceError,
     NotHermitianError,
     Tolerances,
+    first_arrival_time,
     frobenius,
     golden_section_min,
     herm_eig,
@@ -23,7 +26,9 @@ from optevo import (
     is_unitary,
     unitary_exp,
 )
-from optevo.numerics import as_matrix
+from optevo import numerics
+from optevo.numerics import _scan_arrival, as_matrix
+from optevo.sampling import random_pure_state
 
 ATOL = 1e-12
 RECON_TOL = 1e-10
@@ -205,3 +210,59 @@ class TestGoldenSection:
             golden_section_min(lambda x: x, 1.0, 0.0, 1e-8)
         with pytest.raises(ValueError):
             golden_section_min(lambda x: x, 0.0, 1.0, 0.0)
+
+
+class TestScanArrival:
+    """Seams of the streaming scan. With w = (0, 1) and hbar = 1 the grid
+    step is 0.02 and the second phase column is exp(-i t), which gives the
+    grid times back on a horizon shorter than 2 pi; a chunk budget of 16
+    phase entries makes chunks of 8 points, starting at indices 0, 6, 12."""
+
+    W = np.array([0.0, 1.0])
+    HORIZON = 6.0  # 300 grid steps of 0.02
+
+    def scan(self, monkeypatch, t_star):
+        monkeypatch.setattr(numerics, "_SCAN_CHUNK", 16)
+
+        def values(table, base):
+            times = np.mod(-np.angle(table[:, 1] * base[1]), 2.0 * np.pi)
+            return np.abs(times - t_star)
+
+        return _scan_arrival(
+            values, lambda t: abs(t - t_star), self.W, 1.0, self.HORIZON, 1.0, 1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "index, chunks",
+        [
+            (6, 1),  # last interior point of the first chunk
+            (7, 2),  # last point of the first chunk, judged in the second
+            (8, 2),  # first point the second chunk adds
+            (300, 50),  # final grid point: only its left neighbour exists
+        ],
+    )
+    def test_lone_minimum_found_once(self, monkeypatch, index, chunks):
+        t_star = index * (self.HORIZON / 300)
+        t, stats = self.scan(monkeypatch, t_star)
+        assert t == pytest.approx(t_star, abs=1e-9)
+        assert (stats["chunks"], stats["refined"]) == (chunks, 1)
+
+    def test_origin_is_never_an_arrival(self, monkeypatch):
+        t, stats = self.scan(monkeypatch, 0.0)
+        assert t is None
+        assert stats["grid_points"] == 301
+        assert stats["refined"] == 0
+
+    def test_memory_bounded_on_long_miss(self):
+        rng = np.random.default_rng(5)
+        h = random_hermitian(rng, 32)
+        phi, psi = random_pure_state(rng, 32), random_pure_state(rng, 32)
+        tracemalloc.start()
+        try:
+            arrival = first_arrival_time(h, phi, psi, 300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert arrival is None
+        # About 3e5 grid points; the whole-grid phase matrix took ~500 MB.
+        assert peak < 8e6

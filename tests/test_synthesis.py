@@ -8,6 +8,8 @@ diag(0.5, -1.0) satisfies the eigen-condition while its half-spread is
 comparison. Speed-limit times follow from T = hbar * angle / uncertainty.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,8 @@ from optevo import (
     propagate,
     qsl_time,
 )
-from optevo.sampling import random_pure_state
+from optevo import synthesis
+from optevo.sampling import random_hermitian, random_pure_state
 
 ATOL = 1e-12
 ARRIVAL_TOL = 1e-7
@@ -259,6 +262,25 @@ class TestFirstArrival:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             first_arrival_time(SIGMA_Y, KET0, PureState.basis_state(3, 1), 1.0)
+
+    def test_long_horizon_keeps_the_step(self, record_scans):
+        # A 2e7-point grid; capping it coarsened the step to 0.1 rad, so the
+        # gate skipped the first three arrivals and returned 7 pi / 2.
+        scans = record_scans(synthesis)
+        t = first_arrival_time(SIGMA_Y, KET0, KET1, 2e5)
+        assert t == pytest.approx(np.pi / 2.0, abs=1e-9)
+        assert scans[0]["chunks"] == 1
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_miss_scans_every_grid_point(self, record_scans, rng, hbar):
+        h = random_hermitian(rng, 6)
+        phi, psi = random_pure_state(rng, 6), random_pure_state(rng, 6)
+        scans = record_scans(synthesis)
+        assert first_arrival_time(h, phi, psi, 20.0, Units(hbar=hbar)) is None
+        w = np.linalg.eigvalsh(h)
+        delta_e_max = (w[-1] - w[0]) / 2.0
+        assert scans[0]["grid_points"] == math.ceil(20.0 * delta_e_max / (0.01 * hbar)) + 1
+        assert scans[0]["step"] == pytest.approx(0.01 * hbar / delta_e_max, rel=1e-12)
 
 
 class TestEquigeodesicVector:
