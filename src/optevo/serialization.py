@@ -1,16 +1,21 @@
 """JSON interchange for states, operators, and trajectories.
 
-Complex numbers travel as two-element arrays [re, im]. Floats are written
-with Python's shortest round-trip representation, so encode followed by
-decode reproduces every finite double bit for bit. Non-finite values are
-rejected in both directions.
+Every array goes through one codec. Complex numbers travel as [re, im]
+pairs: the encoder views a complex array as float pairs, checks
+finiteness once and calls ``tolist``; the decoder checks the leaf types of
+the nested lists in one pass (non-bool ints and floats only), converts
+them with one ``np.array`` call, checks shape and finiteness, and views
+the float pairs as complex. Floats are written with Python's shortest
+round-trip representation, so encode followed by decode reproduces every
+finite double bit for bit. Non-finite values are rejected in both
+directions; any document off the schema raises SerializationError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
+from itertools import chain
 
 import numpy as np
 
@@ -34,23 +39,73 @@ __all__ = [
 MATRIX_KINDS = ("hermitian", "skew-hermitian", "density", "unitary")
 
 
-def _finite(x) -> float:
-    v = float(x)
-    if not math.isfinite(v):
-        raise SerializationError(f"non-finite value {x!r}")
-    return v
+def _encode(a) -> list | float:
+    """Nested lists of a real or complex array, each complex entry as an
+    [re, im] pair; rejects non-finite entries."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a, dtype=complex).view(float).reshape(a.shape + (2,))
+    else:
+        a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise SerializationError("non-finite value in an array")
+    return a.tolist()
 
 
-def _pair(z: complex) -> list[float]:
-    return [_finite(z.real), _finite(z.imag)]
+def _decode(raw, shape: tuple, what: str, dtype=complex) -> np.ndarray:
+    """Array of the given shape from nested lists of numbers, each complex
+    entry read from an [re, im] pair. Leaf types are checked before numpy
+    converts the lists, which would otherwise accept bools and numeric
+    strings."""
+    if dtype is complex:
+        shape = shape + (2,)
+    try:
+        leaves = raw
+        for _ in shape[1:]:
+            leaves = chain.from_iterable(leaves)
+        kinds = set(map(type, leaves))
+    except TypeError as exc:
+        raise SerializationError(f"{what} is not a nested list: {exc}") from exc
+    if any(k is bool or not issubclass(k, (int, float)) for k in kinds):
+        raise SerializationError(f"{what} entries must be numbers")
+    try:
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SerializationError(f"{what}: {exc}") from exc
+    if arr.size == 0 and 0 in shape:  # [] carries no inner dimensions
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise SerializationError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise SerializationError(f"{what} holds a non-finite value")
+    return arr.view(complex)[..., 0] if dtype is complex else arr
 
 
-def _complex_from(obj) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise SerializationError(f"expected a [re, im] pair, got {obj!r}")
-    if any(isinstance(part, bool) or not isinstance(part, (int, float)) for part in obj):
-        raise SerializationError(f"pair entries must be numbers, got {obj!r}")
-    return complex(_finite(obj[0]), _finite(obj[1]))
+def _header(doc, what: str, keys: tuple) -> int:
+    """Check a document's required keys and return its dimension ``n``."""
+    if not isinstance(doc, dict):
+        raise SerializationError(f"{what} document must be an object")
+    for key in keys:
+        if key not in doc:
+            raise SerializationError(f"{what} document lacks {key!r}")
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SerializationError(f"bad dimension {n!r}")
+    return n
+
+
+def _units(doc) -> Units | None:
+    """The document's unit system, or None when it carries none."""
+    if "units" not in doc:
+        return None
+    block = doc["units"]
+    if not isinstance(block, dict) or "hbar" not in block:
+        raise SerializationError("units block must carry hbar")
+    hbar = _decode([block["hbar"]], (1,), "hbar", float)
+    try:
+        return Units(float(hbar[0]))
+    except ValueError as exc:
+        raise SerializationError(str(exc)) from exc
 
 
 def matrix_to_json(m, kind: str) -> dict:
@@ -58,72 +113,31 @@ def matrix_to_json(m, kind: str) -> dict:
     if kind not in MATRIX_KINDS:
         raise SerializationError(f"unknown matrix kind {kind!r}")
     a = as_matrix(m)
-    return {
-        "n": int(a.shape[0]),
-        "kind": kind,
-        "rows": [[_pair(complex(z)) for z in row] for row in a],
-    }
+    return {"n": int(a.shape[0]), "kind": kind, "rows": _encode(a)}
 
 
 def matrix_from_json(doc) -> tuple[np.ndarray, str]:
     """Decode a matrix document, returning the matrix and its kind tag."""
-    if not isinstance(doc, dict):
-        raise SerializationError("matrix document must be an object")
-    for key in ("n", "kind", "rows"):
-        if key not in doc:
-            raise SerializationError(f"matrix document lacks {key!r}")
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SerializationError(f"bad dimension {n!r}")
+    n = _header(doc, "matrix", ("n", "kind", "rows"))
     kind = doc["kind"]
     if kind not in MATRIX_KINDS:
         raise SerializationError(f"unknown matrix kind {kind!r}")
-    rows = doc["rows"]
-    if not isinstance(rows, list) or len(rows) != n:
-        raise SerializationError(f"expected {n} rows")
-    out = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise SerializationError(f"row {i} does not have {n} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex_from(entry)
-    return out, kind
+    return _decode(doc["rows"], (n, n), "rows"), kind
 
 
 def state_to_json(phi: PureState, units: Units | None = None) -> dict:
     """Encode a pure state, optionally with its unit system."""
-    doc = {
-        "n": int(phi.n),
-        "amplitudes": [_pair(complex(z)) for z in phi.amplitudes],
-    }
+    doc = {"n": int(phi.n), "amplitudes": _encode(phi.amplitudes)}
     if units is not None:
-        doc["units"] = {"hbar": _finite(units.hbar)}
+        doc["units"] = {"hbar": _encode(units.hbar)}
     return doc
 
 
 def state_from_json(doc) -> tuple[PureState, Units | None]:
     """Decode a pure state document; returns the state and optional units."""
-    if not isinstance(doc, dict):
-        raise SerializationError("state document must be an object")
-    for key in ("n", "amplitudes"):
-        if key not in doc:
-            raise SerializationError(f"state document lacks {key!r}")
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise SerializationError(f"bad dimension {n!r}")
-    amps = doc["amplitudes"]
-    if not isinstance(amps, list) or len(amps) != n:
-        raise SerializationError(f"expected {n} amplitudes")
-    vec = np.array([_complex_from(entry) for entry in amps], dtype=complex)
-    units = None
-    if "units" in doc:
-        block = doc["units"]
-        if not isinstance(block, dict) or "hbar" not in block:
-            raise SerializationError("units block must carry hbar")
-        try:
-            units = Units(_finite(block["hbar"]))
-        except ValueError as exc:
-            raise SerializationError(str(exc)) from exc
+    n = _header(doc, "state", ("n", "amplitudes"))
+    vec = _decode(doc["amplitudes"], (n,), "amplitudes")
+    units = _units(doc)
     try:
         state = PureState(vec)
     except ValueError as exc:
@@ -133,75 +147,55 @@ def state_from_json(doc) -> tuple[PureState, Units | None]:
 
 def trajectory_to_json(traj: Trajectory) -> dict:
     """Encode a sampled trajectory."""
-    if traj.kind == "pure":
-        states = [[_pair(complex(z)) for z in s.amplitudes] for s in traj.states]
-    else:
-        states = [
-            [[_pair(complex(z)) for z in row] for row in s.matrix] for s in traj.states
-        ]
+    samples = [s.amplitudes if traj.kind == "pure" else s.matrix for s in traj.states]
     n = traj.states[0].n if traj.states else 0
     return {
-        "times": [_finite(t) for t in traj.times],
-        "states": states,
+        "times": _encode(traj.times),
+        "states": _encode(np.array(samples, dtype=complex)),
         "kind": traj.kind,
         "n": int(n),
-        "units": {"hbar": _finite(traj.units.hbar)},
+        "units": {"hbar": _encode(traj.units.hbar)},
     }
 
 
 def trajectory_from_json(doc) -> Trajectory:
     """Decode a trajectory document (generator is not part of the format)."""
-    if not isinstance(doc, dict):
-        raise SerializationError("trajectory document must be an object")
-    for key in ("times", "states", "kind", "n"):
-        if key not in doc:
-            raise SerializationError(f"trajectory document lacks {key!r}")
-    times = [
-        _finite(t) for t in (doc["times"] if isinstance(doc["times"], list) else ())
-    ]
-    if len(times) != len(doc["states"]):
-        raise SerializationError("times and states lengths differ")
-    units = Units(_finite(doc.get("units", {}).get("hbar", 1.0)))
-    n = doc["n"]
-    states: list = []
+    n = _header(doc, "trajectory", ("times", "states", "kind", "n"))
+    times, states = doc["times"], doc["states"]
+    lists = isinstance(times, list) and isinstance(states, list)
+    if not lists or len(times) != len(states):
+        raise SerializationError("times and states must be lists of one length")
+    kind = doc["kind"]
+    if kind not in ("pure", "density"):
+        raise SerializationError(f"unknown trajectory kind {kind!r}")
+    make, dims = (PureState, (n,)) if kind == "pure" else (DensityMatrix, (n, n))
+    samples = _decode(states, (len(states),) + dims, "states")
+    ts = _decode(times, (len(times),), "times", float)
+    units = _units(doc) or Units()
     try:
-        if doc["kind"] == "pure":
-            for amps in doc["states"]:
-                states.append(
-                    PureState(np.array([_complex_from(e) for e in amps], dtype=complex))
-                )
-        elif doc["kind"] == "density":
-            for rows in doc["states"]:
-                states.append(
-                    DensityMatrix(
-                        np.array(
-                            [[_complex_from(e) for e in row] for row in rows],
-                            dtype=complex,
-                        )
-                    )
-                )
-        else:
-            raise SerializationError(f"unknown trajectory kind {doc['kind']!r}")
+        return Trajectory(ts, tuple(make(s) for s in samples), None, units)
     except ValueError as exc:
         raise SerializationError(str(exc)) from exc
-    if any(s.n != n for s in states):
-        raise SerializationError("state dimensions disagree with the header")
-    return Trajectory(np.array(times, dtype=float), tuple(states), None, units)
 
 
 def load_document(path: str):
-    """Parse a JSON file, mapping syntax errors to SerializationError."""
+    """Parse a JSON file, mapping read and syntax errors to SerializationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SerializationError(f"cannot read {path}: {exc}") from exc
 
 
 def save_document(doc, path: str) -> None:
-    """Write a JSON document compactly; rejects non-finite floats."""
+    """Write a JSON document compactly; rejects non-finite floats.
+
+    The document is encoded in full before the file is opened, so a
+    failed encode creates no file and leaves an existing one unchanged.
+    """
+    text = json.dumps(doc, allow_nan=False, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 

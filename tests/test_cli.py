@@ -260,6 +260,16 @@ class TestEvolve:
         )
         assert r.returncode == 2
 
+    def test_oversized_integer_in_state(self, tmp_path, qubit_files):
+        big = tmp_path / "big.json"
+        big.write_text('{"n": 2, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400))
+        r = run_cli(
+            "evolve", "--ham", qubit_files["sigma_y"], "--state", big,
+            "--t0", 0.0, "--t1", 1.0, "--steps", 2, "--out", tmp_path / "x.json",
+        )
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_density_flag_on_pure_doc(self, tmp_path, qubit_files):
         unit = write_matrix(tmp_path / "u.json", np.eye(2), "unitary")
         r = run_cli(

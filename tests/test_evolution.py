@@ -30,7 +30,7 @@ from optevo import (
     subspace_leakage,
     trace_distance,
 )
-from optevo import evolution
+from optevo import evolution, verification
 from optevo.sampling import random_pure_state
 from optevo.verification import run_suite
 
@@ -174,6 +174,20 @@ class TestGeodesicDefect:
     def test_suite_sign_check_passes(self, seed):
         results = {r.name: r for r in run_suite("evolution", 100, seed)}
         assert results["geodesic-defect-sign"].passed
+
+    def test_suite_reports_signed_defect(self, monkeypatch):
+        # Synthesized samples carry their generator; the singleton and the
+        # kinked path have none and keep their real defect.
+        defects = iter([-5e-11, 1e-15])
+        real = verification.geodesic_defect
+        monkeypatch.setattr(
+            verification,
+            "geodesic_defect",
+            lambda traj: real(traj) if traj.hamiltonian is None else next(defects),
+        )
+        row = verification.check_geodesic_defect_sign(np.random.default_rng(1), 2, 4)
+        assert row.passed
+        assert row.max_residual == -5e-11
 
     def test_singleton_trajectory(self):
         traj = Trajectory(np.array([0.0]), (KET0,), None)

@@ -78,6 +78,8 @@ class TestMatrixDocuments:
             lambda d: d["rows"][0].__setitem__(0, ["a", 0.0]),
             lambda d: d["rows"][0].__setitem__(0, [True, 0.0]),
             lambda d: d["rows"].pop(),
+            lambda d: d["rows"][0].__setitem__(0, [float("nan"), 0.0]),
+            lambda d: d.__setitem__("rows", 2.0),
         ],
     )
     def test_rejects_malformed_documents(self, mutate):
@@ -148,6 +150,9 @@ class TestTrajectoryDocuments:
         doc["kind"] = "mixed"
         with pytest.raises(SerializationError):
             trajectory_from_json(doc)
+        doc["kind"] = ["pure"]
+        with pytest.raises(SerializationError):
+            trajectory_from_json(doc)
 
     def test_rejects_header_mismatch(self):
         traj = sample_trajectory(SIGMA_Y, PureState.basis_state(2, 0), np.linspace(0, 1, 3))
@@ -163,6 +168,53 @@ class TestTrajectoryDocuments:
         with pytest.raises(SerializationError):
             trajectory_from_json(doc)
 
+    def test_sampleless_document_decodes_empty(self):
+        doc = {"times": [], "states": [], "kind": "density", "n": 3}
+        assert trajectory_from_json(doc).kind == "empty"
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.__setitem__("states", None),
+            lambda d: d.__setitem__("units", 1.0),
+            lambda d: d["units"].__setitem__("hbar", 0.0),
+            lambda d: d.__setitem__("n", True),
+            lambda d: d.__setitem__("times", ["0.0", "1.0"]),
+            lambda d: d["states"][0][0].__setitem__(0, [1.0]),
+            lambda d: d["states"][0][0].__setitem__(0, ["a", 0.0]),
+            lambda d: d["states"][0][0].__setitem__(0, [True, 0.0]),
+            lambda d: d["states"][0].pop(),
+            lambda d: d["states"][0][0].__setitem__(0, [float("nan"), 0.0]),
+        ],
+    )
+    def test_rejects_malformed_documents(self, mutate):
+        # n = 1, so a bool n would match the samples' dimension.
+        rho = DensityMatrix(np.eye(1))
+        doc = trajectory_to_json(Trajectory(np.array([0.0, 1.0]), (rho, rho), None))
+        trajectory_from_json(json.loads(json.dumps(doc)))
+        mutate(doc)
+        with pytest.raises(SerializationError):
+            trajectory_from_json(doc)
+
+
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "decode, text",
+    [
+        (matrix_from_json, '{"n": 1, "kind": "hermitian", "rows": [[[%s, 0]]]}' % BIG),
+        (state_from_json, '{"n": 1, "amplitudes": [[%s, 0]]}' % BIG),
+        (state_from_json, '{"n": 1, "amplitudes": [[1, 0]], "units": {"hbar": %s}}' % BIG),
+        (trajectory_from_json, '{"times": [0], "states": [[[%s, 0]]], "kind": "pure", "n": 1}' % BIG),
+        (trajectory_from_json, '{"times": [%s], "states": [[[1, 0]]], "kind": "pure", "n": 1}' % BIG),
+    ],
+    ids=["matrix", "state", "state-hbar", "trajectory-state", "trajectory-time"],
+)
+def test_oversized_integer_literals_are_rejected(decode, text):
+    with pytest.raises(SerializationError):
+        decode(json.loads(text))
+
 
 class TestFiles:
     def test_save_load_roundtrip(self, tmp_path):
@@ -175,6 +227,54 @@ class TestFiles:
         with pytest.raises(ValueError):
             save_document({"x": float("nan")}, str(tmp_path / "bad.json"))
 
+    def test_failed_save_writes_nothing(self, tmp_path):
+        doc = {"a": [1.0] * 5000 + [float("nan")]}
+        fresh = tmp_path / "fresh.json"
+        with pytest.raises(ValueError):
+            save_document(doc, str(fresh))
+        assert not fresh.exists()
+        kept = tmp_path / "kept.json"
+        kept.write_text("{}\n")
+        with pytest.raises(ValueError):
+            save_document(doc, str(kept))
+        assert kept.read_text() == "{}\n"
+
+    def test_trajectory_bytes_are_pinned(self, tmp_path):
+        # Assembled by hand so the bits do not depend on the BLAS build.
+        pure = Trajectory(
+            np.array([-1e-300, -0.0, 5e-324, 1e300]),
+            (
+                PureState([1.0, -0.0]),
+                PureState([complex(-0.0, 1.0), complex(5e-324, -1e-300)]),
+                PureState([complex(0.6, -0.0), complex(-0.8, 1e-300)]),
+                PureState([complex(-1e-300, 5e-324), complex(0.0, -1.0)]),
+            ),
+            None,
+            Units(hbar=0.5),
+        )
+        tiny = complex(5e-324, -1e-300)
+        density = Trajectory(
+            np.array([0.0, 0.25]),
+            (
+                DensityMatrix(np.array([[1.0, tiny], [tiny.conjugate(), complex(-0.0, -0.0)]])),
+                DensityMatrix(np.array([[0.5, complex(-0.0, -0.5)], [complex(-0.0, 0.5), 0.5]])),
+            ),
+            None,
+            Units(hbar=1e300),
+        )
+        expected = [
+            b'{"times":[-1e-300,-0.0,5e-324,1e+300],"states":[[[1.0,0.0],[-0.0,0.0]],'
+            b'[[-0.0,1.0],[5e-324,-1e-300]],[[0.6,-0.0],[-0.8,1e-300]],'
+            b'[[-1e-300,5e-324],[0.0,-1.0]]],"kind":"pure","n":2,"units":{"hbar":0.5}}\n',
+            b'{"times":[0.0,0.25],"states":[[[[1.0,0.0],[5e-324,-1e-300]],'
+            b'[[5e-324,1e-300],[-0.0,-0.0]]],[[[0.5,0.0],[-0.0,-0.5]],[[-0.0,0.5],[0.5,0.0]]]],'
+            b'"kind":"density","n":2,"units":{"hbar":1e+300}}\n',
+        ]
+        path = tmp_path / "traj.json"
+        for traj, want in zip((pure, density), expected):
+            save_document(trajectory_to_json(traj), str(path))
+            assert path.read_bytes() == want
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(SerializationError):
             load_document(str(tmp_path / "absent.json"))
@@ -182,6 +282,13 @@ class TestFiles:
     def test_load_invalid_syntax(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        with pytest.raises(SerializationError):
+            load_document(str(path))
+
+    def test_load_integer_past_digit_limit(self, tmp_path):
+        # The interpreter refuses to parse integers of more than 4300 digits.
+        path = tmp_path / "huge.json"
+        path.write_text("[1" + "0" * 5000 + "]")
         with pytest.raises(SerializationError):
             load_document(str(path))
 
