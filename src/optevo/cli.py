@@ -340,8 +340,7 @@ def cmd_evolve(args) -> int:
 def cmd_verify(args) -> int:
     report = _Report("verify", args.json, seed=args.seed)
     if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--trials must be at least 1")
     results = run_suite(
         args.suite,
         args.trials,
@@ -389,10 +388,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (SerializationError, BlockStructureError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

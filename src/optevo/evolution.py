@@ -208,9 +208,33 @@ def density_arrival_time(
     """Earliest time in (0, horizon] at which the evolving density comes
     within ``threshold`` of the target in trace norm, or None.
 
-    Same streaming scan-and-refine search as the pure-state arrival, with
-    each chunk's densities diagonalized in one stacked call; the returned
-    time is the refined local minimizer of the trace distance.
+    Same streaming scan-and-refine search as the pure-state arrival; the
+    returned time is the refined local minimizer of the trace distance.
+
+    Each chunk is first screened with the Frobenius norm. With S and G the
+    two densities in the generator's eigenbasis and p the row of phases
+    exp(-i w t / hbar), the difference is D = S o pp* - G, and
+
+        ||D||_F^2 = ||S||_F^2 + ||G||_F^2 - 2 Re sum_jk p_j M_jk conj(p_k),
+
+    M = S o G^T: one (rows, n) @ (n, n) product per chunk. Because
+    ||D||_F <= ||D||_1, a point whose Frobenius norm exceeds the scan's gate
+    cannot pass it, so the stacked ``eigvalsh`` runs only on the points with
+    ||D||_F^2 <= gate^2 + margin. Every other point reads +inf: its trace
+    norm, as ``eigvalsh`` would compute it, is above the gate, so it is no
+    candidate, and a candidate, being at most the gate, compares with +inf
+    as with that value. The refined minima are those of a scan that
+    diagonalizes every point. The screen assumes nothing of the densities.
+
+    The margin is 64 n^2 eps s^2 with s^2 = ||S||_F^2 + ||G||_F^2. The
+    quadratic form sums terms of total size at most 2 s^2 (Cauchy-Schwarz)
+    in inner products of length n, and its phases are unimodular only to a
+    few eps, so it is off by at most (4 n + 16) eps s^2. ``eigvalsh`` is
+    taken to return each eigenvalue within 8 n eps ||D||_2 <= 8 n eps s sqrt 2,
+    so a computed trace norm at most gate bounds the exact Frobenius norm by
+    gate + e, e = 8 sqrt 2 n^2 eps s. If gate >= sqrt 2 s >= ||D||_F every
+    point is near anyway; otherwise (gate + e)^2 - gate^2 < 32 n^2 eps s^2
+    plus a negligible e^2, and both errors together stay below the margin.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -220,14 +244,24 @@ def density_arrival_time(
     hbar = units.hbar
     start = v.conj().T @ rho.matrix @ v
     goal = v.conj().T @ target.matrix @ v
+    cross = start * goal.T
+    squares = float(np.vdot(start, start).real + np.vdot(goal, goal).real)
+    gate = max(100.0 * threshold, 5e-2)
+    cutoff = gate * gate + 64.0 * w.size**2 * np.finfo(float).eps * squares
 
-    def values(table: np.ndarray, base: np.ndarray | float) -> np.ndarray:
-        phases = table * base
+    def trace_norms(phases: np.ndarray) -> np.ndarray:
         rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
         return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
 
-    def distance(t: float) -> float:
-        return float(values(np.exp(-1j * w * (t / hbar))[None, :], 1.0)[0])
+    def values(table: np.ndarray, base: np.ndarray | float) -> np.ndarray:
+        phases = table * base
+        form = np.einsum("ij,ij->i", phases @ cross, phases.conj()).real
+        near = np.nonzero(squares - 2.0 * form <= cutoff)[0]
+        out = np.full(len(phases), np.inf)
+        out[near] = trace_norms(phases[near])
+        return out
 
-    gate = max(100.0 * threshold, 5e-2)
+    def distance(t: float) -> float:
+        return float(trace_norms(np.exp(-1j * w * (t / hbar))[None, :])[0])
+
     return _scan_arrival(values, distance, w, hbar, horizon, gate, threshold)[0]

@@ -146,14 +146,16 @@ def state_from_json(doc) -> tuple[PureState, Units | None]:
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
-    """Encode a sampled trajectory."""
+    """Encode a sampled trajectory; an empty one has no dimension to record
+    and raises SerializationError."""
+    if not traj.states:
+        raise SerializationError("an empty trajectory has no dimension to record")
     samples = [s.amplitudes if traj.kind == "pure" else s.matrix for s in traj.states]
-    n = traj.states[0].n if traj.states else 0
     return {
         "times": _encode(traj.times),
         "states": _encode(np.array(samples, dtype=complex)),
         "kind": traj.kind,
-        "n": int(n),
+        "n": int(traj.states[0].n),
         "units": {"hbar": _encode(traj.units.hbar)},
     }
 

@@ -175,12 +175,14 @@ class TestCheck:
         big = write_matrix(tmp_path / "big.json", np.eye(3), "hermitian")
         r = run_cli("check", "--ham", big, "--state", qubit_files["ket0"])
         assert r.returncode == 3
+        assert r.stderr.startswith("error: DimensionMismatchError: ")
 
     def test_unreadable_file(self, tmp_path, qubit_files):
         broken = tmp_path / "broken.json"
         broken.write_text("{oops")
         r = run_cli("check", "--ham", str(broken), "--state", qubit_files["ket0"])
         assert r.returncode == 2
+        assert r.stderr.startswith("error: SerializationError: ")
 
 
 class TestEquigeodesic:
@@ -298,6 +300,7 @@ class TestVerify:
     def test_zero_trials_rejected(self):
         r = run_cli("verify", "--suite", "algebra", "--trials", 0, "--seed", 7)
         assert r.returncode == 2
+        assert r.stderr == "error: ValueError: --trials must be at least 1\n"
 
     def test_unknown_suite_rejected(self):
         r = run_cli("verify", "--suite", "bogus", "--trials", 1, "--seed", 7)

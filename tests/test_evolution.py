@@ -7,6 +7,7 @@ maximal-speed qubit transfer.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from optevo import (
     DimensionMismatchError,
     FoldExceededError,
     PureState,
+    QuasiPureSpec,
     Trajectory,
     Units,
     density_arrival_time,
@@ -26,12 +28,13 @@ from optevo import (
     projector,
     propagate,
     propagate_density,
+    quasi_pure,
     sample_trajectory,
     subspace_leakage,
     trace_distance,
 )
-from optevo import evolution, verification
-from optevo.sampling import random_pure_state
+from optevo import evolution, numerics, verification
+from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from optevo.verification import run_suite
 
 ATOL = 1e-12
@@ -280,3 +283,165 @@ class TestDensityArrival:
         rho = DensityMatrix(np.eye(2) / 2.0)
         with pytest.raises(DimensionMismatchError):
             density_arrival_time(np.eye(3), rho, rho, 1.0)
+
+
+def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8):
+    """The density search without its Frobenius screen: the trace norm at
+    every point of the scan's grid, the same gated local-minimum test, and
+    the same refinement. Its phases come straight from the grid times, so
+    its grid values match the streamed scan's to rounding. Returns the time,
+    the minima refined and the smallest grid value."""
+    w, v = numerics.herm_eig(h)
+    start = v.conj().T @ rho.matrix @ v
+    goal = v.conj().T @ target.matrix @ v
+
+    def norms(phases):
+        rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
+        return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
+
+    def distance(t):
+        return float(norms(np.exp(-1j * w * (t / hbar))[None, :])[0])
+
+    step = 0.01 * hbar / (float(w[-1] - w[0]) / 2.0)
+    count = max(math.ceil(horizon / step), 8)
+    dt = horizon / count
+    vals = np.append(norms(np.exp(-1j * np.outer(np.arange(count + 1) * dt, w) / hbar)), np.inf)
+    gate = max(100.0 * threshold, 5e-2)
+    refined = 0
+    for i in range(1, count + 1):
+        if not vals[i] <= min(vals[i - 1], vals[i + 1], gate):
+            continue
+        refined += 1
+        lo, hi = (i - 1) * dt, (i + 1) * dt if i + 1 < count else horizon
+        tol = max(1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
+        t_min, f_min = numerics.golden_section_min(distance, lo, hi, tol)
+        t_min = numerics._parabolic_polish(distance, t_min, 0.02 * step)
+        if min(f_min, distance(t_min)) <= threshold and t_min > 0.0:
+            return min(t_min, horizon), refined, float(vals.min())
+    return None, refined, float(vals.min())
+
+
+def _random_density(rng, n, spectrum):
+    u = random_unitary(rng, n)
+    return DensityMatrix((u * (np.asarray(spectrum) / np.sum(spectrum))) @ u.conj().T)
+
+
+def _quasi_pure_density(rng, n):
+    frame = random_unitary(rng, n)
+    p1 = float(rng.uniform(0.3, 0.95))
+    spec = QuasiPureSpec(
+        p1, (1.0 - p1) / (n - 1), tuple(PureState(frame[:, j]) for j in range(n))
+    )
+    return quasi_pure(spec)
+
+
+def _fixed_spread(rng, n):
+    h = random_hermitian(rng, n)
+    w = np.linalg.eigvalsh(h)
+    return h * (2.0 * math.sqrt(n) / (float(w[-1] - w[0]) / 2.0))
+
+
+def _screen_cases():
+    rng = np.random.default_rng(41)
+    cases = {}
+    h = _fixed_spread(rng, 4)
+    rho = _random_density(rng, 4, [0.5, 0.3, 0.15, 0.05])
+    other = _random_density(rng, 4, [0.1, 0.2, 0.3, 0.4])
+    cases["full-rank-hit"] = (h, rho, propagate_density(h, rho, 7.3), 20.0, 1.0)
+    # Two percent of another density mixed into rho at t = 4.1: the distance
+    # dips below the gate there but not to the threshold.
+    near = 0.98 * propagate_density(h, rho, 4.1).matrix + 0.02 * other.matrix
+    cases["full-rank-near"] = (h, rho, DensityMatrix(near), 20.0, 1.0)
+    cases["full-rank-miss"] = (h, rho, other, 20.0, 1.0)
+    a, b = _quasi_pure_density(rng, 6), _quasi_pure_density(rng, 6)
+    cases["quasi-pure-miss"] = (_fixed_spread(rng, 6), a, b, 30.0, 1.0)
+    h6 = _fixed_spread(rng, 6)
+    arrived = propagate_density(h6, a, 9.0, Units(hbar=2.0))
+    cases["quasi-pure-hit-hbar2"] = (h6, a, arrived, 30.0, 2.0)
+    diagonal = np.diag([0.4, 0.1, -0.2, -0.3]).astype(complex)
+    cases["commuting"] = (
+        diagonal,
+        DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1])),
+        DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4])),
+        50.0,
+        1.0,
+    )
+    return cases
+
+
+SCREEN_CASES = _screen_cases()
+
+
+class TestDensityScreen:
+    @pytest.mark.parametrize("chunk", [1 << 15, 64])
+    @pytest.mark.parametrize("name", sorted(SCREEN_CASES))
+    def test_matches_unscreened_scan(self, name, chunk, monkeypatch, record_scans):
+        h, rho, target, horizon, hbar = SCREEN_CASES[name]
+        monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
+        scans = record_scans(evolution)
+        got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
+        want, refined, _ = _reference_density_arrival(h, rho, target, horizon, hbar)
+        assert got == want
+        assert scans[0]["refined"] == refined
+        assert scans[0]["chunks"] > (1 if chunk == 64 else 0)
+
+    def test_cases_cover_each_outcome(self):
+        outcomes = {
+            name: _reference_density_arrival(h, rho, target, horizon, hbar)
+            for name, (h, rho, target, horizon, hbar) in SCREEN_CASES.items()
+        }
+        assert outcomes["full-rank-hit"][0] is not None
+        assert outcomes["quasi-pure-hit-hbar2"][0] is not None
+        assert outcomes["full-rank-near"][0] is None and outcomes["full-rank-near"][1] > 0
+        assert all(outcomes[k][1] == 0 for k in ("full-rank-miss", "quasi-pure-miss", "commuting"))
+
+    def test_minimum_just_below_gate(self, record_scans):
+        # At t0 the difference is c (|a><a| - |b><b|): rank two, so its
+        # Frobenius norm is as large as a trace-norm gap allows, 1/sqrt(2) of
+        # the trace norm 2c, here just below the gate.
+        rng = np.random.default_rng(43)
+        h = _fixed_spread(rng, 4)
+        rho = _random_density(rng, 4, [0.4, 0.3, 0.2, 0.1])
+        moved = propagate_density(h, rho, 5.0).matrix
+        _, frame = np.linalg.eigh(moved)
+        a, b = frame[:, 0], frame[:, 3]
+        c = 0.495 * 5e-2
+        target = DensityMatrix(moved + c * (np.outer(a, a.conj()) - np.outer(b, b.conj())))
+        scans = record_scans(evolution)
+        got = density_arrival_time(h, rho, target, 10.0)
+        want, refined, lowest = _reference_density_arrival(h, rho, target, 10.0)
+        assert 0.95 * 5e-2 < lowest <= 5e-2
+        assert got is None and want is None
+        assert scans[0]["refined"] == refined > 0
+
+    def test_miss_diagonalizes_no_grid_row(self, monkeypatch, record_scans):
+        rng = np.random.default_rng(47)
+        h = _fixed_spread(rng, 6)
+        rho, target = _quasi_pure_density(rng, 6), _quasi_pure_density(rng, 6)
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        scans = record_scans(evolution)
+        assert density_arrival_time(h, rho, target, 30.0) is None
+        assert scans[0]["grid_points"] > 10_000
+        assert sum(r for r in rows if r != 1) == 0
+        assert rows.count(1) == scans[0]["evaluations"]
+
+    def test_memory_bounded_on_miss(self):
+        rng = np.random.default_rng(53)
+        h = _fixed_spread(rng, 32)
+        rho, target = _quasi_pure_density(rng, 32), _quasi_pure_density(rng, 32)
+        tracemalloc.start()
+        try:
+            arrival = density_arrival_time(h, rho, target, 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert arrival is None
+        # Chunks of (rows, n, n) matrices peaked near 35 MB at n = 32.
+        assert peak < 8e6

@@ -172,6 +172,12 @@ class TestTrajectoryDocuments:
         doc = {"times": [], "states": [], "kind": "density", "n": 3}
         assert trajectory_from_json(doc).kind == "empty"
 
+    def test_empty_trajectory_does_not_encode(self):
+        # It has no dimension, so any document written for it would be
+        # rejected on load.
+        with pytest.raises(SerializationError):
+            trajectory_to_json(Trajectory(np.array([]), (), None))
+
     @pytest.mark.parametrize(
         "mutate",
         [
