@@ -170,13 +170,14 @@ class QuasiPureSpec:
             raise InvalidQuasiPureError("weights must satisfy p1 + (n-1) p2 = 1")
         if abs(p1 - p2) <= eps:
             raise InvalidQuasiPureError("p1 = p2 degenerates to the maximally mixed state")
-        for i in range(n):
-            for j in range(i + 1, n):
-                ov = abs(basis[i].overlap(basis[j]))
-                if ov > 1e-10:
-                    raise InvalidQuasiPureError(
-                        f"basis states {i} and {j} overlap by {ov:.3e}"
-                    )
+        stacked = np.array([state.amplitudes for state in basis])
+        overlaps = np.abs(stacked.conj() @ stacked.T)
+        pairs = np.argwhere(np.triu(overlaps, 1) > 1e-10)
+        if pairs.size:
+            i, j = pairs[0]
+            raise InvalidQuasiPureError(
+                f"basis states {i} and {j} overlap by {overlaps[i, j]:.3e}"
+            )
 
     @property
     def n(self) -> int:

@@ -113,29 +113,29 @@ class HamiltonianBlocks:
 def adapted_basis(phi: PureState) -> np.ndarray:
     """Deterministic orthonormal completion of a state to a basis.
 
-    The first column is the state. The rest come from Gram-Schmidt over
-    the standard basis vectors in index order, skipping the index where
-    the state has its largest amplitude; that pivot keeps the completion
-    well conditioned for every input. Vectors are orthogonalized twice for
-    stability, which fixes all phases deterministically.
+    One Householder reflector Q = I - 2 u u* / (u* u) with
+    u = e^{-i theta} phi + e_p maps e_p to -e^{-i theta} phi, where p is
+    the index of the largest amplitude |phi_p| and theta = arg phi_p
+    (Golub & Van Loan, Matrix Computations, section 5.1). Column p is then
+    replaced by phi itself, a unit-modulus rescaling that keeps Q unitary,
+    and moved to the front: the first column is the state bit for bit, and
+    the others are the remaining columns of Q in index order.
+
+    The pivot component u_p = 1 + |phi_p| is at least 1 and is a sum of
+    two nonnegative numbers, so nothing cancels and u* u >= 2 for every
+    unit vector, including basis vectors and uniform superpositions.
     """
     amp = phi.amplitudes
     n = amp.size
     pivot = int(np.argmax(np.abs(amp)))
-    cols = [amp]
-    for j in range(n):
-        if j == pivot:
-            continue
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for c in cols:
-                v = v - c * np.vdot(c, v)
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-8:
-            raise ArithmeticError("basis completion degenerated")
-        cols.append(v / norm)
-    return np.column_stack(cols)
+    u = amp * (amp[pivot].conjugate() / abs(amp[pivot]))
+    u[pivot] = 1.0 + abs(amp[pivot])
+    # Column k is Q e_order[k], built in place: one n x n allocation.
+    order = np.r_[pivot, :pivot, pivot + 1 : n]
+    basis = u[:, None] * ((-2.0 / np.vdot(u, u).real) * u[order].conj())
+    basis[order, np.arange(n)] += 1.0
+    basis[:, 0] = amp
+    return basis
 
 
 def adapted_blocks(h, phi: PureState, tol: Tolerances | None = None) -> HamiltonianBlocks:
@@ -227,9 +227,8 @@ def _family_member(core, phi: PureState, mean_energy: float, perp_levels) -> np.
     [mean_energy - E, mean_energy + E] also leaves the spectral spread at
     2E, so no uncertainty headroom is wasted.
     """
-    basis = adapted_basis(phi)
-    hb = basis.conj().T @ as_matrix(core) @ basis
-    coupling = hb[1:, 0]
+    blocks = adapted_blocks(core, phi)
+    coupling = blocks.coupling
     norm = float(np.linalg.norm(coupling))
     if norm == 0.0:
         return as_matrix(core).copy()
@@ -244,12 +243,9 @@ def _family_member(core, phi: PureState, mean_energy: float, perp_levels) -> np.
     if m > 1:
         completion = adapted_basis(PureState(xhat))[:, 1:]
         complement = complement + (completion * levels) @ completion.conj().T
-    full = np.zeros_like(hb)
-    full[0, 0] = mean_energy
-    full[1:, 0] = coupling
-    full[0, 1:] = coupling.conj()
-    full[1:, 1:] = (complement + complement.conj().T) / 2.0
-    return basis @ full @ basis.conj().T
+    return HamiltonianBlocks(
+        mean_energy, coupling, (complement + complement.conj().T) / 2.0, blocks.basis
+    ).reassemble()
 
 
 def optimal_family_sample(

@@ -240,6 +240,13 @@ class TestQuasiPure:
         with pytest.raises(InvalidQuasiPureError):
             QuasiPureSpec(0.6, 0.2, skewed)  # non-orthogonal basis
 
+    def test_names_the_overlapping_pair(self):
+        basis = [PureState.basis_state(4, k) for k in range(4)]
+        basis[3] = PureState.from_vector([0.0, 1e-6, 0.0, 1.0])
+        message = r"basis states 1 and 3 overlap by 1\.000e-06"
+        with pytest.raises(InvalidQuasiPureError, match=message):
+            QuasiPureSpec(0.7, 0.1, basis)
+
     def test_assembled_spectrum(self):
         basis = tuple(PureState.basis_state(3, k) for k in range(3))
         rho = quasi_pure(QuasiPureSpec(0.6, 0.2, basis))

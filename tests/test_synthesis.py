@@ -67,16 +67,115 @@ def distinct_pair(rng, n):
             return phi, psi
 
 
+def gram_schmidt_basis(phi):
+    """Reference completion: doubly orthogonalized Gram-Schmidt over the
+    standard basis in index order, skipping the largest-amplitude index."""
+    amp = phi.amplitudes
+    n = amp.size
+    pivot = int(np.argmax(np.abs(amp)))
+    cols = [amp]
+    for j in range(n):
+        if j == pivot:
+            continue
+        v = np.zeros(n, dtype=complex)
+        v[j] = 1.0
+        for _ in range(2):
+            for c in cols:
+                v = v - c * np.vdot(c, v)
+        cols.append(v / np.linalg.norm(v))
+    return np.column_stack(cols)
+
+
+def assert_orthonormal_completion(b, phi):
+    assert np.array_equal(b[:, 0], phi.amplitudes)
+    assert np.linalg.norm(b.conj().T @ b - np.eye(phi.n)) <= 1e-13
+
+
 class TestAdaptedBasis:
     def test_first_column_is_state(self, rng):
         phi = random_pure_state(rng, 5)
-        b = adapted_basis(phi)
-        assert np.allclose(b[:, 0], phi.amplitudes, atol=ATOL)
-        assert np.linalg.norm(b.conj().T @ b - np.eye(5)) < 1e-12
+        assert_orthonormal_completion(adapted_basis(phi), phi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64, 128, 256])
+    def test_orthonormal_at_every_size(self, rng, n):
+        phi = random_pure_state(rng, n)
+        assert_orthonormal_completion(adapted_basis(phi), phi)
+
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [0.0, 0.0, 1.0],
+            [0.5, 0.5, 0.5, 0.5],
+            [1j, 0.0, 0.0],
+            [1e-20, 1.0],
+            [-1j],
+            [0.0, 0.6j, 0.0, -0.8],
+        ],
+        ids=["basis-vector", "ties", "phased-e0", "tiny-entry", "n1", "pivot-3"],
+    )
+    def test_edge_cases(self, vec):
+        phi = PureState(np.array(vec, dtype=complex))
+        assert_orthonormal_completion(adapted_basis(phi), phi)
+
+    def test_pivot_column_leads_then_index_order(self):
+        # For e_2 the reflector only flips the sign of e_2, which the state
+        # itself replaces; the other columns keep their index order.
+        b = adapted_basis(PureState.basis_state(3, 2))
+        assert np.array_equal(b, np.eye(3)[:, [2, 0, 1]])
 
     def test_deterministic(self):
         phi = PureState.from_vector([1.0, 2.0j, -1.0])
         assert np.array_equal(adapted_basis(phi), adapted_basis(phi))
+
+
+class TestAgainstGramSchmidt:
+    """Every basis-independent output matches the Gram-Schmidt reference.
+
+    Bounds: 1e-12 relative to the operator's Frobenius norm, about a
+    hundred times the roundoff eps * n * |H| at n = 64.
+    """
+
+    @staticmethod
+    def outputs(h, phi, psi):
+        v = is_optimal_speed(h, phi)
+        blocks = adapted_blocks(h, phi)
+        member = optimal_family_sample(phi, psi, 0.9, rng_seed=3)
+        _, base = equigeodesic_vector_of(member, phi)
+        return {
+            "kind": v.kind,
+            "residual": v.residual,
+            "delta_e": v.delta_e,
+            "delta_e_max": v.delta_e_max,
+            "coupling": float(np.linalg.norm(blocks.coupling)),
+            "spectrum": np.linalg.eigvalsh(blocks.complement),
+            "mean_energy": blocks.mean_energy,
+            "qsl": qsl_time(phi, psi, member),
+            "base_column": base[:, 0],
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    def test_same_values(self, rng, monkeypatch, n):
+        phi, psi = distinct_pair(rng, n)
+        # An eigenstate whose pivot is the last index makes the stationary case.
+        last = PureState.basis_state(n, n - 1)
+        cases = [
+            (Verdict.SUBOPTIMAL, random_hermitian(rng, n), phi, psi),
+            (Verdict.OPTIMAL, optimal_hamiltonian(phi, psi, 1.3), phi, psi),
+            (Verdict.OPTIMAL, optimal_family_sample(phi, psi, 0.7, rng_seed=5), phi, psi),
+            (Verdict.STATIONARY, np.diag(rng.standard_normal(n)).astype(complex), last, psi),
+        ]
+        for kind, h, phi, psi in cases:
+            new = self.outputs(h, phi, psi)
+            with monkeypatch.context() as m:
+                m.setattr(synthesis, "adapted_basis", gram_schmidt_basis)
+                ref = self.outputs(h, phi, psi)
+            tol = 1e-12 * max(1.0, float(np.linalg.norm(h)))
+            assert new["kind"] is ref["kind"] is kind
+            for key in ("residual", "delta_e", "delta_e_max", "coupling", "mean_energy"):
+                assert abs(new[key] - ref[key]) <= tol, (kind, key)
+            assert np.max(np.abs(new["spectrum"] - ref["spectrum"])) <= tol, kind
+            assert new["qsl"] == pytest.approx(ref["qsl"], rel=1e-12), kind
+            assert np.array_equal(new["base_column"], ref["base_column"]), kind
 
 
 class TestAdaptedBlocks:
