@@ -60,6 +60,60 @@ class Units:
             raise ValueError("hbar must be positive")
 
 
+def _require(ok, values, message: str) -> None:
+    """Raise ValueError unless every flag in ``ok`` is set.
+
+    ``ok`` and ``values`` are numpy scalars for one state, or hold one entry
+    per sample of a stack. The message is formatted with the failing value;
+    for a stack it names the first failing sample's index.
+    """
+    if ok.ndim == 0:
+        if not ok:
+            raise ValueError(message.format(values.item()))
+        return
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"sample {i}: " + message.format(values[i].item()))
+
+
+def _check_pure(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """The norm gate, on one vector (n,) or a stack of samples (T, n),
+    contiguous along its last axis (as a fresh copy is).
+
+    Stated so that a NaN norm fails it, and so does any non-finite entry.
+    The squared norm is one real dot product of the float pairs.
+    """
+    pairs = a.view(float)
+    norms = np.sqrt(np.vecdot(pairs, pairs))
+    _require(
+        abs(norms - 1.0) <= tol.spectral, norms, "state norm {!r} is not 1 within tolerance"
+    )
+
+
+def _check_density(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """The density gates, on one matrix (n, n) or a stack (T, n, n).
+
+    Finite entries; Hermiticity (the defect against the scale
+    max(1, ||A||_F), as ``is_hermitian`` states it); unit trace; and the
+    smallest eigenvalue of the Hermitian part, from one stacked ``eigvalsh``.
+    """
+    nonfinite = np.sum(~np.isfinite(a), axis=(-2, -1))
+    _require(nonfinite == 0, nonfinite, "density matrix has {!r} non-finite entries")
+    adjoint = np.swapaxes(a.conj(), -1, -2)
+    defect = np.linalg.norm(a - adjoint, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    _require(
+        defect <= tol.structural * scale, defect,
+        "density matrix is not Hermitian: ||A - A*||_F = {!r}",
+    )
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    ok = abs(tr - 1.0) <= tol.spectral * np.maximum(1.0, abs(tr))
+    _require(ok, tr, "trace {!r} is not 1 within tolerance")
+    lowest = np.linalg.eigvalsh((a + adjoint) / 2.0)[..., 0]
+    _require(lowest >= -tol.spectral, lowest, "negative eigenvalue {!r}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector in C^n.
@@ -73,23 +127,20 @@ class PureState:
     tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = np.array(self.amplitudes, dtype=complex)
         if a.ndim != 1 or a.size == 0:
             raise DimensionMismatchError(f"expected a nonempty vector, got shape {a.shape}")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > self.tol.spectral:
-            raise ValueError(f"state norm {norm!r} is not 1 within tolerance")
-        a = a.copy()
+        _check_pure(a, self.tol)
         a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
 
     @classmethod
     def from_vector(cls, vec, tol: Tolerances | None = None) -> "PureState":
-        """Normalize a nonzero vector into a state."""
+        """Normalize a nonzero vector of finite norm into a state."""
         a = np.asarray(vec, dtype=complex)
         norm = float(np.linalg.norm(a))
-        if norm <= 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm!r}")
         return cls(a / norm, tol or DEFAULT_TOLERANCES)
 
     @classmethod
@@ -121,14 +172,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         a = as_matrix(self.matrix)
-        if not is_hermitian(a, self.tol):
-            raise ValueError("density matrix must be Hermitian")
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > self.tol.spectral * max(1.0, abs(tr)):
-            raise ValueError(f"trace {tr!r} is not 1 within tolerance")
-        evals = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-        if float(evals[0]) < -self.tol.spectral:
-            raise ValueError(f"negative eigenvalue {float(evals[0])!r}")
+        _check_density(a, self.tol)
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
@@ -136,6 +180,20 @@ class DensityMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+def _states_of(stack: np.ndarray) -> tuple:
+    """The states of a read-only stack that passed its gate already: a
+    PureState per row of a (T, n) stack, a DensityMatrix per matrix of a
+    (T, n, n) one. Each holds a view of its sample and is neither checked
+    nor copied again."""
+    cls, name = (PureState, "amplitudes") if stack.ndim == 2 else (DensityMatrix, "matrix")
+    states = []
+    for sample in stack:
+        state = object.__new__(cls)
+        state.__dict__.update({name: sample, "tol": DEFAULT_TOLERANCES})
+        states.append(state)
+    return tuple(states)
 
 
 @dataclass(frozen=True)
@@ -206,6 +264,15 @@ def fs_distance(phi: PureState, psi: PureState) -> float:
     ov = np.vdot(a, b)
     rest = b - a * ov
     return math.atan2(math.sqrt(np.vdot(rest, rest).real), abs(ov))
+
+
+def _ray_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fs_distance`` row by row, in the same atan2 form, between two
+    (T, n) stacks of unit vectors or one (1, n) row and a stack."""
+    ov = np.vecdot(a, b)
+    rest = a * ov[:, None]
+    np.subtract(b, rest, out=rest)
+    return np.arctan2(np.sqrt(np.vecdot(rest, rest).real), np.abs(ov))
 
 
 def fidelity(phi: PureState, psi: PureState) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SerializationError
 from .evolution import Trajectory
 from .numerics import as_matrix
-from .quantum_states import DensityMatrix, PureState, Units
+from .quantum_states import PureState, Units
 
 __all__ = [
     "matrix_to_json",
@@ -148,20 +148,20 @@ def state_from_json(doc) -> tuple[PureState, Units | None]:
 def trajectory_to_json(traj: Trajectory) -> dict:
     """Encode a sampled trajectory; an empty one has no dimension to record
     and raises SerializationError."""
-    if not traj.states:
+    if traj.kind == "empty":
         raise SerializationError("an empty trajectory has no dimension to record")
-    samples = [s.amplitudes if traj.kind == "pure" else s.matrix for s in traj.states]
     return {
         "times": _encode(traj.times),
-        "states": _encode(np.array(samples, dtype=complex)),
+        "states": _encode(traj.samples),
         "kind": traj.kind,
-        "n": int(traj.states[0].n),
+        "n": int(traj.samples.shape[1]),
         "units": {"hbar": _encode(traj.units.hbar)},
     }
 
 
 def trajectory_from_json(doc) -> Trajectory:
-    """Decode a trajectory document (generator is not part of the format)."""
+    """Decode a trajectory document (generator is not part of the format).
+    The samples are checked once, as a stack, by the trajectory."""
     n = _header(doc, "trajectory", ("times", "states", "kind", "n"))
     times, states = doc["times"], doc["states"]
     lists = isinstance(times, list) and isinstance(states, list)
@@ -170,12 +170,13 @@ def trajectory_from_json(doc) -> Trajectory:
     kind = doc["kind"]
     if kind not in ("pure", "density"):
         raise SerializationError(f"unknown trajectory kind {kind!r}")
-    make, dims = (PureState, (n,)) if kind == "pure" else (DensityMatrix, (n, n))
+    dims = (n,) if kind == "pure" else (n, n)
     samples = _decode(states, (len(states),) + dims, "states")
+    samples.flags.writeable = False
     ts = _decode(times, (len(times),), "times", float)
     units = _units(doc) or Units()
     try:
-        return Trajectory(ts, tuple(make(s) for s in samples), None, units)
+        return Trajectory(ts, samples, None, units)
     except ValueError as exc:
         raise SerializationError(str(exc)) from exc
 

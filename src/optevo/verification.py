@@ -807,7 +807,7 @@ def check_geodesic_defect_sign(rng, trials, n_max):
             )
         if abs(defect) > abs(worst):
             worst = defect
-        single = Trajectory(times[:1], traj.states[:1], None, units)
+        single = Trajectory(times[:1], traj.samples[:1], None, units)
         if geodesic_defect(single) != 0.0:
             return PropertyResult(
                 "geodesic-defect-sign", "evolution", False, np.inf, 1e-6, trials,
@@ -828,13 +828,13 @@ def _kinked_trajectory(units):
     leg1 = optimal_hamiltonian(phi, PureState.basis_state(3, 1), 1.0)
     times1 = np.linspace(0.0, 0.5, 6)
     first = sample_trajectory(leg1, phi, times1, units)
-    corner = first.states[-1]
+    corner = PureState(first.samples[-1])
     leg2 = optimal_hamiltonian(corner, PureState.basis_state(3, 2), 1.0)
     times2 = np.linspace(0.0, 0.5, 6)
     second = sample_trajectory(leg2, corner, times2, units)
     times = np.concatenate([times1, 0.5 + times2[1:]])
-    states = first.states + second.states[1:]
-    return Trajectory(times, states, None, units)
+    samples = np.concatenate([first.samples, second.samples[1:]])
+    return Trajectory(times, samples, None, units)
 
 
 def check_subspace_confinement(rng, trials, n_max):

@@ -11,7 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from optevo import PureState, Verdict, is_optimal_speed
+from optevo import DensityMatrix, PureState, Verdict, is_optimal_speed
+from optevo.sampling import random_unitary
 from optevo.serialization import (
     file_digest,
     load_document,
@@ -245,6 +246,45 @@ class TestEvolve:
         assert float(lines["spectrum_residual"]) < 1e-12
         traj = trajectory_from_json(load_document(str(out)))
         assert traj.kind == "density"
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_residuals_at_n8(self, tmp_path, density):
+        # The benchmark's evolve size. The residuals come from the stacked
+        # samples; the per-state loop they replaced reads the same values
+        # off the written file.
+        rng = np.random.default_rng(8)
+        h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        ham = write_matrix(tmp_path / "h.json", h + h.conj().T, "hermitian")
+        if density:
+            u = random_unitary(rng, 8)
+            rho = DensityMatrix((u * np.linspace(0.2, 0.05, 8)) @ u.conj().T)
+            state = write_matrix(tmp_path / "rho.json", rho.matrix, "density")
+        else:
+            vec = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            state = write_state(tmp_path / "phi.json", vec)
+        out = tmp_path / "traj.json"
+        r = run_cli(
+            "evolve", "--ham", ham, "--state", state, *(["--density"] if density else []),
+            "--t0", 0.0, "--t1", 3.0, "--steps", 2000, "--out", out, "--json",
+        )
+        assert r.returncode == 0, r.stderr
+        report = json.loads(r.stdout)["outputs"]
+        traj = trajectory_from_json(load_document(str(out)))
+        if density:
+            base = np.sort(np.linalg.eigvalsh(rho.matrix))
+            trace = max(abs(complex(np.trace(s.matrix)) - 1.0) for s in traj.states)
+            spectrum = max(
+                float(np.max(np.abs(np.sort(np.linalg.eigvalsh(s.matrix)) - base)))
+                for s in traj.states
+            )
+            assert report["trace_residual"] < 1e-12
+            assert report["spectrum_residual"] < 1e-12
+            assert report["trace_residual"] == pytest.approx(trace, abs=1e-15)
+            assert report["spectrum_residual"] == pytest.approx(spectrum, abs=1e-15)
+        else:
+            norm = max(abs(float(np.linalg.norm(s.amplitudes)) - 1.0) for s in traj.states)
+            assert report["norm_residual"] < 1e-12
+            assert report["norm_residual"] == pytest.approx(norm, abs=1e-15)
 
     def test_single_sample(self, tmp_path, qubit_files):
         out = tmp_path / "one.json"

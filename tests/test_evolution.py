@@ -22,8 +22,10 @@ from optevo import (
     Units,
     density_arrival_time,
     fidelity,
+    fs_distance,
     fs_speed_profile,
     geodesic_defect,
+    optimal_family_sample,
     optimal_hamiltonian,
     projector,
     propagate,
@@ -39,6 +41,11 @@ from optevo.verification import run_suite
 
 ATOL = 1e-12
 FLAT_TOL = 1e-6
+
+
+def bit_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -106,6 +113,84 @@ class TestTrajectory:
 
     def test_empty_kind(self):
         assert Trajectory(np.array([]), (), None).kind == "empty"
+        assert Trajectory(np.array([]), np.empty((0, 3, 3)), None).kind == "empty"
+
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array([np.nan]), (KET0,), None)
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.0, np.inf]])
+    def test_sampling_rejects_nonfinite_times(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            sample_trajectory(SIGMA_Z, KET0, times)
+
+    def test_samples_from_states(self):
+        traj = Trajectory(np.array([0.0, 1.0]), (KET0, KET1), None)
+        assert bit_equal(traj.samples, np.array([KET0.amplitudes, KET1.amplitudes]))
+        assert not traj.samples.flags.writeable
+
+    def test_array_input_is_copied(self):
+        samples = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        traj = Trajectory(np.array([0.0, 1.0]), samples, None)
+        samples[0, 0] = 0.0
+        assert traj.samples[0, 0] == 1.0
+
+    def test_read_only_input_is_kept(self):
+        samples = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+        samples.flags.writeable = False
+        traj = Trajectory(np.array([0.0, 1.0]), samples, None)
+        assert traj.samples is samples
+        assert not sample_trajectory(SIGMA_Y, KET0, [0.0, 1.0]).samples.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 4), (3, 2, 2, 2)])
+    def test_rejects_bad_sample_shapes(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            Trajectory(np.arange(3.0), np.ones(shape, dtype=complex), None)
+
+    def test_names_the_denormalized_sample(self):
+        samples = np.tile(KET0.amplitudes, (5, 1))
+        samples[3] *= 1.5
+        with pytest.raises(ValueError, match=r"^sample 3: state norm 1\.5 is not 1"):
+            Trajectory(np.arange(5.0), samples, None)
+
+    def test_names_the_first_nonhermitian_sample(self):
+        samples = np.tile(np.eye(2, dtype=complex) / 2.0, (4, 1, 1))
+        samples[2, 0, 1] = 0.5
+        samples[3, 1, 0] = 0.5
+        with pytest.raises(ValueError, match=r"^sample 2: density matrix is not Hermitian"):
+            Trajectory(np.arange(4.0), samples, None)
+
+    def test_names_the_negative_sample(self):
+        samples = np.tile(np.eye(2, dtype=complex) / 2.0, (4, 1, 1))
+        samples[1] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match=r"^sample 1: negative eigenvalue -0\.5"):
+            Trajectory(np.arange(4.0), samples, None)
+
+
+class TestStates:
+    @pytest.mark.parametrize("density", [False, True])
+    def test_built_once_read_only_and_bit_equal(self, density):
+        start = projector(KET0) if density else KET0
+        traj = sample_trajectory(SIGMA_Y, start, np.linspace(0.0, 1.0, 7))
+        states = traj.states
+        assert traj.states is states
+        assert len(states) == 7
+        for row, state in zip(traj.samples, states):
+            array = state.matrix if density else state.amplitudes
+            assert type(state) is (DensityMatrix if density else PureState)
+            assert bit_equal(array, row)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_states_act_as_states(self):
+        traj = sample_trajectory(SIGMA_Y, KET0, np.linspace(0.0, np.pi / 2.0, 3))
+        assert traj.states[-1].n == 2
+        assert fidelity(traj.states[-1], KET1) == pytest.approx(1.0, abs=ATOL)
+        assert abs(traj.states[0].overlap(KET0)) == pytest.approx(1.0, abs=ATOL)
+
+    def test_empty(self):
+        assert Trajectory(np.array([]), (), None).states == ()
 
 
 class TestSpeedProfile:
@@ -226,6 +311,76 @@ class TestSubspaceLeakage:
         traj = sample_trajectory(SIGMA_Y, KET0, np.linspace(0.0, 1.0, 5))
         with pytest.raises(DimensionMismatchError):
             subspace_leakage(traj, KET0, PureState.basis_state(3, 0))
+
+
+def _reference_samples(h, state, times, hbar):
+    """The per-sample loop sample_trajectory ran before it was batched."""
+    w, v = numerics.herm_eig(h)
+    rows = []
+    if isinstance(state, PureState):
+        start = v.conj().T @ state.amplitudes
+        for t in times:
+            phases = np.exp(-1j * w * (float(t) / hbar))
+            rows.append(v @ (phases * start))
+    else:
+        start = v.conj().T @ state.matrix @ v
+        for t in times:
+            phases = np.exp(-1j * w * (float(t) / hbar))
+            rows.append(v @ (start * np.outer(phases, phases.conj())) @ v.conj().T)
+    return np.array(rows)
+
+
+def _reference_diagnostics(samples, dt, phi, psi):
+    """Speed profile, geodesic defect and leakage as they were computed
+    before they became array expressions: one fs_distance per pair of
+    validated states, and one projection per sample."""
+    states = [PureState(row) for row in samples]
+    dist = np.array([fs_distance(states[0], s) for s in states])
+    profile = (dist[2:] - dist[:-2]) / (2.0 * dt)
+    segments = [fs_distance(a, b) for a, b in zip(states[:-1], states[1:])]
+    defect = float(np.sum(segments)) - fs_distance(states[0], states[-1])
+    first = phi.amplitudes
+    rest = psi.amplitudes - first * np.vdot(first, psi.amplitudes)
+    frame = [first, rest / float(np.linalg.norm(rest))]
+    leak = 0.0
+    for state in states:
+        out = state.amplitudes.copy()
+        for q in frame:
+            out -= q * np.vdot(q, out)
+        leak = max(leak, float(np.linalg.norm(out)))
+    return profile, defect, leak
+
+
+class TestBatchedAgainstReference:
+    """The batched sampler and the array diagnostics against the per-sample
+    forms they replaced, on the trajectory benchmark's kinds of input."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_pure(self, n, hbar):
+        rng = np.random.default_rng([n, int(hbar)])
+        phi, psi = random_pure_state(rng, n), random_pure_state(rng, n)
+        energy = float(rng.uniform(0.5, 2.0))
+        h = optimal_family_sample(phi, psi, energy, int(rng.integers(2**32)))
+        times = np.linspace(0.0, 0.8 * (np.pi / 2.0) * hbar / energy, 4001)
+        traj = sample_trajectory(h, phi, times, Units(hbar=hbar))
+        want = _reference_samples(h, phi, times, hbar)
+        assert np.max(np.abs(traj.samples - want)) <= 1e-14 * n
+        profile, defect, leak = _reference_diagnostics(want, times[1], phi, psi)
+        assert np.max(np.abs(fs_speed_profile(traj) - profile)) <= 1e-9
+        assert abs(geodesic_defect(traj) - defect) <= 1e-13
+        assert abs(subspace_leakage(traj, phi, psi) - leak) <= 1e-14
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_density(self, n, hbar):
+        rng = np.random.default_rng([n, int(hbar), 1])
+        rho = _quasi_pure_density(rng, n)
+        h = random_hermitian(rng, n)
+        times = np.linspace(0.0, 0.8 * np.pi / 2.0, 1001)
+        traj = sample_trajectory(h, rho, times, Units(hbar=hbar))
+        want = _reference_samples(h, rho, times, hbar)
+        assert np.max(np.abs(traj.samples - want)) <= 1e-14 * n
 
 
 class TestDensityArrival:

@@ -5,6 +5,8 @@ overlaps, uncertainties from first and second moments of diagonal
 observables, the maximal uncertainty from half the spectral spread.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,22 @@ class TestPureState:
         with pytest.raises(ValueError):
             KET0.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "vec", [[np.nan, 0.0], [0.6, complex(0.8, np.nan)]], ids=["nan", "complex-nan"]
+    )
+    def test_rejects_nan(self, vec):
+        # A NaN norm used to slip past the gate, and a verdict on the state
+        # came back Suboptimal with a NaN residual.
+        with pytest.raises(ValueError, match="nan"):
+            PureState(np.array(vec))
+
+    @pytest.mark.parametrize("vec", [[np.inf, 0.0], [np.nan, 1.0]], ids=["inf", "nan"])
+    def test_from_vector_rejects_nonfinite_norm(self, vec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="norm"):
+                PureState.from_vector(vec)
+
 
 class TestDensityMatrix:
     def test_rejects_nonhermitian(self):
@@ -93,6 +111,19 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.nan, 0.0], [0.0, 1.0]], [[0.5, np.inf], [0.0, 0.5]]],
+        ids=["nan", "inf-off-diagonal"],
+    )
+    def test_rejects_nonfinite(self, matrix):
+        # An infinite entry used to pass the Hermiticity gate, whose defect
+        # and scale were both infinite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityMatrix(np.array(matrix))
 
     def test_accepts_mixed(self):
         rho = DensityMatrix(np.eye(3) / 3.0)

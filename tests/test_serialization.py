@@ -41,6 +41,10 @@ def bit_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _arrays(traj):
+    return [s.amplitudes if traj.kind == "pure" else s.matrix for s in traj.states]
+
+
 class TestMatrixDocuments:
     def test_roundtrip_preserves_bits(self, rng):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -166,6 +170,31 @@ class TestTrajectoryDocuments:
         doc = trajectory_to_json(traj)
         doc["times"] = doc["times"][:-1]
         with pytest.raises(SerializationError):
+            trajectory_from_json(doc)
+
+    def test_decoded_states_keep_their_bytes(self):
+        rho = projector(PureState.basis_state(3, 1))
+        for start in (PureState.from_vector([1.0, 1j, -0.5]), rho):
+            traj = sample_trajectory(np.diag([1.0, 0.3, -2.0]), start, np.linspace(0, 2, 9))
+            back = trajectory_from_json(json.loads(json.dumps(trajectory_to_json(traj))))
+            assert bit_equal(back.samples, traj.samples)
+            assert [s.tobytes() for s in _arrays(back)] == [s.tobytes() for s in _arrays(traj)]
+
+    def test_names_the_denormalized_sample(self):
+        traj = sample_trajectory(SIGMA_Y, PureState.basis_state(2, 0), np.linspace(0, 1, 6))
+        doc = trajectory_to_json(traj)
+        doc["states"][4] = [[0.75, 0.0], [0.0, 0.0]]
+        with pytest.raises(SerializationError, match=r"^sample 4: state norm 0\.75 "):
+            trajectory_from_json(doc)
+
+    def test_names_the_nonhermitian_sample(self):
+        rho = projector(PureState.basis_state(2, 0))
+        traj = sample_trajectory(SIGMA_Y, rho, np.linspace(0, 1, 5))
+        doc = trajectory_to_json(traj)
+        doc["states"][3] = [[[0.5, 0.0], [0.25, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        with pytest.raises(
+            SerializationError, match=r"^sample 3: density matrix is not Hermitian: .* = 0\.35"
+        ):
             trajectory_from_json(doc)
 
     def test_sampleless_document_decodes_empty(self):
