@@ -131,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", required=True, type=_block_list, metavar="1,2",
                    help="block sizes of the isotropy partition")
     p.add_argument("--samples", type=_positive_int, default=16,
-                   help="number of random metrics for the variational test")
-    p.add_argument("--seed", type=int, default=0)
+                   help="deprecated and ignored: the variational test is exact")
+    p.add_argument("--seed", type=int, default=0,
+                   help="deprecated and ignored: the variational test is exact")
     p.add_argument("--json", action="store_true", help="emit a run report only")
     p.set_defaults(func=cmd_equigeodesic)
 
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--n-max", type=_positive_int, default=8)
     p.add_argument("--negative-control", action="store_true",
-                   help="append a deliberately failing check")
+                   help="append one known-false check that must FAIL")
     p.add_argument("--json", action="store_true", help="emit a run report only")
     p.set_defaults(func=cmd_verify)
 
@@ -271,7 +272,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_equigeodesic(args) -> int:
-    report = _Report("equigeodesic", args.json, seed=args.seed)
+    report = _Report("equigeodesic", args.json)
     report.input_file("vector", args.vector)
     matrix = _load_matrix(args.vector)
     vector = SuVector(matrix)
@@ -281,9 +282,7 @@ def cmd_equigeodesic(args) -> int:
             f"blocks sum to {blocks.n} but the vector has dimension {vector.dim}"
         )
     structural = is_equigeodesic_structural(vector, blocks)
-    variational, residual = is_equigeodesic_variational(
-        vector, blocks, samples=args.samples, rng_seed=args.seed
-    )
+    variational, residual = is_equigeodesic_variational(vector, blocks)
     report.line("structural", bool(structural))
     report.line("variational", bool(variational))
     report.line("max_residual", residual)
@@ -357,6 +356,7 @@ def cmd_verify(args) -> int:
                 "bound": float(r.bound),
                 "trials": int(r.trials),
                 "detail": r.detail,
+                "wall_s": float(r.wall_s),
             }
         )
     passed = sum(r.passed for r in results)

@@ -46,7 +46,7 @@ __all__ = [
 HALF_PI = float(np.pi) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled evolution: finite times ascending, one sample per time.
 

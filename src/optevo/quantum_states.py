@@ -114,7 +114,7 @@ def _check_density(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     _require(lowest >= -tol.spectral, lowest, "negative eigenvalue {!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector in C^n.
 
@@ -124,7 +124,7 @@ class PureState:
     """
 
     amplitudes: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False, compare=False)
+    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.amplitudes, dtype=complex)
@@ -163,12 +163,12 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian positive semidefinite matrix of unit trace."""
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False, compare=False)
+    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self) -> None:
         a = as_matrix(self.matrix)
@@ -196,7 +196,7 @@ def _states_of(stack: np.ndarray) -> tuple:
     return tuple(states)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiPureSpec:
     """Spectrum and eigenbasis of a quasi-pure mixture.
 

@@ -84,7 +84,7 @@ class OptimalityVerdict:
     delta_e_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianBlocks:
     """Block data of a Hermitian operator relative to an adapted basis.
 

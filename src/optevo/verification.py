@@ -2,12 +2,17 @@
 
 Each check draws its own generator from the master seed, runs a stated
 number of trials, and reports the worst residual it saw next to the bound
-it enforces. The command-line ``verify`` subcommand runs these; the
+it enforces. A check states its name, suite and bound once, in its
+``@check`` declaration; the declaration order fixes the suites and each
+check's child seed. The command-line ``verify`` subcommand runs these; the
 acceptance tests call the same functions with pinned trial counts.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +29,7 @@ from .evolution import (
 )
 from .lie_flag import (
     BlockStructure,
-    MetricOperator,
-    SuVector,
     ad_conjugate,
-    apply_metric,
     bracket,
     coset_orbit,
     is_equigeodesic_structural,
@@ -38,7 +40,6 @@ from .lie_flag import (
 )
 from .numerics import frobenius, herm_eig, unitary_exp
 from .quantum_states import (
-    DensityMatrix,
     PureState,
     QuasiPureSpec,
     Units,
@@ -88,6 +89,58 @@ class PropertyResult:
     bound: float
     trials: int
     detail: str = ""
+    wall_s: float = 0.0
+
+
+# (suite, check) pairs in declaration order, filled by @check.
+_TABLE: list = []
+
+
+class _Fail(Exception):
+    """Ends a check early as failed, with its detail line and residual."""
+
+    def __init__(self, detail: str, residual: float = np.inf) -> None:
+        super().__init__(detail)
+        self.detail = detail
+        self.residual = residual
+
+
+def _outcome(residual, detail="", side=True):
+    return residual, detail, side
+
+
+def check(name, suite, bound, passes=operator.le, count=None):
+    """Declare a property check ``fn(rng, trials, n_max)`` and append it to
+    the table.
+
+    The body returns its residual, or ``(residual, detail)``, or
+    ``(residual, detail, side)`` with ``side`` a further condition that must
+    hold; it passes when ``passes(residual, bound)`` and ``side`` are true.
+    Raising ``_Fail`` fails it early. ``count`` maps the requested trials
+    to the reported count. The result carries the body's wall time.
+    """
+
+    def declare(body):
+        @functools.wraps(body)
+        def run(rng, trials, n_max):
+            start = time.perf_counter()
+            try:
+                out = body(rng, trials, n_max)
+                args = out if isinstance(out, tuple) else (out,)
+                residual, detail, side = _outcome(*args)
+                passed = bool(side) and passes(residual, bound)
+            except _Fail as fail:
+                residual, detail, passed = fail.residual, fail.detail, False
+            reported = trials if count is None else count(trials)
+            return PropertyResult(
+                name, suite, passed, residual, bound, reported, detail,
+                time.perf_counter() - start,
+            )
+
+        _TABLE.append((suite, run))
+        return run
+
+    return declare
 
 
 def _dims(rng: np.random.Generator, n_max: int, lo: int = 2) -> int:
@@ -110,6 +163,7 @@ def _distinct_pair(
 # algebra suite
 
 
+@check("eig-reconstruction", "algebra", 1e-10)
 def check_eig_reconstruction(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -121,15 +175,11 @@ def check_eig_reconstruction(rng, trials, n_max):
         worst = max(worst, frobenius(rebuilt - h) / scale)
         worst = max(worst, float(np.linalg.norm(v.conj().T @ v - np.eye(n))))
         if not np.all(np.diff(w) >= 0.0):
-            return PropertyResult(
-                "eig-reconstruction", "algebra", False, np.inf, 1e-10, trials,
-                "eigenvalues not ascending",
-            )
-    return PropertyResult(
-        "eig-reconstruction", "algebra", worst <= 1e-10, worst, 1e-10, trials
-    )
+            raise _Fail("eigenvalues not ascending")
+    return worst
 
 
+@check("exp-unitarity", "algebra", 1e-10)
 def check_exp_unitarity(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -138,11 +188,10 @@ def check_exp_unitarity(rng, trials, n_max):
         t = float(rng.uniform(-1e3, 1e3))
         u = unitary_exp(h, t, hbar=float(rng.uniform(0.5, 2.0)))
         worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(n))))
-    return PropertyResult(
-        "exp-unitarity", "algebra", worst <= 1e-10, worst, 1e-10, trials
-    )
+    return worst
 
 
+@check("exp-group-law", "algebra", 1e-9)
 def check_exp_group_law(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -152,11 +201,10 @@ def check_exp_group_law(rng, trials, n_max):
         t = float(rng.uniform(-10.0, 10.0))
         lhs = unitary_exp(h, s) @ unitary_exp(h, t)
         worst = max(worst, frobenius(lhs - unitary_exp(h, s + t)))
-    return PropertyResult(
-        "exp-group-law", "algebra", worst <= 1e-9, worst, 1e-9, trials
-    )
+    return worst
 
 
+@check("killing-ad-invariance", "algebra", 1e-8)
 def check_killing_ad_invariance(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -168,9 +216,7 @@ def check_killing_ad_invariance(rng, trials, n_max):
         after = killing_inner(ad_conjugate(u, x), ad_conjugate(u, y))
         denom = 1.0 + killing_norm(x) * killing_norm(y)
         worst = max(worst, abs(after - before) / denom)
-    return PropertyResult(
-        "killing-ad-invariance", "algebra", worst <= 1e-8, worst, 1e-8, trials
-    )
+    return worst
 
 
 def _random_blocks(rng, n) -> BlockStructure:
@@ -190,6 +236,7 @@ def _random_blocks(rng, n) -> BlockStructure:
     return BlockStructure(tuple(parts))
 
 
+@check("split-exactness", "algebra", 1e-9)
 def check_split_exactness(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -198,22 +245,15 @@ def check_split_exactness(rng, trials, n_max):
         x = random_su_vector(rng, n)
         iso, tan = reductive_split(x, blocks)
         if not np.array_equal(iso.matrix + tan.matrix, x.matrix):
-            return PropertyResult(
-                "split-exactness", "algebra", False, np.inf, 1e-9, trials,
-                "parts do not sum back exactly",
-            )
+            raise _Fail("parts do not sum back exactly")
         iso2, tan2 = reductive_split(tan, blocks)
         if not (np.array_equal(tan2.matrix, tan.matrix) and not np.any(iso2.matrix)):
-            return PropertyResult(
-                "split-exactness", "algebra", False, np.inf, 1e-9, trials,
-                "projection is not idempotent",
-            )
+            raise _Fail("projection is not idempotent")
         worst = max(worst, abs(killing_inner(iso, tan)))
-    return PropertyResult(
-        "split-exactness", "algebra", worst <= 1e-9, worst, 1e-9, trials
-    )
+    return worst
 
 
+@check("bracket-closure", "algebra", 1e-9)
 def check_bracket_closure(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -230,63 +270,48 @@ def check_bracket_closure(rng, trials, n_max):
             + bracket(z, bracket(x, y)).matrix
         )
         worst = max(worst, float(np.linalg.norm(jacobi)) / max(1.0, killing_norm(x)))
-    return PropertyResult(
-        "bracket-closure", "algebra", worst <= 1e-9, worst, 1e-9, trials
-    )
+    return worst
 
 
+@check("criterion-equivalence", "algebra", 1e-9, count=lambda trials: 2 * trials)
 def check_criterion_equivalence(rng, trials, n_max):
     """Structural and variational certificates agree on (1, n-1).
 
     ``trials`` constructed-true plus ``trials`` generic directions, each
-    judged by 16 random metrics. Reports the worst constructed-case
+    judged by both certificates. Reports the worst constructed-case
     variational residual; the detail line carries the smallest generic-case
     residual, which must clear 1e-3.
     """
     n_hi = min(6, n_max)
     worst_true = 0.0
     least_false = np.inf
-    agreements = 0
-    total = 0
-    for k in range(trials):
-        n = _dims(rng, n_hi)
-        blocks = BlockStructure((1, n - 1))
-        x = random_equigeodesic(rng, n, with_isotropy=bool(k % 2))
-        structural = is_equigeodesic_structural(x, blocks)
-        variational, residual = is_equigeodesic_variational(
-            x, blocks, samples=16, rng_seed=int(rng.integers(2**32))
-        )
-        total += 1
-        agreements += int(structural == variational)
-        if not (structural and variational):
-            return PropertyResult(
-                "criterion-equivalence", "algebra", False, np.inf, 1e-9, trials,
-                f"constructed direction rejected at trial {k}",
-            )
-        worst_true = max(worst_true, residual)
-    for k in range(trials):
-        n = _dims(rng, n_hi)
-        blocks = BlockStructure((1, n - 1))
-        x = random_su_vector(rng, n)
-        structural = is_equigeodesic_structural(x, blocks)
-        variational, residual = is_equigeodesic_variational(
-            x, blocks, samples=16, rng_seed=int(rng.integers(2**32))
-        )
-        total += 1
-        agreements += int(structural == variational)
-        if structural or variational:
-            return PropertyResult(
-                "criterion-equivalence", "algebra", False, np.inf, 1e-9, trials,
-                f"generic direction accepted at trial {k}",
-            )
-        least_false = min(least_false, residual)
-    passed = agreements == total and worst_true <= 1e-9 and least_false > 1e-3
-    return PropertyResult(
-        "criterion-equivalence", "algebra", passed, worst_true, 1e-9, 2 * trials,
-        f"agreement {agreements}/{total}, least generic residual {least_false:.3e}",
-    )
+    for constructed in (True, False):
+        for k in range(trials):
+            n = _dims(rng, n_hi)
+            blocks = BlockStructure((1, n - 1))
+            if constructed:
+                x = random_equigeodesic(rng, n, with_isotropy=bool(k % 2))
+            else:
+                x = random_su_vector(rng, n)
+            structural = is_equigeodesic_structural(x, blocks)
+            # This draw once seeded the sampled metrics; it stays so that
+            # every trial keeps its direction.
+            rng.integers(2**32)
+            variational, residual = is_equigeodesic_variational(x, blocks)
+            if constructed and not (structural and variational):
+                raise _Fail(f"constructed direction rejected at trial {k}")
+            if not constructed and (structural or variational):
+                raise _Fail(f"generic direction accepted at trial {k}")
+            if constructed:
+                worst_true = max(worst_true, residual)
+            else:
+                least_false = min(least_false, residual)
+    total = 2 * trials
+    detail = f"agreement {total}/{total}, least generic residual {least_false:.3e}"
+    return worst_true, detail, least_false > 1e-3
 
 
+@check("orbit-translation", "algebra", 1e-9)
 def check_orbit_translation(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -299,11 +324,10 @@ def check_orbit_translation(rng, trials, n_max):
         worst = max(worst, frobenius(coset_orbit(moved, t) @ u - u @ coset_orbit(x, t)))
         group = coset_orbit(x, t) @ coset_orbit(x, s) - coset_orbit(x, t + s)
         worst = max(worst, frobenius(group))
-    return PropertyResult(
-        "orbit-translation", "algebra", worst <= 1e-9, worst, 1e-9, trials
-    )
+    return worst
 
 
+@check("isotropy-factorization", "algebra", 1e-8)
 def check_isotropy_factorization(rng, trials, n_max):
     """exp(t X) exp(-t X_m) stays block-diagonal for certified directions."""
     worst = 0.0
@@ -316,15 +340,14 @@ def check_isotropy_factorization(rng, trials, n_max):
         for t in rng.uniform(0.0, 10.0, size=10):
             d = coset_orbit(x, float(t)) @ coset_orbit(tan, float(t)).conj().T
             worst = max(worst, float(np.linalg.norm(d[~mask])))
-    return PropertyResult(
-        "isotropy-factorization", "algebra", worst <= 1e-8, worst, 1e-8, trials
-    )
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # synthesis suite
 
 
+@check("qubit-oracle", "synthesis", 1e-12, count=lambda trials: 1)
 def check_qubit_oracle(rng, trials, n_max):
     """Closed-form two-level case: |0> to |1> at unit uncertainty.
 
@@ -340,16 +363,13 @@ def check_qubit_oracle(rng, trials, n_max):
     worst = max(worst, abs(t_bound - HALF_PI))
     verdict = is_optimal_speed(h, phi)
     worst = max(worst, abs(verdict.delta_e - 1.0), abs(verdict.delta_e_max - 1.0))
-    ok = verdict.kind is Verdict.OPTIMAL and worst <= 1e-12
     arrival = first_arrival_time(h, phi, psi, horizon=10.0)
     arrival_err = np.inf if arrival is None else abs(arrival - HALF_PI)
-    ok = ok and arrival_err <= 1e-7
-    return PropertyResult(
-        "qubit-oracle", "synthesis", ok, worst, 1e-12, 1,
-        f"arrival error {arrival_err:.3e} against 1e-7",
-    )
+    ok = verdict.kind is Verdict.OPTIMAL and arrival_err <= 1e-7
+    return worst, f"arrival error {arrival_err:.3e} against 1e-7", ok
 
 
+@check("fs-metric-axioms", "synthesis", 1e-10)
 def check_fs_metric_axioms(rng, trials, n_max):
     """Metric axioms on rays. Self-distance is held to 1e-14: the distance
     takes its sine from the vectors, not from an overlap modulus near 1,
@@ -364,23 +384,18 @@ def check_fs_metric_axioms(rng, trials, n_max):
         c = random_pure_state(rng, n)
         dab = fs_distance(a, b)
         if not (0.0 <= dab <= HALF_PI) or dab != fs_distance(b, a):
-            return PropertyResult(
-                "fs-metric-axioms", "synthesis", False, np.inf, 1e-10, trials,
-                "range or symmetry broken",
-            )
+            raise _Fail("range or symmetry broken")
         worst_self = max(worst_self, fs_distance(a, a))
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rotated = PureState(a.amplitudes * phase)
         worst = max(worst, abs(fs_distance(rotated, b) - dab))
         violation = fs_distance(a, c) - (dab + fs_distance(b, c))
         worst = max(worst, violation)
-    passed = worst <= 1e-10 and worst_self <= 1e-14
-    return PropertyResult(
-        "fs-metric-axioms", "synthesis", passed, worst, 1e-10, trials,
-        f"self-distance floor {worst_self:.3e} against 1e-14",
-    )
+    detail = f"self-distance floor {worst_self:.3e} against 1e-14"
+    return worst, detail, worst_self <= 1e-14
 
 
+@check("fs-unitary-invariance", "synthesis", 1e-10)
 def check_fs_unitary_invariance(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -391,11 +406,10 @@ def check_fs_unitary_invariance(rng, trials, n_max):
         ua = PureState.from_vector(u @ a.amplitudes)
         ub = PureState.from_vector(u @ b.amplitudes)
         worst = max(worst, abs(fs_distance(ua, ub) - fs_distance(a, b)))
-    return PropertyResult(
-        "fs-unitary-invariance", "synthesis", worst <= 1e-10, worst, 1e-10, trials
-    )
+    return worst
 
 
+@check("variance-bound-witness", "synthesis", 1e-10)
 def check_variance_bound_and_witness(rng, trials, n_max):
     """No state beats half the spectral spread, the witness attains it, and
     the balanced two-point mixture of extreme eigenvectors gives the same
@@ -415,11 +429,10 @@ def check_variance_bound_and_witness(rng, trials, n_max):
         mean = float(np.trace(mix @ h).real)
         var = float(np.trace(mix @ h @ h).real) - mean * mean
         worst = max(worst, abs(float(np.sqrt(max(var, 0.0))) - value))
-    return PropertyResult(
-        "variance-bound-witness", "synthesis", worst <= 1e-10, worst, 1e-10, trials
-    )
+    return worst
 
 
+@check("uncertainty-conservation", "synthesis", 1e-10)
 def check_uncertainty_conservation(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -430,11 +443,10 @@ def check_uncertainty_conservation(rng, trials, n_max):
         for t in rng.uniform(0.0, 10.0, size=4):
             moved = propagate(h, phi, float(t))
             worst = max(worst, abs(energy_uncertainty(h, moved) - base))
-    return PropertyResult(
-        "uncertainty-conservation", "synthesis", worst <= 1e-10, worst, 1e-10, trials
-    )
+    return worst
 
 
+@check("blocks-reassembly", "synthesis", 1e-10)
 def check_blocks_reassembly(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -445,9 +457,7 @@ def check_blocks_reassembly(rng, trials, n_max):
         worst = max(worst, frobenius(blocks.reassemble() - h) / max(1.0, frobenius(h)))
         delta = abs(float(np.linalg.norm(blocks.coupling)) - energy_uncertainty(h, phi))
         worst = max(worst, delta)
-    return PropertyResult(
-        "blocks-reassembly", "synthesis", worst <= 1e-10, worst, 1e-10, trials
-    )
+    return worst
 
 
 def _synth_pair(rng, n, energy, family: bool):
@@ -459,6 +469,7 @@ def _synth_pair(rng, n, energy, family: bool):
     return phi, psi, h
 
 
+@check("synthesis-roundtrip", "synthesis", 1e-9)
 def check_synthesis_roundtrip(rng, trials, n_max):
     """Synthesized generators are verdict-optimal, their algebra vectors
     pass the structural certificate, and the target is reached at the
@@ -471,25 +482,20 @@ def check_synthesis_roundtrip(rng, trials, n_max):
         phi, psi, h = _synth_pair(rng, n, energy, family=bool(k % 2))
         verdict = is_optimal_speed(h, phi)
         if verdict.kind is not Verdict.OPTIMAL:
-            return PropertyResult(
-                "synthesis-roundtrip", "synthesis", False, np.inf, 1e-9, trials,
-                f"verdict {verdict.kind.value} at trial {k}",
-            )
+            raise _Fail(f"verdict {verdict.kind.value} at trial {k}")
         vector, base = equigeodesic_vector_of(h, phi)
         centered = ad_conjugate(base.conj().T, vector)
         if not is_equigeodesic_structural(centered, BlockStructure((1, n - 1))):
-            return PropertyResult(
-                "synthesis-roundtrip", "synthesis", False, np.inf, 1e-9, trials,
-                f"structural certificate failed at trial {k}",
-            )
+            raise _Fail(f"structural certificate failed at trial {k}")
         horizon = units.hbar * fs_distance(phi, psi) / energy
         arrived = propagate(h, phi, horizon, units)
         worst = max(worst, 1.0 - fidelity(arrived, psi))
-    return PropertyResult(
-        "synthesis-roundtrip", "synthesis", worst <= 1e-9, worst, 1e-9, trials
-    )
+    return worst
 
 
+# Agreement of verdict and saturation is the check; the uncertainty gap of
+# optimal verdicts is reported, not held to the bound.
+@check("saturation-equivalence", "synthesis", 1e-8, passes=lambda residual, bound: True)
 def check_saturation_equivalence(rng, trials, n_max):
     """Optimal verdicts coincide exactly with uncertainty saturation."""
     worst = 0.0
@@ -506,48 +512,45 @@ def check_saturation_equivalence(rng, trials, n_max):
             1.0, verdict.delta_e_max
         )
         if (verdict.kind is Verdict.OPTIMAL) != saturated:
-            return PropertyResult(
-                "saturation-equivalence", "synthesis", False, np.inf, 1e-8, trials,
-                f"verdict and saturation disagree at trial {k}",
-            )
+            raise _Fail(f"verdict and saturation disagree at trial {k}")
         if verdict.kind is Verdict.OPTIMAL:
             worst = max(worst, abs(verdict.delta_e - verdict.delta_e_max))
-    return PropertyResult(
-        "saturation-equivalence", "synthesis", True, worst, 1e-8, trials
-    )
+    return worst
 
 
+def _violating_generator(rng, n, coupling_min, complement_min, defect_min):
+    """Random generator and state whose adapted blocks violate the
+    certificate: coupling and complement norms above their minimums and a
+    relative eigen-defect above ``defect_min``."""
+    while True:
+        h = random_hermitian(rng, n)
+        phi = random_pure_state(rng, n)
+        blocks = adapted_blocks(h, phi)
+        x, comp = blocks.coupling, blocks.complement
+        defect = float(np.linalg.norm(comp @ x - blocks.mean_energy * x))
+        coupling_norm = float(np.linalg.norm(x))
+        comp_norm = float(np.linalg.norm(comp))
+        if (
+            coupling_norm > coupling_min
+            and comp_norm > complement_min
+            and defect / max(1.0, comp_norm * coupling_norm) > defect_min
+        ):
+            return h, phi
+
+
+@check("strict-gap-when-violated", "synthesis", 1e-12, passes=operator.gt)
 def check_strict_gap_when_violated(rng, trials, n_max):
     """Violating both certificate clauses forces a strict uncertainty gap."""
     least = np.inf
     for _ in range(trials):
         n = _dims(rng, max(2, n_max))
-        while True:
-            h = random_hermitian(rng, n)
-            phi = random_pure_state(rng, n)
-            blocks = adapted_blocks(h, phi)
-            coupling_norm = float(np.linalg.norm(blocks.coupling))
-            defect = float(
-                np.linalg.norm(
-                    blocks.complement @ blocks.coupling
-                    - blocks.mean_energy * blocks.coupling
-                )
-            )
-            comp_norm = float(np.linalg.norm(blocks.complement))
-            if (
-                coupling_norm > 1e-6
-                and comp_norm > 0.1
-                and defect / max(1.0, comp_norm * coupling_norm) > 0.1
-            ):
-                break
+        h, phi = _violating_generator(rng, n, 1e-6, 0.1, 0.1)
         verdict = is_optimal_speed(h, phi)
         least = min(least, verdict.delta_e_max - verdict.delta_e)
-    return PropertyResult(
-        "strict-gap-when-violated", "synthesis", least > 1e-12, least, 1e-12, trials,
-        "reported value is the smallest gap seen; it must exceed the bound",
-    )
+    return least, "reported value is the smallest gap seen; it must exceed the bound"
 
 
+@check("qsl-arrival-consistency", "synthesis", 1e-6)
 def check_qsl_arrival_consistency(rng, trials, n_max):
     """Measured arrivals never beat the speed limit, match it exactly for
     optimal generators, and exceed it measurably for violating ones."""
@@ -566,10 +569,7 @@ def check_qsl_arrival_consistency(rng, trials, n_max):
             bound = qsl_time(phi, psi, h, units)
             arrival = first_arrival_time(h, phi, psi, 1.3 * t_star + 0.2, units)
             if arrival is None:
-                return PropertyResult(
-                    "qsl-arrival-consistency", "synthesis", False, np.inf, 1e-6,
-                    trials, f"optimal arrival missing at trial {k}",
-                )
+                raise _Fail(f"optimal arrival missing at trial {k}")
             worst_lower = max(worst_lower, bound - arrival)
             worst_eq = max(worst_eq, abs(arrival - bound))
         elif mode == 1:
@@ -584,50 +584,25 @@ def check_qsl_arrival_consistency(rng, trials, n_max):
             bound = qsl_time(phi, psi, h, units)
             arrival = first_arrival_time(h, phi, psi, 1.2 * t_star + 0.1, units)
             if arrival is None:
-                return PropertyResult(
-                    "qsl-arrival-consistency", "synthesis", False, np.inf, 1e-6,
-                    trials, f"generic arrival missing at trial {k}",
-                )
+                raise _Fail(f"generic arrival missing at trial {k}")
             worst_lower = max(worst_lower, bound - arrival)
         else:
             h, phi, t_star, bound = _violating_passage(rng, n, units)
             psi = propagate(h, phi, t_star, units)
             arrival = first_arrival_time(h, phi, psi, 1.1 * t_star, units)
             if arrival is None:
-                return PropertyResult(
-                    "qsl-arrival-consistency", "synthesis", False, np.inf, 1e-6,
-                    trials, f"violating arrival missing at trial {k}",
-                )
+                raise _Fail(f"violating arrival missing at trial {k}")
             worst_lower = max(worst_lower, bound - arrival)
             least_gap = min(least_gap, (arrival - bound) / bound)
-    passed = worst_lower <= 1e-7 and worst_eq <= 1e-6 and least_gap > 1e-3
-    return PropertyResult(
-        "qsl-arrival-consistency", "synthesis", passed, worst_eq, 1e-6, trials,
-        f"worst bound violation {worst_lower:.3e}, least violating gap {least_gap:.3e}",
-    )
+    detail = f"worst bound violation {worst_lower:.3e}, least violating gap {least_gap:.3e}"
+    return worst_eq, detail, worst_lower <= 1e-7 and least_gap > 1e-3
 
 
 def _violating_passage(rng, n, units):
     """Generator violating the certificate plus a passage time whose
     speed-limit bound sits measurably below it."""
     while True:
-        h = random_hermitian(rng, n)
-        phi = random_pure_state(rng, n)
-        blocks = adapted_blocks(h, phi)
-        coupling_norm = float(np.linalg.norm(blocks.coupling))
-        defect = float(
-            np.linalg.norm(
-                blocks.complement @ blocks.coupling
-                - blocks.mean_energy * blocks.coupling
-            )
-        )
-        comp_norm = float(np.linalg.norm(blocks.complement))
-        if not (
-            coupling_norm > 0.2
-            and comp_norm > 0.3
-            and defect / max(1.0, comp_norm * coupling_norm) > 0.3
-        ):
-            continue
+        h, phi = _violating_generator(rng, n, 0.2, 0.3, 0.3)
         w, _ = herm_eig(h)
         spread = float(w[-1] - w[0]) / 2.0
         best = None
@@ -644,6 +619,7 @@ def _violating_passage(rng, n, units):
             return best[0], best[1], best[2], best[4]
 
 
+@check("family-trajectory-match", "synthesis", 1e-9)
 def check_family_trajectory_match(rng, trials, n_max):
     """Family members share the canonical member's projector trajectory and
     its uncertainty."""
@@ -665,11 +641,10 @@ def check_family_trajectory_match(rng, trials, n_max):
             b = propagate(member, phi, float(t), units)
             diff = projector(a).matrix - projector(b).matrix
             worst = max(worst, frobenius(diff))
-    return PropertyResult(
-        "family-trajectory-match", "synthesis", worst <= 1e-9, worst, 1e-9, trials
-    )
+    return worst
 
 
+@check("phase-gauge-independence", "synthesis", 1e-12)
 def check_phase_gauge_independence(rng, trials, n_max):
     """Rephasing either input ray leaves the synthesized generator itself
     unchanged away from orthogonal pairs."""
@@ -691,15 +666,14 @@ def check_phase_gauge_independence(rng, trials, n_max):
             energy,
         )
         worst = max(worst, frobenius(moved - base))
-    return PropertyResult(
-        "phase-gauge-independence", "synthesis", worst <= 1e-12, worst, 1e-12, trials
-    )
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # evolution suite
 
 
+@check("flow-property", "evolution", 1e-10)
 def check_flow_property(rng, trials, n_max):
     worst = 0.0
     for _ in range(trials):
@@ -719,11 +693,10 @@ def check_flow_property(rng, trials, n_max):
         before = np.sort(np.linalg.eigvalsh(rho.matrix))
         after = np.sort(np.linalg.eigvalsh(evolved.matrix))
         worst = max(worst, float(np.max(np.abs(before - after))))
-    return PropertyResult(
-        "flow-property", "evolution", worst <= 1e-10, worst, 1e-10, trials
-    )
+    return worst
 
 
+@check("tangent-part-trajectories", "evolution", 1e-9)
 def check_tangent_part_trajectories(rng, trials, n_max):
     """Certified directions and their tangent parts drive the base
     projector along one and the same curve."""
@@ -740,9 +713,7 @@ def check_tangent_part_trajectories(rng, trials, n_max):
             ub = coset_orbit(tan, float(t))
             diff = ua @ p0 @ ua.conj().T - ub @ p0 @ ub.conj().T
             worst = max(worst, frobenius(diff))
-    return PropertyResult(
-        "tangent-part-trajectories", "evolution", worst <= 1e-9, worst, 1e-9, trials
-    )
+    return worst
 
 
 def _uniform_window(h, energy, units, fraction=0.9, points_per_unit=200):
@@ -754,6 +725,7 @@ def _uniform_window(h, energy, units, fraction=0.9, points_per_unit=200):
     return np.linspace(0.0, span, count + 1)
 
 
+@check("speed-profile-flat", "evolution", 1e-6)
 def check_speed_profile_flat(rng, trials, n_max):
     """Optimal generators traverse rays at the constant rate delta_e/hbar;
     doubling the generator doubles the profile; violating generators stay
@@ -778,13 +750,11 @@ def check_speed_profile_flat(rng, trials, n_max):
     times = np.linspace(0.0, 0.5, 201)
     profile = fs_speed_profile(sample_trajectory(sub, phi2, times, units))
     ceiling = float(np.max(profile)) - spread / units.hbar
-    passed = worst <= 1e-6 and ceiling <= 1e-6
-    return PropertyResult(
-        "speed-profile-flat", "evolution", passed, worst, 1e-6, trials,
-        f"violating-generator profile stays {abs(ceiling):.3e} below its spectral rate",
-    )
+    detail = f"violating-generator profile stays {abs(ceiling):.3e} below its spectral rate"
+    return worst, detail, ceiling <= 1e-6
 
 
+@check("geodesic-defect-sign", "evolution", 1e-6)
 def check_geodesic_defect_sign(rng, trials, n_max):
     """Zero defect on synthesized segments, positive on a kinked path.
 
@@ -801,25 +771,15 @@ def check_geodesic_defect_sign(rng, trials, n_max):
         traj = sample_trajectory(h, phi, times, units)
         defect = geodesic_defect(traj)
         if defect < -1e-10:
-            return PropertyResult(
-                "geodesic-defect-sign", "evolution", False, defect, 1e-6, trials,
-                "defect below the roundoff floor",
-            )
+            raise _Fail("defect below the roundoff floor", residual=defect)
         if abs(defect) > abs(worst):
             worst = defect
         single = Trajectory(times[:1], traj.samples[:1], None, units)
         if geodesic_defect(single) != 0.0:
-            return PropertyResult(
-                "geodesic-defect-sign", "evolution", False, np.inf, 1e-6, trials,
-                "singleton trajectory must have zero defect",
-            )
-    kinked = _kinked_trajectory(units)
-    kink_defect = geodesic_defect(kinked)
-    passed = worst <= 1e-6 and kink_defect > 0.01
-    return PropertyResult(
-        "geodesic-defect-sign", "evolution", passed, worst, 1e-6, trials,
-        f"kinked-path defect {kink_defect:.4f} must exceed 0.01",
-    )
+            raise _Fail("singleton trajectory must have zero defect")
+    kink_defect = geodesic_defect(_kinked_trajectory(units))
+    detail = f"kinked-path defect {kink_defect:.4f} must exceed 0.01"
+    return worst, detail, kink_defect > 0.01
 
 
 def _kinked_trajectory(units):
@@ -837,6 +797,7 @@ def _kinked_trajectory(units):
     return Trajectory(times, samples, None, units)
 
 
+@check("subspace-confinement", "evolution", 1e-10)
 def check_subspace_confinement(rng, trials, n_max):
     """Synthesized evolutions never leave the endpoint plane; a generator
     coupling a third level does."""
@@ -856,13 +817,10 @@ def check_subspace_confinement(rng, trials, n_max):
     psi3 = PureState.basis_state(3, 1)
     times = np.linspace(0.0, 0.8, 41)
     leak = subspace_leakage(sample_trajectory(leaky, phi3, times, units), phi3, psi3)
-    passed = worst <= 1e-10 and leak > 0.01
-    return PropertyResult(
-        "subspace-confinement", "evolution", passed, worst, 1e-10, trials,
-        f"third-level coupling leaks {leak:.4f}, must exceed 0.01",
-    )
+    return worst, f"third-level coupling leaks {leak:.4f}, must exceed 0.01", leak > 0.01
 
 
+@check("quasi-pure-reduction", "evolution", 1e-7)
 def check_quasi_pure_reduction(rng, trials, n_max):
     """Quasi-pure transport reduces to the distinguished rays: the unitary
     carries the mixture exactly, and the density arrival time equals the
@@ -894,10 +852,7 @@ def check_quasi_pure_reduction(rng, trials, n_max):
         psi1 = target.distinguished
         carrier = target_frame @ source_frame.conj().T
         if not quasi_pure_transport(source, target, carrier):
-            return PropertyResult(
-                "quasi-pure-reduction", "evolution", False, np.inf, 1e-7, trials,
-                "ray-matching unitary failed to carry the mixture",
-            )
+            raise _Fail("ray-matching unitary failed to carry the mixture")
         energy = float(rng.uniform(0.5, 2.0))
         h = optimal_hamiltonian(phi1, psi1, energy)
         horizon = 1.4 * units.hbar * fs_distance(phi1, psi1) / energy + 0.2
@@ -906,21 +861,16 @@ def check_quasi_pure_reduction(rng, trials, n_max):
             h, quasi_pure(source), quasi_pure(target), horizon, units
         )
         if pure_t is None or density_t is None:
-            return PropertyResult(
-                "quasi-pure-reduction", "evolution", False, np.inf, 1e-7, trials,
-                "an arrival search came back empty",
-            )
+            raise _Fail("an arrival search came back empty")
         worst_time = max(worst_time, abs(pure_t - density_t))
-    return PropertyResult(
-        "quasi-pure-reduction", "evolution", worst_time <= 1e-7, worst_time, 1e-7,
-        trials,
-    )
+    return worst_time
 
 
 # ---------------------------------------------------------------------------
 # interchange
 
 
+@check("json-roundtrip", "interchange", 0.0)
 def check_json_roundtrip(rng, trials, n_max):
     """Encode-decode reproduces matrices and states bit for bit."""
     for _ in range(trials):
@@ -931,10 +881,7 @@ def check_json_roundtrip(rng, trials, n_max):
         doc = matrix_to_json(m, "hermitian")
         back, kind = matrix_from_json(doc)
         if kind != "hermitian" or back.tobytes() != m.astype(complex).tobytes():
-            return PropertyResult(
-                "json-roundtrip", "interchange", False, np.inf, 0.0, trials,
-                "matrix bytes changed in flight",
-            )
+            raise _Fail("matrix bytes changed in flight")
         phi = random_pure_state(rng, n)
         state_doc = state_to_json(phi, Units(float(rng.uniform(0.5, 2.0))))
         state_back, units_back = state_from_json(state_doc)
@@ -942,78 +889,33 @@ def check_json_roundtrip(rng, trials, n_max):
             units_back is None
             or state_back.amplitudes.tobytes() != phi.amplitudes.tobytes()
         ):
-            return PropertyResult(
-                "json-roundtrip", "interchange", False, np.inf, 0.0, trials,
-                "state bytes changed in flight",
-            )
-    return PropertyResult("json-roundtrip", "interchange", True, 0.0, 0.0, trials)
+            raise _Fail("state bytes changed in flight")
+    return 0.0
 
 
+@check("negative-control", "control", 1e-9, count=lambda trials: 1)
 def check_negative_control(rng, trials, n_max):
     """Deliberately corrupted case: claims a violating generator is
     optimal. Must fail, proving the harness can catch lies."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
     phi = PureState.basis_state(2, 0)
     verdict = is_optimal_speed(h, phi)
-    passed = verdict.kind is Verdict.OPTIMAL
-    return PropertyResult(
-        "negative-control", "control", passed, verdict.residual, 1e-9, 1,
-        "this check asserts a falsehood on purpose and must FAIL",
-    )
+    detail = "this check asserts a falsehood on purpose and must FAIL"
+    return verdict.residual, detail, verdict.kind is Verdict.OPTIMAL
 
 
 # ---------------------------------------------------------------------------
-# registry
-
-_ALGEBRA = [
-    check_eig_reconstruction,
-    check_exp_unitarity,
-    check_exp_group_law,
-    check_killing_ad_invariance,
-    check_split_exactness,
-    check_bracket_closure,
-    check_criterion_equivalence,
-    check_orbit_translation,
-    check_isotropy_factorization,
-]
-
-_SYNTHESIS = [
-    check_qubit_oracle,
-    check_fs_metric_axioms,
-    check_fs_unitary_invariance,
-    check_variance_bound_and_witness,
-    check_uncertainty_conservation,
-    check_blocks_reassembly,
-    check_synthesis_roundtrip,
-    check_saturation_equivalence,
-    check_strict_gap_when_violated,
-    check_qsl_arrival_consistency,
-    check_family_trajectory_match,
-    check_phase_gauge_independence,
-]
-
-_EVOLUTION = [
-    check_flow_property,
-    check_tangent_part_trajectories,
-    check_speed_profile_flat,
-    check_geodesic_defect_sign,
-    check_subspace_confinement,
-    check_quasi_pure_reduction,
-]
-
-_INTERCHANGE = [check_json_roundtrip]
+# registry: the table in declaration order; a check's index is its child seed
 
 SUITES = {
-    "algebra": _ALGEBRA,
-    "synthesis": _SYNTHESIS,
-    "evolution": _EVOLUTION,
-    "all": _ALGEBRA + _SYNTHESIS + _EVOLUTION + _INTERCHANGE,
+    suite: [fn for s, fn in _TABLE if s == suite]
+    for suite in ("algebra", "synthesis", "evolution")
 }
+SUITES["all"] = [fn for s, fn in _TABLE if s != "control"]
 
 SUITE_NAMES = tuple(SUITES)
 
-_ALL_CHECKS = SUITES["all"] + [check_negative_control]
-_CHECK_IDS = {fn.__name__: i for i, fn in enumerate(_ALL_CHECKS)}
+_CHECK_IDS = {fn.__name__: i for i, (_, fn) in enumerate(_TABLE)}
 
 
 def registry(suite: str) -> list:
@@ -1034,11 +936,8 @@ def run_suite(
     checks never disturbs the draws of existing ones."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    checks = registry(suite)
-    if negative_control:
-        checks = checks + [check_negative_control]
-    results = []
-    for fn in checks:
-        rng = np.random.default_rng([seed, _CHECK_IDS[fn.__name__]])
-        results.append(fn(rng, trials, n_max))
-    return results
+    checks = registry(suite) + ([check_negative_control] if negative_control else [])
+    return [
+        fn(np.random.default_rng([seed, _CHECK_IDS[fn.__name__]]), trials, n_max)
+        for fn in checks
+    ]

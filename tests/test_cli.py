@@ -5,6 +5,7 @@ and file side effects are exercised exactly as a shell user sees them.
 """
 
 import json
+import math
 import subprocess
 import sys
 
@@ -202,6 +203,18 @@ class TestEquigeodesic:
         assert r.returncode == 1
         assert float(parse_lines(r.stdout)["max_residual"]) > 1e-3
 
+    def test_sampling_flags_are_ignored(self, tmp_path):
+        vec = write_matrix(tmp_path / "x.json", X_LINE_FALSE, "skew-hermitian")
+        plain = run_cli("equigeodesic", "--vector", vec, "--blocks", "1,2", "--json")
+        flagged = run_cli(
+            "equigeodesic", "--vector", vec, "--blocks", "1,2",
+            "--samples", 3, "--seed", 9, "--json",
+        )
+        assert flagged.returncode == plain.returncode == 1
+        doc = json.loads(flagged.stdout)
+        assert doc["seed"] is None
+        assert doc["outputs"] == json.loads(plain.stdout)["outputs"]
+
     def test_blocks_sum_mismatch(self, tmp_path):
         vec = write_matrix(tmp_path / "x.json", X_LINE_TRUE, "skew-hermitian")
         r = run_cli("equigeodesic", "--vector", vec, "--blocks", "1,1")
@@ -381,6 +394,7 @@ class TestJsonReports:
         assert doc["outputs"]["all_passed"] is True
         assert all(row["passed"] for row in rows)
         assert {"name", "suite", "max_residual", "bound", "trials"} <= set(rows[0])
+        assert all(math.isfinite(row["wall_s"]) and row["wall_s"] >= 0.0 for row in rows)
 
     def test_json_mode_is_sole_stdout(self, qubit_files):
         r = run_cli(

@@ -99,6 +99,13 @@ class TestTrajectory:
         with pytest.raises(TypeError):
             sample_trajectory(SIGMA_Y, np.array([1.0, 0.0]), np.linspace(0, 1, 3))
 
+    def test_equality_goes_by_identity(self):
+        times = np.linspace(0.0, 1.0, 3)
+        a = sample_trajectory(SIGMA_Y, KET0, times)
+        b = sample_trajectory(SIGMA_Y, KET0, times)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_rejects_descending_times(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0, 0.5]), (KET0, KET0, KET0), None)

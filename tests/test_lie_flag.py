@@ -28,7 +28,7 @@ from optevo import (
     killing_norm,
     reductive_split,
 )
-from optevo.sampling import random_su_vector, random_unitary
+from optevo.sampling import random_equigeodesic, random_su_vector, random_unitary
 
 ATOL = 1e-12
 RESIDUAL_TRUE = 1e-9
@@ -77,6 +77,11 @@ class TestSuVector:
     def test_dim(self):
         assert SuVector(ROT).dim == 2
 
+    def test_equality_goes_by_identity(self):
+        a, b = SuVector(ROT), SuVector(ROT)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestMetricOperator:
     def test_rejects_wrong_key_set(self):
@@ -93,16 +98,6 @@ class TestMetricOperator:
         b = BlockStructure((1, 2))
         f = MetricOperator.identity(b).factor_matrix()
         assert np.array_equal(f, np.ones((3, 3)))
-
-    def test_sample_within_bounds(self, rng):
-        b = BlockStructure((1, 1, 2))
-        m = MetricOperator.sample(b, rng, low=0.5, high=2.0)
-        assert set(m.multipliers) == {(1, 0), (2, 0), (2, 1)}
-        assert all(0.5 <= v <= 2.0 for v in m.multipliers.values())
-
-    def test_sample_rejects_bad_range(self, rng):
-        with pytest.raises(ValueError):
-            MetricOperator.sample(BlockStructure((1, 1)), rng, low=0.0, high=1.0)
 
 
 class TestKillingPairing:
@@ -238,13 +233,99 @@ class TestEquigeodesicCertificates:
         with pytest.warns(RuntimeWarning):
             assert is_equigeodesic_structural(x, BlockStructure((2, 2)))
 
-    def test_variational_rejects_zero_samples(self):
-        with pytest.raises(ValueError):
-            is_equigeodesic_variational(X_LINE_TRUE, LINE_BLOCKS, samples=0)
-
     def test_rejects_partition_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             is_equigeodesic_structural(SuVector(ROT), LINE_BLOCKS)
+
+    def test_ignores_sampling_arguments(self):
+        plain = is_equigeodesic_variational(X_LINE_FALSE, LINE_BLOCKS)
+        assert is_equigeodesic_variational(
+            X_LINE_FALSE, LINE_BLOCKS, samples=3, rng_seed=99
+        ) == plain
+
+
+def sampled_variational(x, blocks, rng, samples=16):
+    """The former sampled certificate, kept as the reference: the largest
+    residual of [X, L X_m]_m over random metrics L with multipliers
+    log-uniform in [0.1, 10], normalized by max(1, |X|^2)."""
+    _, tangent = reductive_split(x, blocks)
+    denom = max(1.0, killing_inner(x, x))
+    worst = 0.0
+    for _ in range(samples):
+        multipliers = {
+            (i, j): float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+            for i in range(blocks.count)
+            for j in range(i)
+        }
+        moved = apply_metric(MetricOperator(blocks, multipliers), tangent)
+        _, br_tangent = reductive_split(bracket(x, moved), blocks)
+        worst = max(worst, killing_norm(br_tangent) / denom)
+    return worst <= RESIDUAL_TRUE, worst
+
+
+REFERENCE_PARTITIONS = [(1, k) for k in range(1, 8)] + [
+    (1, 1, 1), (1, 2, 2), (2, 3), (2, 2, 2), (1, 1, 1, 1)
+]
+
+
+def pair_direction(rng, blocks, with_isotropy):
+    """Tangent direction on one random block pair. With ``with_isotropy``
+    a block-scalar isotropy part, equal on the pair's two blocks, is added;
+    it commutes with the pair, so the direction stays equigeodesic."""
+    sl = blocks.slices()
+    i, j = sorted(rng.choice(blocks.count, size=2, replace=False))
+    n = blocks.n
+    m = np.zeros((n, n), dtype=complex)
+    shape = (blocks.parts[j], blocks.parts[i])
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m[sl[j], sl[i]] = block
+    m[sl[i], sl[j]] = -block.conj().T
+    if with_isotropy:
+        levels = rng.standard_normal(blocks.count)
+        levels[j] = levels[i]
+        diag = np.repeat(levels, blocks.parts)
+        m += 1j * np.diag(diag - diag.mean())
+    return SuVector(m)
+
+
+class TestVariationalAgainstSampledReference:
+    @pytest.mark.parametrize("parts", REFERENCE_PARTITIONS)
+    def test_verdicts_agree_and_exact_dominates(self, parts):
+        blocks = BlockStructure(parts)
+        n = blocks.n
+        rng = np.random.default_rng([2026, n, blocks.count])
+        cases = []
+        for k in range(12):
+            if blocks.count == 2 and parts[0] == 1:
+                cases.append((random_equigeodesic(rng, n, with_isotropy=bool(k % 2)), True))
+            else:
+                cases.append((pair_direction(rng, blocks, with_isotropy=True), True))
+            cases.append((pair_direction(rng, blocks, with_isotropy=False), True))
+            cases.append((random_su_vector(rng, n), False))
+        for x, expected in cases:
+            ok, exact = is_equigeodesic_variational(x, blocks)
+            ref_ok, sampled = sampled_variational(x, blocks, rng)
+            assert ok == ref_ok == expected
+            # Up to roundoff where both residuals are themselves roundoff.
+            assert exact >= sampled - 1e-15
+            if expected:
+                assert exact <= RESIDUAL_TRUE
+            else:
+                assert sampled > RESIDUAL_FALSE
+
+    @pytest.mark.parametrize("parts", [(1, 3), (2, 3)])
+    def test_two_part_residual_is_the_box_supremum(self, parts, rng):
+        # One block pair: the residual scales with the single multiplier,
+        # so the largest one, 10, attains the exact residual.
+        blocks = BlockStructure(parts)
+        x = random_su_vector(rng, blocks.n)
+        _, exact = is_equigeodesic_variational(x, blocks)
+        _, tangent = reductive_split(x, blocks)
+        top = apply_metric(MetricOperator(blocks, {(1, 0): 10.0}), tangent)
+        _, br_tangent = reductive_split(bracket(x, top), blocks)
+        assert exact == pytest.approx(
+            killing_norm(br_tangent) / max(1.0, killing_inner(x, x)), rel=1e-12
+        )
 
 
 class TestConjugationAndOrbit:

@@ -82,6 +82,11 @@ class TestPureState:
         with pytest.raises(ValueError):
             KET0.amplitudes[0] = 0.0
 
+    def test_equality_goes_by_identity(self):
+        a, b = PureState.basis_state(2, 0), PureState([1.0, 0.0])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     @pytest.mark.parametrize(
         "vec", [[np.nan, 0.0], [0.6, complex(0.8, np.nan)]], ids=["nan", "complex-nan"]
     )
@@ -128,6 +133,11 @@ class TestDensityMatrix:
     def test_accepts_mixed(self):
         rho = DensityMatrix(np.eye(3) / 3.0)
         assert rho.n == 3
+
+    def test_equality_goes_by_identity(self):
+        a, b = DensityMatrix(np.eye(2) / 2.0), DensityMatrix(np.eye(2) / 2.0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestRayMetric:
@@ -270,6 +280,12 @@ class TestQuasiPure:
         skewed = (PureState.from_vector([1.0, 1.0, 0.0]),) + basis[1:]
         with pytest.raises(InvalidQuasiPureError):
             QuasiPureSpec(0.6, 0.2, skewed)  # non-orthogonal basis
+
+    def test_equality_goes_by_identity(self):
+        basis = tuple(PureState.basis_state(3, k) for k in range(3))
+        a, b = QuasiPureSpec(0.6, 0.2, basis), QuasiPureSpec(0.6, 0.2, basis)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_names_the_overlapping_pair(self):
         basis = [PureState.basis_state(4, k) for k in range(4)]

@@ -192,6 +192,11 @@ class TestAdaptedBlocks:
         blocks = adapted_blocks(h, phi)
         assert np.linalg.norm(blocks.reassemble() - h) < 1e-12 * max(1.0, np.linalg.norm(h))
 
+    def test_equality_goes_by_identity(self):
+        a, b = adapted_blocks(SIGMA_Z, PLUS), adapted_blocks(SIGMA_Z, PLUS)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_rejects_nonhermitian(self):
         with pytest.raises(NotHermitianError):
             adapted_blocks(np.array([[0.0, 1.0], [0.0, 0.0]]), KET0)
