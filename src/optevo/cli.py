@@ -356,7 +356,6 @@ def cmd_verify(args) -> int:
                 "bound": float(r.bound),
                 "trials": int(r.trials),
                 "detail": r.detail,
-                "wall_s": float(r.wall_s),
             }
         )
     passed = sum(r.passed for r in results)
@@ -367,6 +366,8 @@ def cmd_verify(args) -> int:
     )
     report.doc["outputs"]["results"] = rows
     report.doc["outputs"]["all_passed"] = all_passed
+    # Timings sit beside wall_time_s, outside the reproducible outputs.
+    report.doc["check_wall_s"] = {r.name: float(r.wall_s) for r in results}
     return report.finish(0 if all_passed else 1)
 
 

@@ -162,6 +162,11 @@ def _require_blocks_fit(x: SuVector, blocks: BlockStructure) -> None:
         )
 
 
+def _killing_scale(n: int) -> float:
+    """The factor 2n in -B(X, Y) = -2n tr(XY) on su(n)."""
+    return 2.0 * n
+
+
 def killing_inner(x: SuVector, y: SuVector) -> float:
     """Negative Killing pairing -B(X, Y) = -2n tr(XY) on su(n).
 
@@ -170,8 +175,7 @@ def killing_inner(x: SuVector, y: SuVector) -> float:
     negligible against the value itself.
     """
     _require_same_dim(x, y)
-    n = x.dim
-    val = complex(-2.0 * n * np.trace(x.matrix @ y.matrix))
+    val = complex(-_killing_scale(x.dim) * np.trace(x.matrix @ y.matrix))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"pairing came out non-real: {val!r}")
     return float(val.real)
@@ -303,9 +307,10 @@ def is_equigeodesic_variational(
         pair[sl[i], sl[j]] = m[sl[i], sl[j]]
         pair[sl[j], sl[i]] = m[sl[j], sl[i]]
         total += float(np.linalg.norm((m @ pair - pair @ m)[off]))
-    # The Killing norm of a skew-Hermitian matrix is sqrt(2n) times its
-    # Frobenius norm.
-    residual = 10.0 * math.sqrt(2.0 * x.dim) * total / max(1.0, killing_inner(x, x))
+    # On skew-Hermitian matrices the Killing norm is a fixed multiple of
+    # the Frobenius norm.
+    total *= math.sqrt(_killing_scale(x.dim))
+    residual = 10.0 * total / max(1.0, killing_inner(x, x))
     return residual <= tols.search, residual
 
 

@@ -105,17 +105,13 @@ class _Fail(Exception):
         self.residual = residual
 
 
-def _outcome(residual, detail="", side=True):
-    return residual, detail, side
-
-
 def check(name, suite, bound, passes=operator.le, count=None):
     """Declare a property check ``fn(rng, trials, n_max)`` and append it to
     the table.
 
-    The body returns its residual, or ``(residual, detail)``, or
-    ``(residual, detail, side)`` with ``side`` a further condition that must
-    hold; it passes when ``passes(residual, bound)`` and ``side`` are true.
+    The body returns its residual, or ``(residual, detail, side)`` with
+    ``side`` a further condition that must hold; it passes when
+    ``passes(residual, bound)`` and ``side`` are true.
     Raising ``_Fail`` fails it early. ``count`` maps the requested trials
     to the reported count. The result carries the body's wall time.
     """
@@ -126,8 +122,7 @@ def check(name, suite, bound, passes=operator.le, count=None):
             start = time.perf_counter()
             try:
                 out = body(rng, trials, n_max)
-                args = out if isinstance(out, tuple) else (out,)
-                residual, detail, side = _outcome(*args)
+                residual, detail, side = out if isinstance(out, tuple) else (out, "", True)
                 passed = bool(side) and passes(residual, bound)
             except _Fail as fail:
                 residual, detail, passed = fail.residual, fail.detail, False
@@ -547,7 +542,7 @@ def check_strict_gap_when_violated(rng, trials, n_max):
         h, phi = _violating_generator(rng, n, 1e-6, 0.1, 0.1)
         verdict = is_optimal_speed(h, phi)
         least = min(least, verdict.delta_e_max - verdict.delta_e)
-    return least, "reported value is the smallest gap seen; it must exceed the bound"
+    return least, "reported value is the smallest gap seen; it must exceed the bound", True
 
 
 @check("qsl-arrival-consistency", "synthesis", 1e-6)

@@ -394,7 +394,10 @@ class TestJsonReports:
         assert doc["outputs"]["all_passed"] is True
         assert all(row["passed"] for row in rows)
         assert {"name", "suite", "max_residual", "bound", "trials"} <= set(rows[0])
-        assert all(math.isfinite(row["wall_s"]) and row["wall_s"] >= 0.0 for row in rows)
+        assert "wall_s" not in rows[0]
+        walls = doc["check_wall_s"]
+        assert list(walls) == [row["name"] for row in rows]
+        assert all(math.isfinite(w) and w >= 0.0 for w in walls.values())
 
     def test_json_mode_is_sole_stdout(self, qubit_files):
         r = run_cli(
