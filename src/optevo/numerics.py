@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EigenConvergenceError, NotHermitianError
+from .errors import (
+    DimensionMismatchError,
+    EigenConvergenceError,
+    NotHermitianError,
+    StationaryStateError,
+)
 
 __all__ = [
     "Tolerances",
@@ -214,33 +219,51 @@ def _parabolic_polish(f, t0: float, delta: float) -> float:
 # Phase entries (grid points times dimension) in one chunk of an arrival
 # scan, so its memory stays bounded whatever the horizon.
 _SCAN_CHUNK = 1 << 15
+# Grid points per row of a scan's offset table. A chunk of P points needs
+# P / this rows of base exponentials; a block near sqrt(P) made full scans
+# slower for that reason.
+_SCAN_BLOCK = 256
 
 
-def _scan_arrival(values, objective, w, hbar, horizon, gate, threshold, xtol=0.0):
+def _scan_arrival(values, objective, w, hbar, horizon, speed, gate, threshold, xtol=0.0):
     """First refined local minimum in (0, horizon] at most ``threshold``.
 
-    Streams the grid ``i * horizon / count`` (the last point exactly
-    ``horizon``) of step at most 0.01 hbar / delta_e_max, so the ray moves at
-    most 0.01 rad a step, in chunks of ``_SCAN_CHUNK`` phase entries that
-    overlap by two points. ``values(table, base)`` gives the objective on a
-    chunk's rows ``table * base`` of exp(-i w t / hbar), ``base`` being the
-    row at the chunk's first time. Each grid point no larger than both
-    neighbours (+inf past ``horizon``) and ``gate`` is refined in time order:
-    golden section over its two cells to ``max(xtol, 1e-10 * bracket)``,
-    floored at the float spacing, then a parabolic polish of ``objective``.
-    Returns the first refined time with value at most ``threshold``, or None,
-    and a dict of counters: grid_points evaluated, step, chunks, refined
-    minima and objective evaluations.
+    ``speed`` is the conserved rate, in units of 1 / hbar, at which the
+    scanned quantity can change: the grid ``i * horizon / count`` (the last
+    point exactly ``horizon``) has step at most 0.01 hbar / speed. A start
+    whose speed is at most the stationary floor 1e-10 max(1, |w|_2) (the
+    one ``qsl_time`` applies, |w|_2 being |H|_F) never moves, so it is
+    decided from ``objective(0.0)`` with no scan: None if that exceeds
+    ``threshold``, else StationaryStateError, since no finite travel time
+    exists.
+
+    The grid is streamed in chunks of at most ``_SCAN_CHUNK`` phase entries
+    that overlap by two points. Point ``first + q B + r`` of the chunk that
+    starts at ``first`` has the phase row ``bases[q] * table[r]`` of
+    exp(-i w t / hbar): ``table`` holds the B offset rows, built once a
+    call, and ``bases`` the chunk's rows at ``first + q B``, with B
+    ``_SCAN_BLOCK`` or the chunk's points if fewer; a chunk is a whole
+    number of blocks unless the grid ends in it. ``values(table, bases)``
+    gives the objective at those points in time order. Each grid point no
+    larger than both neighbours (+inf past ``horizon``) and ``gate`` is
+    refined in time order: golden section over its two cells to
+    ``max(xtol, 1e-10 * bracket)``, floored at the float spacing, then a
+    parabolic polish of ``objective``. Returns the first refined time with
+    value at most ``threshold``, or None, and a dict of counters:
+    grid_points evaluated, step, chunks, refined minima and objective
+    evaluations.
     """
-    delta_e_max = float(w[-1] - w[0]) / 2.0
-    if delta_e_max > 1e-12 * max(1.0, float(np.max(np.abs(w)))):
-        step = 0.01 * hbar / delta_e_max
-    else:
-        step = horizon / 10_000.0
+    if speed <= DEFAULT_TOLERANCES.structural * max(1.0, float(np.linalg.norm(w))):
+        if objective(0.0) <= threshold:
+            raise StationaryStateError("the start is stationary at the target; no travel time")
+        return None, dict(grid_points=0, step=np.inf, chunks=0, refined=0, evaluations=1)
+    step = 0.01 * hbar / speed
     count = max(int(np.ceil(horizon / step)), 8)
     dt = horizon / count
-    size = min(max(3, _SCAN_CHUNK // w.size), count + 1)
-    table = np.exp(-1j * np.outer(np.arange(size) * dt, w) / hbar)
+    size = max(3, _SCAN_CHUNK // w.size)
+    block = min(_SCAN_BLOCK, size, count + 1)
+    size = min(size - size % block, count + 1)
+    table = np.exp(-1j * np.outer(np.arange(block) * dt, w) / hbar)
     stats = dict(grid_points=0, step=step, chunks=0, refined=0, evaluations=0)
 
     def counted(t: float) -> float:
@@ -251,7 +274,8 @@ def _scan_arrival(values, objective, w, hbar, horizon, gate, threshold, xtol=0.0
     while stop <= count:
         stop = stats["grid_points"] = min(first + size, count + 1)
         stats["chunks"] += 1
-        vals = values(table[: stop - first], np.exp(-1j * w * (first * dt / hbar)))
+        starts = np.arange(first, stop, block)
+        vals = values(table, np.exp(-1j * np.outer(starts * dt, w) / hbar))[: stop - first]
         here = vals[1:]
         right = np.append(vals[2:], np.inf)
         minima = (here <= vals[:-1]) & (here <= right) & (here <= gate)

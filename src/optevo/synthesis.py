@@ -294,12 +294,23 @@ def first_arrival_time(
     target ray, or None if it never does.
 
     The infidelity 1 - |<psi|phi(t)>|^2 is scanned on a uniform grid of
-    step 0.01 hbar / delta_e_max (the ray cannot move more than 0.01 rad
-    per step), streamed in fixed-size chunks with no cap on its length.
-    Every local minimum that could reach arrival is refined by golden
+    step 0.01 hbar / delta_e, delta_e being the uncertainty of ``h`` in
+    ``phi``: the ray's Fubini-Study speed delta_e / hbar is conserved along
+    the orbit, so it moves at most 0.01 rad per step. The grid is streamed
+    in fixed-size chunks with no cap on its length, each evaluated as one
+    product of a chunk's base phases with a table of offset phases built
+    once. Every local minimum that could reach arrival is refined by golden
     section, and the first refined minimum with infidelity at most 1e-9 is
     returned. The returned time is the refined minimizer, located far more
     tightly than 1e-7.
+
+    A stationary start (delta_e at most the floor ``qsl_time`` applies)
+    is decided at t = 0 without a scan: None if the rays differ there.
+
+    Raises
+    ------
+    StationaryStateError
+        If the start is stationary and already on the target ray.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -310,19 +321,21 @@ def first_arrival_time(
     start = v.conj().T @ phi.amplitudes
     target = v.conj().T @ psi.amplitudes
     weights = target.conj() * start
+    probabilities = start.real**2 + start.imag**2
+    delta_e = float(np.sqrt(probabilities @ (w - probabilities @ w) ** 2))
 
     def infidelity(t: float) -> float:
         ov = complex(np.sum(np.exp(-1j * w * (t / hbar)) * weights))
         return max(0.0, 1.0 - (ov.real * ov.real + ov.imag * ov.imag))
 
-    def values(table: np.ndarray, base: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, 1.0 - np.abs(table @ (base * weights)) ** 2)
+    def values(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        return np.maximum(0.0, 1.0 - np.abs((bases * weights) @ table.T).ravel() ** 2)
 
     # A grid point adjacent to a true arrival sits within 0.005 rad of the
     # target, so its infidelity is below ~2.5e-5; the gate 1e-4 only skips
     # minima that provably cannot reach the arrival threshold.
     xtol = max(1e-12, 1e-10 * horizon)
-    return _scan_arrival(values, infidelity, w, hbar, horizon, 1e-4, 1e-9, xtol)[0]
+    return _scan_arrival(values, infidelity, w, hbar, horizon, delta_e, 1e-4, 1e-9, xtol)[0]
 
 
 def equigeodesic_vector_of(

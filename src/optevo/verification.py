@@ -301,9 +301,7 @@ def check_criterion_equivalence(rng, trials, n_max):
                 worst_true = max(worst_true, residual)
             else:
                 least_false = min(least_false, residual)
-    total = 2 * trials
-    detail = f"agreement {total}/{total}, least generic residual {least_false:.3e}"
-    return worst_true, detail, least_false > 1e-3
+    return worst_true, f"least generic residual {least_false:.3e}", least_false > 1e-3
 
 
 @check("orbit-translation", "algebra", 1e-9)
@@ -488,11 +486,13 @@ def check_synthesis_roundtrip(rng, trials, n_max):
     return worst
 
 
-# Agreement of verdict and saturation is the check; the uncertainty gap of
-# optimal verdicts is reported, not held to the bound.
-@check("saturation-equivalence", "synthesis", 1e-8, passes=lambda residual, bound: True)
+@check("saturation-equivalence", "synthesis", 1e-8)
 def check_saturation_equivalence(rng, trials, n_max):
-    """Optimal verdicts coincide exactly with uncertainty saturation."""
+    """Optimal verdicts coincide exactly with uncertainty saturation.
+
+    Reports the worst |delta_e - delta_e_max| / max(1, delta_e_max) over
+    optimal verdicts, the quantity saturation compares with 1e-8.
+    """
     worst = 0.0
     for k in range(trials):
         n = _dims(rng, n_max)
@@ -503,13 +503,11 @@ def check_saturation_equivalence(rng, trials, n_max):
             h = random_hermitian(rng, n)
             phi = random_pure_state(rng, n)
         verdict = is_optimal_speed(h, phi)
-        saturated = abs(verdict.delta_e - verdict.delta_e_max) <= 1e-8 * max(
-            1.0, verdict.delta_e_max
-        )
-        if (verdict.kind is Verdict.OPTIMAL) != saturated:
+        gap = abs(verdict.delta_e - verdict.delta_e_max) / max(1.0, verdict.delta_e_max)
+        if (verdict.kind is Verdict.OPTIMAL) != (gap <= 1e-8):
             raise _Fail(f"verdict and saturation disagree at trial {k}")
         if verdict.kind is Verdict.OPTIMAL:
-            worst = max(worst, abs(verdict.delta_e - verdict.delta_e_max))
+            worst = max(worst, gap)
     return worst
 
 

@@ -18,6 +18,7 @@ from optevo import (
     FoldExceededError,
     PureState,
     QuasiPureSpec,
+    StationaryStateError,
     Trajectory,
     Units,
     density_arrival_time,
@@ -420,11 +421,19 @@ class TestDensityArrival:
         assert t == pytest.approx(np.pi / 2.0, abs=1e-9)
 
     def test_commuting_generator_never_arrives(self, record_scans):
+        # [H, rho] = 0: the density never moves, so t = 0 decides it.
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         target = DensityMatrix(np.diag([0.3, 0.7]))
         scans = record_scans(evolution)
         assert density_arrival_time(SIGMA_Z, rho, target, 50.0) is None
-        assert scans[0]["grid_points"] == math.ceil(50.0 * 1.0 / 0.01) + 1
+        assert (scans[0]["grid_points"], scans[0]["chunks"]) == (0, 0)
+        assert scans[0]["evaluations"] == 1
+
+    def test_commuting_generator_at_target_is_stationary(self):
+        rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]))
+        h = np.diag([0.4, 0.1, -0.2, -0.3]).astype(complex)
+        with pytest.raises(StationaryStateError):
+            density_arrival_time(h, rho, rho, 50.0)
 
     def test_early_arrival_stops_after_one_chunk(self, record_scans):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
@@ -447,12 +456,14 @@ class TestDensityArrival:
             density_arrival_time(np.eye(3), rho, rho, 1.0)
 
 
-def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8):
+def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8, step=None):
     """The density search without its Frobenius screen: the trace norm at
-    every point of the scan's grid, the same gated local-minimum test, and
-    the same refinement. Its phases come straight from the grid times, so
-    its grid values match the streamed scan's to rounding. Returns the time,
-    the minima refined and the smallest grid value."""
+    every point of a grid of the given step, by default 0.01 hbar /
+    delta_e_max as before the step followed ||[H, rho]||_1, the same gated
+    local-minimum test, and the same refinement. Its phases come straight
+    from the grid times, so its grid values match the streamed scan's to
+    rounding. Returns the time, the minima refined and the smallest grid
+    value."""
     w, v = numerics.herm_eig(h)
     start = v.conj().T @ rho.matrix @ v
     goal = v.conj().T @ target.matrix @ v
@@ -464,10 +475,13 @@ def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8
     def distance(t):
         return float(norms(np.exp(-1j * w * (t / hbar))[None, :])[0])
 
-    step = 0.01 * hbar / (float(w[-1] - w[0]) / 2.0)
+    if step is None:
+        step = 0.01 * hbar / (float(w[-1] - w[0]) / 2.0)
     count = max(math.ceil(horizon / step), 8)
     dt = horizon / count
-    vals = np.append(norms(np.exp(-1j * np.outer(np.arange(count + 1) * dt, w) / hbar)), np.inf)
+    times = np.arange(count + 1) * dt
+    rows = [np.exp(-1j * np.outer(times[i : i + 256], w) / hbar) for i in range(0, count + 1, 256)]
+    vals = np.append(np.concatenate([norms(phases) for phases in rows]), np.inf)
     gate = max(100.0 * threshold, 5e-2)
     refined = 0
     for i in range(1, count + 1):
@@ -481,6 +495,29 @@ def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8
         if min(f_min, distance(t_min)) <= threshold and t_min > 0.0:
             return min(t_min, horizon), refined, float(vals.min())
     return None, refined, float(vals.min())
+
+
+def _unscreened_density_arrival(h, rho, target, horizon, hbar, threshold=1e-8):
+    """The streamed density search with its Frobenius screen removed: the
+    scan's own grid, phases and refinement, with every grid point
+    diagonalized. Returns the time and the scan's counters."""
+    w, v = numerics.herm_eig(h)
+    start = v.conj().T @ rho.matrix @ v
+    goal = v.conj().T @ target.matrix @ v
+
+    def norms(phases):
+        rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
+        return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
+
+    def values(table, bases):
+        return norms((bases[:, None, :] * table[None]).reshape(-1, w.size))
+
+    def distance(t):
+        return float(norms(np.exp(-1j * w * (t / hbar))[None, :])[0])
+
+    speed = float(np.sum(np.abs(np.linalg.eigvalsh(1j * np.subtract.outer(w, w) * start)))) / 2.0
+    gate = max(100.0 * threshold, 5e-2)
+    return numerics._scan_arrival(values, distance, w, hbar, horizon, speed, gate, threshold)
 
 
 def _random_density(rng, n, spectrum):
@@ -520,18 +557,48 @@ def _screen_cases():
     h6 = _fixed_spread(rng, 6)
     arrived = propagate_density(h6, a, 9.0, Units(hbar=2.0))
     cases["quasi-pure-hit-hbar2"] = (h6, a, arrived, 30.0, 2.0)
-    diagonal = np.diag([0.4, 0.1, -0.2, -0.3]).astype(complex)
-    cases["commuting"] = (
-        diagonal,
-        DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1])),
-        DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4])),
-        50.0,
-        1.0,
-    )
     return cases
 
 
 SCREEN_CASES = _screen_cases()
+DENSITY_KINDS = ("full-rank-hit", "quasi-pure-hit", "miss", "near-gate")
+
+
+def _density_case(kind, n, hbar):
+    """Seeded generator, densities and horizon of one kind of density
+    search: a full-rank and a quasi-pure passage, a target of another
+    spectrum (never reached), and the 2 % mix of one into a passage, whose
+    distance minimum sits between the threshold and the gate."""
+    rng = np.random.default_rng([n, int(hbar), DENSITY_KINDS.index(kind)])
+    h = _fixed_spread(rng, n)
+    scale = hbar / (2.0 * math.sqrt(n))  # hbar / delta_e_max
+    if kind == "quasi-pure-hit":
+        rho = _quasi_pure_density(rng, n)
+    else:
+        rho = _random_density(rng, n, np.arange(1.0, n + 1.0))
+    other = _random_density(rng, n, np.arange(1.0, n + 1.0) ** 2)
+    if kind == "miss":
+        return h, rho, other, 10.0 * scale
+    t_star = float(rng.uniform(1.0, 3.0)) * scale
+    moved = propagate_density(h, rho, t_star, Units(hbar=hbar))
+    if kind == "near-gate":
+        moved = DensityMatrix(0.98 * moved.matrix + 0.02 * other.matrix)
+    return h, rho, moved, 1.3 * t_star + 0.5 * scale
+
+
+class TestAgainstReferenceScan:
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+    @pytest.mark.parametrize("kind", DENSITY_KINDS)
+    def test_matches_reference_scan(self, kind, n, hbar):
+        h, rho, target, horizon = _density_case(kind, n, hbar)
+        got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
+        want, refined, _ = _reference_density_arrival(h, rho, target, horizon, hbar)
+        assert (got is None) == (want is None) == kind.endswith(("miss", "gate"))
+        if got is not None:
+            assert abs(got - want) <= 1e-9
+        if kind == "near-gate":
+            assert refined > 0
 
 
 class TestDensityScreen:
@@ -542,10 +609,14 @@ class TestDensityScreen:
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
         scans = record_scans(evolution)
         got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
-        want, refined, _ = _reference_density_arrival(h, rho, target, horizon, hbar)
+        want, unscreened = _unscreened_density_arrival(h, rho, target, horizon, hbar)
         assert got == want
-        assert scans[0]["refined"] == refined
+        assert scans[0] == unscreened
         assert scans[0]["chunks"] > (1 if chunk == 64 else 0)
+        commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
+        assert scans[0]["step"] == pytest.approx(
+            0.02 * hbar / np.sum(np.abs(np.linalg.eigvalsh(commutator))), rel=1e-12
+        )
 
     def test_cases_cover_each_outcome(self):
         outcomes = {
@@ -555,23 +626,26 @@ class TestDensityScreen:
         assert outcomes["full-rank-hit"][0] is not None
         assert outcomes["quasi-pure-hit-hbar2"][0] is not None
         assert outcomes["full-rank-near"][0] is None and outcomes["full-rank-near"][1] > 0
-        assert all(outcomes[k][1] == 0 for k in ("full-rank-miss", "quasi-pure-miss", "commuting"))
+        assert all(outcomes[k][1] == 0 for k in ("full-rank-miss", "quasi-pure-miss"))
 
     def test_minimum_just_below_gate(self, record_scans):
         # At t0 the difference is c (|a><a| - |b><b|): rank two, so its
         # Frobenius norm is as large as a trace-norm gap allows, 1/sqrt(2) of
-        # the trace norm 2c, here just below the gate.
+        # the trace norm 2c, here just below the gate; the nearest grid point
+        # misses t0 and reads a little more.
         rng = np.random.default_rng(43)
         h = _fixed_spread(rng, 4)
         rho = _random_density(rng, 4, [0.4, 0.3, 0.2, 0.1])
         moved = propagate_density(h, rho, 5.0).matrix
         _, frame = np.linalg.eigh(moved)
         a, b = frame[:, 0], frame[:, 3]
-        c = 0.495 * 5e-2
+        c = 0.475 * 5e-2
         target = DensityMatrix(moved + c * (np.outer(a, a.conj()) - np.outer(b, b.conj())))
         scans = record_scans(evolution)
         got = density_arrival_time(h, rho, target, 10.0)
-        want, refined, lowest = _reference_density_arrival(h, rho, target, 10.0)
+        want, refined, lowest = _reference_density_arrival(
+            h, rho, target, 10.0, step=scans[0]["step"]
+        )
         assert 0.95 * 5e-2 < lowest <= 5e-2
         assert got is None and want is None
         assert scans[0]["refined"] == refined > 0
@@ -584,12 +658,13 @@ class TestDensityScreen:
         eigvalsh = np.linalg.eigvalsh
 
         def counting(a, *args, **kwargs):
-            rows.append(a.shape[0])
+            if a.ndim == 3:  # a stack of grid rows, not the commutator's norm
+                rows.append(a.shape[0])
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         scans = record_scans(evolution)
-        assert density_arrival_time(h, rho, target, 30.0) is None
+        assert density_arrival_time(h, rho, target, 200.0) is None
         assert scans[0]["grid_points"] > 10_000
         assert sum(r for r in rows if r != 1) == 0
         assert rows.count(1) == scans[0]["evaluations"]

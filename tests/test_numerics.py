@@ -16,6 +16,7 @@ from optevo import (
     DimensionMismatchError,
     EigenConvergenceError,
     NotHermitianError,
+    StationaryStateError,
     Tolerances,
     first_arrival_time,
     frobenius,
@@ -213,10 +214,11 @@ class TestGoldenSection:
 
 
 class TestScanArrival:
-    """Seams of the streaming scan. With w = (0, 1) and hbar = 1 the grid
-    step is 0.02 and the second phase column is exp(-i t), which gives the
-    grid times back on a horizon shorter than 2 pi; a chunk budget of 16
-    phase entries makes chunks of 8 points, starting at indices 0, 6, 12."""
+    """Seams of the streaming scan. With w = (0, 1), speed 0.5 and hbar = 1
+    the grid step is 0.02 and the second phase column is exp(-i t), which
+    gives the grid times back on a horizon shorter than 2 pi; a chunk budget
+    of 16 phase entries makes chunks of 8 points, one table block each,
+    starting at indices 0, 6, 12."""
 
     W = np.array([0.0, 1.0])
     HORIZON = 6.0  # 300 grid steps of 0.02
@@ -224,12 +226,13 @@ class TestScanArrival:
     def scan(self, monkeypatch, t_star):
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", 16)
 
-        def values(table, base):
-            times = np.mod(-np.angle(table[:, 1] * base[1]), 2.0 * np.pi)
+        def values(table, bases):
+            phases = bases[:, None, 1] * table[None, :, 1]
+            times = np.mod(-np.angle(phases.ravel()), 2.0 * np.pi)
             return np.abs(times - t_star)
 
         return _scan_arrival(
-            values, lambda t: abs(t - t_star), self.W, 1.0, self.HORIZON, 1.0, 1e-9
+            values, lambda t: abs(t - t_star), self.W, 1.0, self.HORIZON, 0.5, 1.0, 1e-9
         )
 
     @pytest.mark.parametrize(
@@ -246,6 +249,49 @@ class TestScanArrival:
         t, stats = self.scan(monkeypatch, t_star)
         assert t == pytest.approx(t_star, abs=1e-9)
         assert (stats["chunks"], stats["refined"]) == (chunks, 1)
+
+    @pytest.mark.parametrize("index", [2, 3, 4, 5, 6, 299, 300])
+    def test_blocks_keep_time_order(self, monkeypatch, index):
+        # Blocks of 3 make chunks of 6 points, two base rows each, starting at
+        # indices 0, 4, 8: a lone minimum on either side of a block seam is
+        # found once, at its own time.
+        monkeypatch.setattr(numerics, "_SCAN_BLOCK", 3)
+        t_star = index * (self.HORIZON / 300)
+        t, stats = self.scan(monkeypatch, t_star)
+        assert t == pytest.approx(t_star, abs=1e-9)
+        assert stats["refined"] == 1
+
+    def test_factored_phases_match_direct(self, monkeypatch):
+        # Chunks of 40 points in blocks of 8; the phases reach about 50 rad.
+        monkeypatch.setattr(numerics, "_SCAN_CHUNK", 5 * 40)
+        monkeypatch.setattr(numerics, "_SCAN_BLOCK", 8)
+        w, hbar, horizon = np.array([-4.0, -1.3, 0.2, 2.9, 5.0]), 2.0, 20.0
+        chunks = []
+
+        def values(table, bases):
+            chunks.append((bases[:, None, :] * table[None]).reshape(-1, w.size))
+            return np.full(len(chunks[-1]), np.inf)
+
+        _, stats = _scan_arrival(values, None, w, hbar, horizon, 0.5, 1.0, 1e-9)
+        count = stats["grid_points"] - 1
+        dt = horizon / count
+        first = 0
+        for rows in chunks:
+            rows = rows[: count + 1 - first]
+            times = np.arange(first, first + len(rows)) * dt
+            assert np.max(np.abs(rows - np.exp(-1j * np.outer(times, w) / hbar))) <= 1e-13
+            first += len(rows) - 2
+        assert (first + 2, len(chunks)) == (count + 1, stats["chunks"]) and len(chunks) > 1
+
+    def test_stationary_start_is_decided_without_a_scan(self):
+        def values(table, bases):
+            raise AssertionError("a stationary start needs no grid")
+
+        arrival, stats = _scan_arrival(values, lambda t: 0.5, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9)
+        assert arrival is None
+        assert (stats["grid_points"], stats["chunks"], stats["evaluations"]) == (0, 0, 1)
+        with pytest.raises(StationaryStateError):
+            _scan_arrival(values, lambda t: 0.0, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9)
 
     def test_origin_is_never_an_arrival(self, monkeypatch):
         t, stats = self.scan(monkeypatch, 0.0)

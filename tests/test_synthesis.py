@@ -38,6 +38,7 @@ from optevo import (
     qsl_time,
 )
 from optevo import synthesis
+from optevo.numerics import _parabolic_polish, golden_section_min, herm_eig
 from optevo.sampling import random_hermitian, random_pure_state
 
 ATOL = 1e-12
@@ -347,6 +348,74 @@ class TestQslTime:
             qsl_time(KET0, KET1, SIGMA_Z)
 
 
+ARRIVAL_KINDS = ("optimal-hit", "generic-hit", "miss", "near-gate")
+# A qubit has no direction off both the orbit and its tangent.
+ARRIVAL_CASES = [
+    (kind, n)
+    for kind in ARRIVAL_KINDS
+    for n in (2, 3, 5, 8, 16, 32)
+    if n > 2 or kind != "near-gate"
+]
+
+
+def _arrival_case(kind, n, hbar):
+    """Seeded generator, states and horizon of one kind of arrival search:
+    a maximal-speed transfer, a generic generator's passage, a miss, and a
+    target 0.007 rad off the orbit, whose infidelity minimum sits between
+    the arrival threshold and the gate."""
+    rng = np.random.default_rng([n, int(hbar), ARRIVAL_KINDS.index(kind)])
+    units = Units(hbar=hbar)
+    phi, psi = random_pure_state(rng, n), random_pure_state(rng, n)
+    if kind == "optimal-hit":
+        energy = float(rng.uniform(0.5, 2.0))
+        h = optimal_hamiltonian(phi, psi, energy)
+        t_star = float(rng.uniform(0.3, 0.95)) * hbar * fs_distance(phi, psi) / energy
+        return h, phi, propagate(h, phi, t_star, units), 1.3 * t_star + 0.2
+    h = random_hermitian(rng, n)
+    w = np.linalg.eigvalsh(h)
+    scale = hbar / (float(w[-1] - w[0]) / 2.0)
+    if kind == "miss":
+        return h, phi, psi, 20.0 * scale
+    t_star = float(rng.uniform(0.2, 2.0)) * scale
+    moved = propagate(h, phi, t_star, units).amplitudes
+    if kind == "near-gate":
+        frame = np.array([moved, h @ moved]).T
+        q, _ = np.linalg.qr(frame)
+        off = psi.amplitudes - q @ (q.conj().T @ psi.amplitudes)
+        off /= np.linalg.norm(off)
+        moved = math.cos(0.007) * moved + math.sin(0.007) * off
+    return h, phi, PureState(moved), 1.2 * t_star + 0.1 * scale
+
+
+def _reference_first_arrival(h, phi, psi, horizon, hbar):
+    """The pure search before its step followed delta_e(phi) and its phases
+    were factored: the infidelity at every point of the grid of step 0.01
+    hbar / delta_e_max, with phases exponentiated straight from the grid
+    times, the same gated local-minimum test and the same refinement."""
+    w, v = herm_eig(h)
+    weights = (v.conj().T @ psi.amplitudes).conj() * (v.conj().T @ phi.amplitudes)
+
+    def infidelity(t):
+        return max(0.0, 1.0 - abs(complex(np.sum(np.exp(-1j * w * (t / hbar)) * weights))) ** 2)
+
+    step = 0.01 * hbar / (float(w[-1] - w[0]) / 2.0)
+    count = max(math.ceil(horizon / step), 8)
+    dt = horizon / count
+    phases = np.exp(-1j * np.outer(np.arange(count + 1) * dt, w) / hbar)
+    vals = np.append(np.maximum(0.0, 1.0 - np.abs(phases @ weights) ** 2), np.inf)
+    xtol = max(1e-12, 1e-10 * horizon)
+    for i in range(1, count + 1):
+        if not vals[i] <= min(vals[i - 1], vals[i + 1], 1e-4):
+            continue
+        lo, hi = (i - 1) * dt, (i + 1) * dt if i + 1 < count else horizon
+        tol = max(xtol, 1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
+        t_min, f_min = golden_section_min(infidelity, lo, hi, tol)
+        t_min = _parabolic_polish(infidelity, t_min, 0.02 * step)
+        if min(f_min, infidelity(t_min)) <= 1e-9 and t_min > 0.0:
+            return min(t_min, horizon)
+    return None
+
+
 class TestFirstArrival:
     def test_qubit_oracle(self):
         t = first_arrival_time(SIGMA_Y, KET0, KET1, 10.0)
@@ -356,8 +425,14 @@ class TestFirstArrival:
         t = first_arrival_time(SIGMA_Y, KET0, KET0, 10.0)
         assert t == pytest.approx(np.pi, abs=ARRIVAL_TOL)
 
-    def test_stationary_never_arrives(self):
+    def test_stationary_never_arrives(self, record_scans):
+        scans = record_scans(synthesis)
         assert first_arrival_time(SIGMA_Z, KET0, KET1, 1000.0) is None
+        assert (scans[0]["grid_points"], scans[0]["chunks"]) == (0, 0)
+
+    def test_stationary_at_target_has_no_travel_time(self):
+        with pytest.raises(StationaryStateError):
+            first_arrival_time(SIGMA_Z, KET0, KET0, 1000.0)
 
     def test_short_horizon_misses(self):
         assert first_arrival_time(SIGMA_Y, KET0, KET1, 1.0) is None
@@ -388,10 +463,22 @@ class TestFirstArrival:
         phi, psi = random_pure_state(rng, 6), random_pure_state(rng, 6)
         scans = record_scans(synthesis)
         assert first_arrival_time(h, phi, psi, 20.0, Units(hbar=hbar)) is None
-        w = np.linalg.eigvalsh(h)
-        delta_e_max = (w[-1] - w[0]) / 2.0
-        assert scans[0]["grid_points"] == math.ceil(20.0 * delta_e_max / (0.01 * hbar)) + 1
-        assert scans[0]["step"] == pytest.approx(0.01 * hbar / delta_e_max, rel=1e-12)
+        delta_e = energy_uncertainty(h, phi)
+        assert scans[0]["grid_points"] == math.ceil(20.0 * delta_e / (0.01 * hbar)) + 1
+        assert scans[0]["step"] == pytest.approx(0.01 * hbar / delta_e, rel=1e-12)
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    @pytest.mark.parametrize("kind, n", ARRIVAL_CASES)
+    def test_matches_reference_scan(self, record_scans, kind, n, hbar):
+        h, phi, psi, horizon = _arrival_case(kind, n, hbar)
+        scans = record_scans(synthesis)
+        got = first_arrival_time(h, phi, psi, horizon, Units(hbar=hbar))
+        want = _reference_first_arrival(h, phi, psi, horizon, hbar)
+        assert (got is None) == (want is None) == kind.endswith(("miss", "gate"))
+        if got is not None:
+            assert abs(got - want) <= 1e-9
+        if kind == "near-gate":
+            assert scans[0]["refined"] > 0
 
 
 class TestEquigeodesicVector:
