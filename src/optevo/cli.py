@@ -41,7 +41,7 @@ from .lie_flag import (
     is_equigeodesic_structural,
     is_equigeodesic_variational,
 )
-from .numerics import DEFAULT_TOLERANCES
+from .numerics import SPECTRAL_TOL
 from .quantum_states import DensityMatrix, Units, fs_distance
 from .serialization import (
     file_digest,
@@ -236,7 +236,7 @@ def cmd_synthesize(args) -> int:
     units = _resolve_units(units_a, units_b)
     gap = fs_distance(phi, psi)
     report.line("s", gap)
-    if gap <= DEFAULT_TOLERANCES.spectral:
+    if gap <= SPECTRAL_TOL:
         report.line("T", 0.0)
         report.line("coincident", True)
         report.plain("the rays coincide; nothing to synthesize")

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, FoldExceededError
-from .numerics import Tolerances, _scan_arrival, as_matrix, herm_eig, unitary_exp
+from .numerics import _scan_arrival, as_matrix, herm_eig, unitary_exp
 from .quantum_states import (
     DensityMatrix,
     PureState,
@@ -258,7 +258,6 @@ def density_arrival_time(
     horizon: float,
     units: Units = Units(),
     threshold: float = 1e-8,
-    tol: Tolerances | None = None,
 ) -> float | None:
     """Earliest time in (0, horizon] at which the evolving density comes
     within ``threshold`` of the target in trace norm, or None.
@@ -303,7 +302,7 @@ def density_arrival_time(
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    w, v = herm_eig(h, tol)
+    w, v = herm_eig(h)
     if rho.n != w.size or target.n != w.size:
         raise DimensionMismatchError("generator and densities must share one dimension")
     hbar = units.hbar

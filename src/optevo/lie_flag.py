@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     NotSkewHermitianError,
     NotUnitaryError,
 )
-from .numerics import DEFAULT_TOLERANCES, Tolerances, as_matrix, is_unitary, unitary_exp
+from .numerics import SEARCH_TOL, STRUCTURAL_TOL, as_matrix, is_unitary, unitary_exp
 
 __all__ = [
     "BlockStructure",
@@ -83,24 +83,22 @@ class BlockStructure:
 class SuVector:
     """Element of su(n): a traceless skew-Hermitian matrix.
 
-    Construction validates both constraints against the structural
-    tolerance and stores a read-only copy. Offending inputs are rejected,
-    never repaired.
+    Construction validates both constraints against STRUCTURAL_TOL and
+    stores a read-only copy. Offending inputs are rejected, never repaired.
     """
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self) -> None:
         a = as_matrix(self.matrix)
         scale = max(1.0, float(np.linalg.norm(a)))
         skew_defect = float(np.linalg.norm(a + a.conj().T))
-        if skew_defect > self.tol.structural * scale:
+        if skew_defect > STRUCTURAL_TOL * scale:
             raise NotSkewHermitianError(
                 f"skew-hermiticity defect {skew_defect:.3e} exceeds tolerance"
             )
         tr = complex(np.trace(a))
-        if abs(tr) > self.tol.structural * scale:
+        if abs(tr) > STRUCTURAL_TOL * scale:
             raise NotSkewHermitianError(f"trace {tr:.3e} exceeds tolerance")
         a = a.copy()
         a.flags.writeable = False
@@ -210,7 +208,7 @@ def apply_metric(metric: MetricOperator, x_m: SuVector) -> SuVector:
     mask = metric.blocks.diagonal_mask()
     diag_norm = float(np.linalg.norm(x_m.matrix[mask]))
     scale = max(1.0, float(np.linalg.norm(x_m.matrix)))
-    if diag_norm > DEFAULT_TOLERANCES.structural * scale:
+    if diag_norm > STRUCTURAL_TOL * scale:
         raise BlockStructureError(
             "metric operators act on off-diagonal matrices; "
             f"diagonal-block mass {diag_norm:.3e} found"
@@ -239,9 +237,7 @@ def _line_criterion_residual(x: SuVector) -> tuple[float, float]:
     return residual, scale
 
 
-def is_equigeodesic_structural(
-    x: SuVector, blocks: BlockStructure, tol: Tolerances | None = None
-) -> bool:
+def is_equigeodesic_structural(x: SuVector, blocks: BlockStructure) -> bool:
     """Closed-form certificate that every invariant metric geodesic through
     the origin with initial direction X is the one-parameter orbit of X.
 
@@ -253,12 +249,11 @@ def is_equigeodesic_structural(
     product test has no terms; the function warns and returns True, and
     only the variational certificate carries information there.
     """
-    tols = tol or DEFAULT_TOLERANCES
     _require_blocks_fit(x, blocks)
     if blocks.count == 2:
         if blocks.parts[0] == 1:
             residual, scale = _line_criterion_residual(x)
-            return residual <= tols.search * scale
+            return residual <= SEARCH_TOL * scale
         warnings.warn(
             "the block-product certificate is vacuous for a two-part partition "
             "with a non-line first part; use the variational test",
@@ -274,7 +269,7 @@ def is_equigeodesic_structural(
         prod = float(np.linalg.norm(left @ right))
         scale = max(1.0, float(np.linalg.norm(left)) * float(np.linalg.norm(right)))
         worst = max(worst, prod / scale)
-    return worst <= tols.search
+    return worst <= SEARCH_TOL
 
 
 def is_equigeodesic_variational(
@@ -282,7 +277,6 @@ def is_equigeodesic_variational(
     blocks: BlockStructure,
     samples: int = 16,
     rng_seed: int = 0,
-    tol: Tolerances | None = None,
 ) -> tuple[bool, float]:
     """Exact certificate: the tangent projection of [X, L X_m] must vanish
     for every invariant metric L.
@@ -296,7 +290,6 @@ def is_equigeodesic_variational(
     ``samples`` and ``rng_seed`` are ignored; they remain so that callers
     of the former sampled test keep working.
     """
-    tols = tol or DEFAULT_TOLERANCES
     _require_blocks_fit(x, blocks)
     m = x.matrix
     off = ~blocks.diagonal_mask()
@@ -311,17 +304,17 @@ def is_equigeodesic_variational(
     # the Frobenius norm.
     total *= math.sqrt(_killing_scale(x.dim))
     residual = 10.0 * total / max(1.0, killing_inner(x, x))
-    return residual <= tols.search, residual
+    return residual <= SEARCH_TOL, residual
 
 
-def ad_conjugate(u, x: SuVector, tol: Tolerances | None = None) -> SuVector:
+def ad_conjugate(u, x: SuVector) -> SuVector:
     """Adjoint action U X U* of a unitary on su(n)."""
     a = as_matrix(u)
     if a.shape[0] != x.dim:
         raise DimensionMismatchError(
             f"unitary of dimension {a.shape[0]} against vector of dimension {x.dim}"
         )
-    if not is_unitary(a, tol):
+    if not is_unitary(a):
         raise NotUnitaryError("conjugation requires a unitary matrix")
     return SuVector(a @ x.matrix @ a.conj().T)
 

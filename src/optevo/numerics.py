@@ -1,14 +1,16 @@
 """Dense complex-matrix substrate.
 
 Hermitian eigendecompositions, unitary exponentials, the Frobenius norm,
-and tolerance-aware structural predicates. Everything downstream is built
-on these primitives. All operations are pure functions on plain numpy
-arrays and never mutate their arguments.
+and structural predicates. Everything downstream is built on these
+primitives. All operations are pure functions on plain numpy arrays and
+never mutate their arguments.
+
+Three fixed thresholds serve the whole package: ``STRUCTURAL_TOL`` for
+structural predicates and the stationary floor, ``SPECTRAL_TOL`` for
+spectrum-derived quantities and ``SEARCH_TOL`` for criterion residuals.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +22,9 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
+    "STRUCTURAL_TOL",
+    "SPECTRAL_TOL",
+    "SEARCH_TOL",
     "as_matrix",
     "frobenius",
     "is_hermitian",
@@ -33,34 +36,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used across the package.
-
-    Attributes
-    ----------
-    structural : float
-        Scale-relative threshold for structural predicates such as
-        hermiticity and unitarity. A matrix ``M`` passes a predicate when
-        the defect norm is at most ``structural * max(1, |M|_F)``, so the
-        checks behave the same for weak and strong operators.
-    spectral : float
-        Threshold for spectrum-derived quantities (state norms,
-        eigenvalue floors, probability weights).
-    search : float
-        Threshold for criterion residuals and numerical searches.
-    """
-
-    structural: float = 1e-10
-    spectral: float = 1e-12
-    search: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (self.structural > 0.0 and self.spectral > 0.0 and self.search > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Scale-relative threshold for structural predicates such as hermiticity
+# and unitarity: a matrix M passes when its defect norm is at most
+# STRUCTURAL_TOL * max(1, |M|_F), so the checks behave the same for weak
+# and strong operators. The stationary floor uses the same rule.
+STRUCTURAL_TOL = 1e-10
+# Threshold for spectrum-derived quantities: state norms, eigenvalue
+# floors, probability weights.
+SPECTRAL_TOL = 1e-12
+# Threshold for criterion residuals and numerical searches.
+SEARCH_TOL = 1e-9
 
 
 def as_matrix(m) -> np.ndarray:
@@ -82,37 +67,32 @@ def _scale(a: np.ndarray) -> float:
     return max(1.0, float(np.linalg.norm(a)))
 
 
-def is_hermitian(m, tol: Tolerances | None = None) -> bool:
+def is_hermitian(m) -> bool:
     """Whether ``M`` equals its conjugate transpose within tolerance."""
     a = as_matrix(m)
-    t = (tol or DEFAULT_TOLERANCES).structural
-    return float(np.linalg.norm(a - a.conj().T)) <= t * _scale(a)
+    return float(np.linalg.norm(a - a.conj().T)) <= STRUCTURAL_TOL * _scale(a)
 
 
-def is_skew_hermitian(m, tol: Tolerances | None = None) -> bool:
+def is_skew_hermitian(m) -> bool:
     """Whether ``M`` equals the negative of its conjugate transpose within tolerance."""
     a = as_matrix(m)
-    t = (tol or DEFAULT_TOLERANCES).structural
-    return float(np.linalg.norm(a + a.conj().T)) <= t * _scale(a)
+    return float(np.linalg.norm(a + a.conj().T)) <= STRUCTURAL_TOL * _scale(a)
 
 
-def is_unitary(m, tol: Tolerances | None = None) -> bool:
+def is_unitary(m) -> bool:
     """Whether ``M* M`` equals the identity within tolerance."""
     a = as_matrix(m)
-    t = (tol or DEFAULT_TOLERANCES).structural
     gram = a.conj().T @ a
-    return float(np.linalg.norm(gram - np.eye(a.shape[0]))) <= t * _scale(a)
+    return float(np.linalg.norm(gram - np.eye(a.shape[0]))) <= STRUCTURAL_TOL * _scale(a)
 
 
-def herm_eig(h, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     h : array_like
         Square matrix, Hermitian within the structural tolerance.
-    tol : Tolerances, optional
-        Thresholds governing the hermiticity gate.
 
     Returns
     -------
@@ -133,7 +113,7 @@ def herm_eig(h, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
         If the underlying solver fails to converge.
     """
     a = as_matrix(h)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         defect = float(np.linalg.norm(a - a.conj().T))
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
     sym = (a + a.conj().T) / 2.0
@@ -144,7 +124,7 @@ def herm_eig(h, tol: Tolerances | None = None) -> tuple[np.ndarray, np.ndarray]:
     return np.real(w), v
 
 
-def unitary_exp(h, t: float, hbar: float = 1.0, tol: Tolerances | None = None) -> np.ndarray:
+def unitary_exp(h, t: float, hbar: float = 1.0) -> np.ndarray:
     """Propagator ``exp(-i H t / hbar)`` of a Hermitian generator.
 
     Built from the eigendecomposition rather than a power series, so the
@@ -166,9 +146,16 @@ def unitary_exp(h, t: float, hbar: float = 1.0, tol: Tolerances | None = None) -
     """
     if not hbar > 0.0:
         raise ValueError("hbar must be positive")
-    w, v = herm_eig(h, tol)
+    w, v = herm_eig(h)
     phases = np.exp(-1j * w * (float(t) / float(hbar)))
     return (v * phases) @ v.conj().T
+
+
+def _stationary(speed: float, scale: float) -> bool:
+    """Whether a conserved speed is at the stationary floor
+    STRUCTURAL_TOL * max(1, scale), ``scale`` being the generator's
+    Frobenius norm: a start this slow never moves."""
+    return speed <= STRUCTURAL_TOL * max(1.0, scale)
 
 
 def golden_section_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
@@ -231,11 +218,10 @@ def _scan_arrival(values, objective, w, hbar, horizon, speed, gate, threshold, x
     ``speed`` is the conserved rate, in units of 1 / hbar, at which the
     scanned quantity can change: the grid ``i * horizon / count`` (the last
     point exactly ``horizon``) has step at most 0.01 hbar / speed. A start
-    whose speed is at most the stationary floor 1e-10 max(1, |w|_2) (the
-    one ``qsl_time`` applies, |w|_2 being |H|_F) never moves, so it is
-    decided from ``objective(0.0)`` with no scan: None if that exceeds
-    ``threshold``, else StationaryStateError, since no finite travel time
-    exists.
+    whose speed is at the stationary floor (``_stationary`` with scale
+    |w|_2, which is |H|_F) never moves, so it is decided from
+    ``objective(0.0)`` with no scan: None if that exceeds ``threshold``,
+    else StationaryStateError, since no finite travel time exists.
 
     The grid is streamed in chunks of at most ``_SCAN_CHUNK`` phase entries
     that overlap by two points. Point ``first + q B + r`` of the chunk that
@@ -253,7 +239,7 @@ def _scan_arrival(values, objective, w, hbar, horizon, speed, gate, threshold, x
     grid_points evaluated, step, chunks, refined minima and objective
     evaluations.
     """
-    if speed <= DEFAULT_TOLERANCES.structural * max(1.0, float(np.linalg.norm(w))):
+    if _stationary(speed, float(np.linalg.norm(w))):
         if objective(0.0) <= threshold:
             raise StationaryStateError("the start is stationary at the target; no travel time")
         return None, dict(grid_points=0, step=np.inf, chunks=0, refined=0, evaluations=1)

@@ -11,7 +11,7 @@ spread, attained by an equal-weight superposition of extreme eigenvectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +19,14 @@ from .errors import (
     DimensionMismatchError,
     DistinguishedStateNotMappedError,
     InvalidQuasiPureError,
+    NotHermitianError,
     NotRankOneError,
     NotUnitaryError,
     SpectraMismatchError,
 )
 from .numerics import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    SPECTRAL_TOL,
+    STRUCTURAL_TOL,
     as_matrix,
     frobenius,
     herm_eig,
@@ -77,7 +78,7 @@ def _require(ok, values, message: str) -> None:
         raise ValueError(f"sample {i}: " + message.format(values[i].item()))
 
 
-def _check_pure(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+def _check_pure(a: np.ndarray) -> None:
     """The norm gate, on one vector (n,) or a stack of samples (T, n),
     contiguous along its last axis (as a fresh copy is).
 
@@ -86,12 +87,10 @@ def _check_pure(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     """
     pairs = a.view(float)
     norms = np.sqrt(np.vecdot(pairs, pairs))
-    _require(
-        abs(norms - 1.0) <= tol.spectral, norms, "state norm {!r} is not 1 within tolerance"
-    )
+    _require(abs(norms - 1.0) <= SPECTRAL_TOL, norms, "state norm {!r} is not 1 within tolerance")
 
 
-def _check_density(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+def _check_density(a: np.ndarray) -> None:
     """The density gates, on one matrix (n, n) or a stack (T, n, n).
 
     Finite entries; Hermiticity (the defect against the scale
@@ -104,44 +103,43 @@ def _check_density(a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     defect = np.linalg.norm(a - adjoint, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     _require(
-        defect <= tol.structural * scale, defect,
+        defect <= STRUCTURAL_TOL * scale, defect,
         "density matrix is not Hermitian: ||A - A*||_F = {!r}",
     )
     tr = np.trace(a, axis1=-2, axis2=-1)
-    ok = abs(tr - 1.0) <= tol.spectral * np.maximum(1.0, abs(tr))
+    ok = abs(tr - 1.0) <= SPECTRAL_TOL * np.maximum(1.0, abs(tr))
     _require(ok, tr, "trace {!r} is not 1 within tolerance")
     lowest = np.linalg.eigvalsh((a + adjoint) / 2.0)[..., 0]
-    _require(lowest >= -tol.spectral, lowest, "negative eigenvalue {!r}")
+    _require(lowest >= -SPECTRAL_TOL, lowest, "negative eigenvalue {!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector in C^n.
 
-    The constructor validates normalization against the spectral tolerance
-    and stores a read-only copy. Use :meth:`from_vector` to normalize an
+    The constructor validates normalization against SPECTRAL_TOL and
+    stores a read-only copy. Use :meth:`from_vector` to normalize an
     arbitrary nonzero vector first.
     """
 
     amplitudes: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.amplitudes, dtype=complex)
         if a.ndim != 1 or a.size == 0:
             raise DimensionMismatchError(f"expected a nonempty vector, got shape {a.shape}")
-        _check_pure(a, self.tol)
+        _check_pure(a)
         a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
 
     @classmethod
-    def from_vector(cls, vec, tol: Tolerances | None = None) -> "PureState":
+    def from_vector(cls, vec) -> "PureState":
         """Normalize a nonzero vector of finite norm into a state."""
         a = np.asarray(vec, dtype=complex)
         norm = float(np.linalg.norm(a))
         if not 0.0 < norm < math.inf:
             raise ValueError(f"cannot normalize a vector of norm {norm!r}")
-        return cls(a / norm, tol or DEFAULT_TOLERANCES)
+        return cls(a / norm)
 
     @classmethod
     def basis_state(cls, n: int, k: int) -> "PureState":
@@ -168,11 +166,10 @@ class DensityMatrix:
     """Hermitian positive semidefinite matrix of unit trace."""
 
     matrix: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self) -> None:
         a = as_matrix(self.matrix)
-        _check_density(a, self.tol)
+        _check_density(a)
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
@@ -191,7 +188,7 @@ def _states_of(stack: np.ndarray) -> tuple:
     states = []
     for sample in stack:
         state = object.__new__(cls)
-        state.__dict__.update({name: sample, "tol": DEFAULT_TOLERANCES})
+        state.__dict__[name] = sample
         states.append(state)
     return tuple(states)
 
@@ -221,7 +218,7 @@ class QuasiPureSpec:
         p1, p2 = float(self.p1), float(self.p2)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
-        eps = DEFAULT_TOLERANCES.spectral
+        eps = SPECTRAL_TOL
         if p1 < -eps or p1 > 1.0 + eps or p2 < -eps:
             raise InvalidQuasiPureError(f"weights out of range: p1={p1}, p2={p2}")
         if abs(p1 + (n - 1) * p2 - 1.0) > eps:
@@ -281,31 +278,27 @@ def fidelity(phi: PureState, psi: PureState) -> float:
     return float(min(ov * ov, 1.0))
 
 
-def energy_uncertainty(h, phi: PureState, tol: Tolerances | None = None) -> float:
+def energy_uncertainty(h, phi: PureState) -> float:
     """Standard deviation of a Hermitian observable in a pure state.
 
-    Computed as sqrt(|H phi|^2 - <phi|H|phi>^2), which is algebraically the
-    variance and numerically more stable than forming H^2. Tiny negative
-    variances from roundoff are clamped to zero; anything below the
-    spectral tolerance in magnitude signals a broken input and raises.
+    Computed as |H phi - <phi|H|phi> phi|, the norm of the part of H phi
+    orthogonal to phi. Its square is algebraically the variance, and unlike
+    sqrt(|H phi|^2 - <phi|H|phi>^2) it does not cancel: the result is exact
+    to a few eps |H| even for a state close to an eigenstate.
     """
-    tols = tol or DEFAULT_TOLERANCES
     a = as_matrix(h)
     if a.shape[0] != phi.n:
         raise DimensionMismatchError(
             f"operator of dimension {a.shape[0]} against state of dimension {phi.n}"
         )
-    if not is_hermitian(a, tols):
-        raise ValueError("observable must be Hermitian")
+    if not is_hermitian(a):
+        raise NotHermitianError("observable must be Hermitian")
     image = a @ phi.amplitudes
     mean = float(np.vdot(phi.amplitudes, image).real)
-    var = float(np.vdot(image, image).real) - mean * mean
-    if var < -tols.spectral * max(1.0, mean * mean):
-        raise ArithmeticError(f"variance fell below the roundoff floor: {var!r}")
-    return float(np.sqrt(max(var, 0.0)))
+    return float(np.linalg.norm(image - mean * phi.amplitudes))
 
 
-def energy_uncertainty_max(h, tol: Tolerances | None = None) -> tuple[float, PureState]:
+def energy_uncertainty_max(h) -> tuple[float, PureState]:
     """Largest energy uncertainty any state can have, with a witness.
 
     The value is half the spectral spread. The witness is the equal-weight
@@ -313,7 +306,7 @@ def energy_uncertainty_max(h, tol: Tolerances | None = None) -> tuple[float, Pur
     uncertainty attains the value; a balanced two-point mixture of those
     eigenvectors gives the same number.
     """
-    w, v = herm_eig(h, tol)
+    w, v = herm_eig(h)
     value = float(w[-1] - w[0]) / 2.0
     if w.size == 1:
         return value, PureState(v[:, 0])
@@ -327,14 +320,14 @@ def projector(phi: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(a, a.conj()))
 
 
-def state_from_projector(rho: DensityMatrix, tol: Tolerances | None = None) -> PureState:
+def state_from_projector(rho: DensityMatrix) -> PureState:
     """Recover the state of a rank-one density matrix.
 
     The phase is fixed by rotating the first nonzero amplitude onto the
     positive real axis, so the output is a deterministic function of the
     projector.
     """
-    w, v = herm_eig(rho.matrix, tol)
+    w, v = herm_eig(rho.matrix)
     if rho.n >= 2 and float(w[-2]) > 1e-10:
         raise NotRankOneError(
             f"second-largest eigenvalue {float(w[-2])!r} exceeds the rank-one gate"
@@ -356,12 +349,7 @@ def quasi_pure(spec: QuasiPureSpec) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def quasi_pure_transport(
-    source: QuasiPureSpec,
-    target: QuasiPureSpec,
-    u,
-    tol: Tolerances | None = None,
-) -> bool:
+def quasi_pure_transport(source: QuasiPureSpec, target: QuasiPureSpec, u) -> bool:
     """Whether a unitary carries one quasi-pure state exactly onto another.
 
     The two specifications must share the spectrum (p1, p2). Because every
@@ -377,7 +365,7 @@ def quasi_pure_transport(
     a = as_matrix(u)
     if source.n != target.n or a.shape[0] != source.n:
         raise DimensionMismatchError("specifications and unitary must share one dimension")
-    if not is_unitary(a, tol):
+    if not is_unitary(a):
         raise NotUnitaryError("transport requires a unitary matrix")
     mapped = PureState.from_vector(a @ source.distinguished.amplitudes)
     # The same gate as infidelity sin^2(angle) > 1e-9, stated on the angle.

@@ -37,9 +37,10 @@ from .errors import (
 )
 from .lie_flag import SuVector
 from .numerics import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    SEARCH_TOL,
+    SPECTRAL_TOL,
     _scan_arrival,
+    _stationary,
     as_matrix,
     frobenius,
     herm_eig,
@@ -138,15 +139,14 @@ def adapted_basis(phi: PureState) -> np.ndarray:
     return basis
 
 
-def adapted_blocks(h, phi: PureState, tol: Tolerances | None = None) -> HamiltonianBlocks:
+def adapted_blocks(h, phi: PureState) -> HamiltonianBlocks:
     """Express a Hermitian operator in a basis adapted to a state."""
-    tols = tol or DEFAULT_TOLERANCES
     a = as_matrix(h)
     if a.shape[0] != phi.n:
         raise DimensionMismatchError(
             f"operator of dimension {a.shape[0]} against state of dimension {phi.n}"
         )
-    if not is_hermitian(a, tols):
+    if not is_hermitian(a):
         raise NotHermitianError("block extraction requires a Hermitian operator")
     basis = adapted_basis(phi)
     hb = basis.conj().T @ a @ basis
@@ -159,29 +159,28 @@ def adapted_blocks(h, phi: PureState, tol: Tolerances | None = None) -> Hamilton
     )
 
 
-def is_optimal_speed(h, phi: PureState, tol: Tolerances | None = None) -> OptimalityVerdict:
+def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
     """Classify a Hermitian generator acting on a state.
 
-    Stationary when the coupling vanishes (the ray never moves). Otherwise
-    optimal exactly when the eigen-condition A x = m x holds within the
-    search tolerance, which is equivalent to the uncertainty in the state
-    saturating half the spectral spread. The test is invariant under
-    shifting the operator by multiples of the identity.
+    Stationary when the coupling |x| is at the stationary floor
+    STRUCTURAL_TOL max(1, |H|_F) (the ray never moves). Otherwise optimal
+    exactly when the eigen-condition A x = m x holds within SEARCH_TOL,
+    which is equivalent to the uncertainty in the state saturating half
+    the spectral spread. The test is invariant under shifting the operator
+    by multiples of the identity.
     """
-    tols = tol or DEFAULT_TOLERANCES
-    blocks = adapted_blocks(h, phi, tols)
-    w, _ = herm_eig(h, tols)
+    blocks = adapted_blocks(h, phi)
+    w, _ = herm_eig(h)
     delta_e_max = float(w[-1] - w[0]) / 2.0
     delta_e = float(np.linalg.norm(blocks.coupling))
-    operator_scale = max(1.0, frobenius(h))
-    if delta_e <= tols.structural * operator_scale:
+    if _stationary(delta_e, frobenius(h)):
         return OptimalityVerdict(Verdict.STATIONARY, 0.0, delta_e, delta_e_max)
     defect = float(
         np.linalg.norm(blocks.complement @ blocks.coupling - blocks.mean_energy * blocks.coupling)
     )
     scale = max(1.0, float(np.linalg.norm(blocks.complement)) * delta_e)
     residual = defect / scale
-    kind = Verdict.OPTIMAL if residual <= tols.search else Verdict.SUBOPTIMAL
+    kind = Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL
     return OptimalityVerdict(kind, residual, delta_e, delta_e_max)
 
 
@@ -196,9 +195,9 @@ def optimal_hamiltonian(phi: PureState, psi: PureState, energy: float) -> np.nda
 
     whose uncertainty in the start state is exactly E. The start state
     then travels the connecting geodesic and reaches the target ray at
-    time hbar s / E. Coincident rays (s within the spectral tolerance, so
-    only roundoff tells them apart) admit no motion; for them the zero
-    matrix is returned and the caller sees a stationary generator.
+    time hbar s / E. Coincident rays (s at most SPECTRAL_TOL, so only
+    roundoff tells them apart) admit no motion; for them the zero matrix
+    is returned and the caller sees a stationary generator.
     """
     if not energy > 0.0:
         raise ValueError("energy must be positive")
@@ -206,7 +205,7 @@ def optimal_hamiltonian(phi: PureState, psi: PureState, energy: float) -> np.nda
         raise DimensionMismatchError(f"dimensions differ: {phi.n} vs {psi.n}")
     s = fs_distance(phi, psi)
     n = phi.n
-    if s <= DEFAULT_TOLERANCES.spectral:
+    if s <= SPECTRAL_TOL:
         return np.zeros((n, n), dtype=complex)
     ov = phi.overlap(psi)
     target = psi.amplitudes if abs(ov) == 0.0 else psi.amplitudes * (ov.conjugate() / abs(ov))
@@ -277,7 +276,7 @@ def qsl_time(phi: PureState, psi: PureState, h, units: Units = Units()) -> float
     family.
     """
     delta_e = energy_uncertainty(h, phi)
-    if delta_e <= DEFAULT_TOLERANCES.structural * max(1.0, frobenius(h)):
+    if _stationary(delta_e, frobenius(h)):
         raise StationaryStateError("the state is stationary; no finite travel time")
     return units.hbar * fs_distance(phi, psi) / delta_e
 
@@ -288,7 +287,6 @@ def first_arrival_time(
     psi: PureState,
     horizon: float,
     units: Units = Units(),
-    tol: Tolerances | None = None,
 ) -> float | None:
     """Earliest time in (0, horizon] at which the evolving ray meets the
     target ray, or None if it never does.
@@ -314,7 +312,7 @@ def first_arrival_time(
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    w, v = herm_eig(h, tol)
+    w, v = herm_eig(h)
     hbar = units.hbar
     if phi.n != w.size or psi.n != w.size:
         raise DimensionMismatchError("generator and states must share one dimension")
@@ -338,9 +336,7 @@ def first_arrival_time(
     return _scan_arrival(values, infidelity, w, hbar, horizon, delta_e, 1e-4, 1e-9, xtol)[0]
 
 
-def equigeodesic_vector_of(
-    h, phi: PureState, tol: Tolerances | None = None
-) -> tuple[SuVector, np.ndarray]:
+def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:
     """Algebra element generating the ray motion, with its base point.
 
     For a maximal-speed generator H and state phi, returns (X, U) where X
@@ -350,7 +346,7 @@ def equigeodesic_vector_of(
     certificate for the partition (1, n-1), so the orbit of X through the
     base point is a geodesic for every invariant metric.
     """
-    verdict = is_optimal_speed(h, phi, tol)
+    verdict = is_optimal_speed(h, phi)
     if verdict.kind is not Verdict.OPTIMAL:
         raise NotOptimalError(
             f"generator is {verdict.kind.value}; only optimal generators correspond "

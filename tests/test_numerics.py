@@ -5,6 +5,8 @@ Fixed-input expectations were computed by hand from the closed forms:
 eigenvalues of diagonal matrices by inspection.
 """
 
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,6 @@ from optevo import (
     EigenConvergenceError,
     NotHermitianError,
     StationaryStateError,
-    Tolerances,
     first_arrival_time,
     frobenius,
     golden_section_min,
@@ -27,7 +28,8 @@ from optevo import (
     is_unitary,
     unitary_exp,
 )
-from optevo import numerics
+import optevo
+from optevo import DensityMatrix, PureState, SuVector, numerics
 from optevo.numerics import _scan_arrival, as_matrix
 from optevo.sampling import random_pure_state
 
@@ -63,17 +65,22 @@ class TestShapeGate:
         assert a.shape == (2, 2)
 
 
-class TestTolerances:
-    def test_defaults(self):
-        t = Tolerances()
-        assert t.structural == 1e-10
-        assert t.spectral == 1e-12
-        assert t.search == 1e-9
+class TestThresholds:
+    def test_constants(self):
+        assert numerics.STRUCTURAL_TOL == 1e-10
+        assert numerics.SPECTRAL_TOL == 1e-12
+        assert numerics.SEARCH_TOL == 1e-9
 
-    @pytest.mark.parametrize("field", ["structural", "spectral", "search"])
-    def test_rejects_nonpositive(self, field):
-        with pytest.raises(ValueError):
-            Tolerances(**{field: 0.0})
+    def test_no_threshold_knob(self):
+        # The thresholds are fixed: no public callable takes them and no
+        # state class carries them.
+        for name in optevo.__all__:
+            obj = getattr(optevo, name)
+            is_error = isinstance(obj, type) and issubclass(obj, Exception)
+            if callable(obj) and not is_error:
+                assert "tol" not in inspect.signature(obj).parameters, name
+        for cls in (PureState, DensityMatrix, SuVector):
+            assert "tol" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
 class TestPredicates:

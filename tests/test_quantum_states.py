@@ -17,6 +17,7 @@ from optevo import (
     DimensionMismatchError,
     DistinguishedStateNotMappedError,
     InvalidQuasiPureError,
+    NotHermitianError,
     NotRankOneError,
     NotUnitaryError,
     PureState,
@@ -27,12 +28,13 @@ from optevo import (
     energy_uncertainty_max,
     fidelity,
     fs_distance,
+    optimal_family_sample,
     projector,
     quasi_pure,
     quasi_pure_transport,
     state_from_projector,
 )
-from optevo.sampling import random_pure_state, random_unitary
+from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 
 ATOL = 1e-12
 
@@ -199,6 +201,18 @@ class TestRayMetric:
             fs_distance(KET0, PureState.basis_state(3, 0))
 
 
+def _reference_energy_uncertainty(h, phi):
+    """The former formula sqrt(|H phi|^2 - <phi|H|phi>^2), clamped at 0.
+
+    It cancels: its relative error is about eps |H phi|^2 / delta_e^2, so
+    near an eigenstate it loses every digit.
+    """
+    image = h @ phi.amplitudes
+    mean = float(np.vdot(phi.amplitudes, image).real)
+    var = float(np.vdot(image, image).real) - mean * mean
+    return float(np.sqrt(max(var, 0.0)))
+
+
 class TestEnergyUncertainty:
     def test_eigenstate_zero(self):
         assert energy_uncertainty(SIGMA_Z, KET0) == pytest.approx(0.0, abs=ATOL)
@@ -213,12 +227,45 @@ class TestEnergyUncertainty:
         assert energy_uncertainty(h, phi) == pytest.approx(2.0, abs=ATOL)
 
     def test_rejects_nonhermitian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotHermitianError):
             energy_uncertainty(np.array([[0.0, 1.0], [0.0, 0.0]]), KET0)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             energy_uncertainty(np.eye(3), KET0)
+
+    def test_matches_reference(self):
+        # Seeded random generators over six decades of scale and members of
+        # the maximal-speed family (mean energy up to a few times the
+        # uncertainty), n <= 64: far from eigenstates both formulas agree.
+        gen = np.random.default_rng(2024)
+        worst = 0.0
+        for k in range(2000):
+            n = int(gen.integers(2, 65))
+            phi = random_pure_state(gen, n)
+            scale = float(10.0 ** gen.uniform(-3.0, 3.0))
+            if k % 2:
+                h = random_hermitian(gen, n, scale)
+            else:
+                psi = random_pure_state(gen, n)
+                h = optimal_family_sample(phi, psi, scale, int(gen.integers(2**31)))
+            ref = _reference_energy_uncertainty(h, phi)
+            worst = max(worst, abs(energy_uncertainty(h, phi) - ref) / ref)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1e-9, 3e-9, 1e-8])
+    def test_near_eigenstate_is_exact(self, eps):
+        # H |0> = |0> + eps |1>: the uncertainty is eps exactly, where the
+        # reference cancels to 0.
+        h = np.array([[1.0, eps], [eps, 2.0]])
+        assert _reference_energy_uncertainty(h, KET0) == 0.0
+        assert energy_uncertainty(h, KET0) == eps
+
+    def test_large_mean_small_coupling(self):
+        # Mean energy 100, coupling 1e-6: the reference reads 1.349e-6.
+        h = np.array([[100.0, 1e-6], [1e-6, 100.0]])
+        assert _reference_energy_uncertainty(h, KET0) == pytest.approx(1.349e-6, rel=1e-3)
+        assert energy_uncertainty(h, KET0) == pytest.approx(1e-6, rel=1e-15)
 
     def test_maximum_and_witness_qubit(self):
         value, witness = energy_uncertainty_max(SIGMA_Z)

@@ -38,7 +38,7 @@ from optevo import (
     qsl_time,
 )
 from optevo import synthesis
-from optevo.numerics import _parabolic_polish, golden_section_min, herm_eig
+from optevo.numerics import STRUCTURAL_TOL, _parabolic_polish, golden_section_min, herm_eig
 from optevo.sampling import random_hermitian, random_pure_state
 
 ATOL = 1e-12
@@ -346,6 +346,36 @@ class TestQslTime:
     def test_stationary_state_raises(self):
         with pytest.raises(StationaryStateError):
             qsl_time(KET0, KET1, SIGMA_Z)
+
+    def test_large_mean_small_coupling(self):
+        # Mean energy 100 and coupling 1e-6: delta_e is the coupling, with
+        # no cancellation against the mean.
+        h = np.array([[100.0, 1e-6], [1e-6, 100.0]])
+        assert qsl_time(KET0, KET1, h) == pytest.approx(np.pi / 2.0 / 1e-6, rel=1e-12)
+
+
+class TestStationaryFloor:
+    """The verdict, the speed-limit time and the arrival scan read a
+    coupling eps in H = [[1, eps], [eps, 2]] against one floor,
+    STRUCTURAL_TOL max(1, |H|_F)."""
+
+    FLOOR = STRUCTURAL_TOL * math.sqrt(5.0)
+
+    def test_below_floor_is_stationary(self):
+        eps = 0.5 * self.FLOOR
+        h = np.array([[1.0, eps], [eps, 2.0]])
+        assert is_optimal_speed(h, KET0).kind is Verdict.STATIONARY
+        with pytest.raises(StationaryStateError):
+            qsl_time(KET0, KET1, h)
+        with pytest.raises(StationaryStateError):
+            first_arrival_time(h, KET0, KET0, 1.0)
+
+    def test_above_floor_moves(self):
+        eps = 2.0 * self.FLOOR
+        h = np.array([[1.0, eps], [eps, 2.0]])
+        assert is_optimal_speed(h, KET0).kind is not Verdict.STATIONARY
+        assert qsl_time(KET0, KET1, h) == pytest.approx(np.pi / 2.0 / eps, rel=1e-12)
+        assert first_arrival_time(h, KET0, KET0, 1.0) is not None
 
 
 ARRIVAL_KINDS = ("optimal-hit", "generic-hit", "miss", "near-gate")
