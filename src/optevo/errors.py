@@ -25,10 +25,6 @@ class BlockStructureError(ValueError):
     """A block partition is malformed or does not match its operand."""
 
 
-class NotRankOneError(ValueError):
-    """A density matrix expected to be a one-dimensional projector is not."""
-
-
 class InvalidQuasiPureError(ValueError):
     """A quasi-pure specification violates its normalization constraints."""
 

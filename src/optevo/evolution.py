@@ -299,6 +299,19 @@ def density_arrival_time(
     gate + e, e = 8 sqrt 2 n^2 eps s. If gate >= sqrt 2 s >= ||D||_F every
     point is near anyway; otherwise (gate + e)^2 - gate^2 < 32 n^2 eps s^2
     plus a negligible e^2, and both errors together stay below the margin.
+
+    Cells of up to 128 grid steps are screened before that, on the same
+    Frobenius norm at the cell ends. It moves at most at ||[H, rho]||_F /
+    hbar, the commutator's Frobenius norm, so a cell of width W whose end
+    norms a and b give (a + b - ||[H, rho]||_F W / hbar) / 2 above the gate plus
+    s (2 sqrt(d) + sqrt(n) d) holds no point whose trace norm reaches the
+    gate, and is skipped; its points are never formed. Here
+    d = (64 n^2 + 8 |w|_inf horizon / hbar) eps. The end norms are then
+    within s sqrt(d) of exact, the quadratic form's roundoff above being
+    joined by that of the phases, whose arguments reach |w|_inf horizon /
+    hbar. The phases move a point's trace norm by at most sqrt(n) d s / 2,
+    and ``eigvalsh`` by less than s sqrt(d). No ``eigvalsh`` is spent on
+    the screen.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -313,21 +326,33 @@ def density_arrival_time(
     commutator = 1j * np.subtract.outer(w, w) * start
     speed = float(np.sum(np.abs(np.linalg.eigvalsh(commutator)))) / 2.0
     gate = max(100.0 * threshold, 5e-2)
-    cutoff = gate * gate + 64.0 * w.size**2 * np.finfo(float).eps * squares
+    eps = np.finfo(float).eps
+    cutoff = gate * gate + 64.0 * w.size**2 * eps * squares
+    slack = (64.0 * w.size**2 + 8.0 * float(np.max(np.abs(w))) * horizon / hbar) * eps
+    screen_gate = gate + np.sqrt(squares) * (2.0 * np.sqrt(slack) + np.sqrt(w.size) * slack)
 
     def trace_norms(phases: np.ndarray) -> np.ndarray:
         rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
         return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
 
+    def frobenius_squares(phases: np.ndarray) -> np.ndarray:
+        return squares - 2.0 * np.einsum("ij,ij->i", phases @ cross, phases.conj()).real
+
     def values(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
         phases = (bases[:, None, :] * table[None]).reshape(-1, w.size)
-        form = np.einsum("ij,ij->i", phases @ cross, phases.conj()).real
-        near = np.nonzero(squares - 2.0 * form <= cutoff)[0]
+        near = np.nonzero(frobenius_squares(phases) <= cutoff)[0]
         out = np.full(len(phases), np.inf)
         out[near] = trace_norms(phases[near])
         return out
 
+    def frobenius_norms(rows: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(0.0, frobenius_squares(rows)))
+
     def distance(t: float) -> float:
         return float(trace_norms(np.exp(-1j * w * (t / hbar))[None, :])[0])
 
-    return _scan_arrival(values, distance, w, hbar, horizon, speed, gate, threshold)[0]
+    rate = float(np.linalg.norm(commutator))
+    return _scan_arrival(
+        values, distance, w, hbar, horizon, speed, gate, threshold,
+        frobenius_norms, rate, screen_gate,
+    )[0]

@@ -31,11 +31,9 @@ from .numerics import SEARCH_TOL, STRUCTURAL_TOL, as_matrix, is_unitary, unitary
 __all__ = [
     "BlockStructure",
     "SuVector",
-    "MetricOperator",
     "killing_inner",
     "killing_norm",
     "reductive_split",
-    "apply_metric",
     "bracket",
     "is_equigeodesic_structural",
     "is_equigeodesic_variational",
@@ -109,45 +107,6 @@ class SuVector:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class MetricOperator:
-    """Invariant metric on the tangent space of a flag manifold.
-
-    One positive multiplier per unordered block pair, keyed by 0-based
-    indices ``(i, j)`` with ``j < i``. The operator acts entrywise, scaling
-    the (i, j) and (j, i) blocks of an off-diagonal matrix by the same
-    factor.
-    """
-
-    blocks: BlockStructure
-    multipliers: dict[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        wanted = {(i, j) for i in range(self.blocks.count) for j in range(i)}
-        given = {(int(i), int(j)): float(v) for (i, j), v in self.multipliers.items()}
-        if set(given) != wanted:
-            raise BlockStructureError(
-                f"multipliers must cover exactly the pairs {sorted(wanted)}"
-            )
-        if any(v <= 0.0 for v in given.values()):
-            raise BlockStructureError("metric multipliers must be positive")
-        object.__setattr__(self, "multipliers", given)
-
-    @classmethod
-    def identity(cls, blocks: BlockStructure) -> "MetricOperator":
-        pairs = {(i, j): 1.0 for i in range(blocks.count) for j in range(i)}
-        return cls(blocks, pairs)
-
-    def factor_matrix(self) -> np.ndarray:
-        """Entrywise n x n scaling grid: multipliers off-diagonal, 1 on-diagonal."""
-        f = np.ones((self.blocks.n, self.blocks.n))
-        sl = self.blocks.slices()
-        for (i, j), mu in self.multipliers.items():
-            f[sl[i], sl[j]] = mu
-            f[sl[j], sl[i]] = mu
-        return f
-
-
 def _require_same_dim(x: SuVector, y: SuVector) -> None:
     if x.dim != y.dim:
         raise DimensionMismatchError(f"dimensions differ: {x.dim} vs {y.dim}")
@@ -196,24 +155,6 @@ def reductive_split(x: SuVector, blocks: BlockStructure) -> tuple[SuVector, SuVe
     iso = np.where(mask, x.matrix, zero)
     tan = np.where(mask, zero, x.matrix)
     return SuVector(iso), SuVector(tan)
-
-
-def apply_metric(metric: MetricOperator, x_m: SuVector) -> SuVector:
-    """Apply an invariant metric operator to a tangent vector.
-
-    The input must have vanishing diagonal blocks for the metric's
-    partition.
-    """
-    _require_blocks_fit(x_m, metric.blocks)
-    mask = metric.blocks.diagonal_mask()
-    diag_norm = float(np.linalg.norm(x_m.matrix[mask]))
-    scale = max(1.0, float(np.linalg.norm(x_m.matrix)))
-    if diag_norm > STRUCTURAL_TOL * scale:
-        raise BlockStructureError(
-            "metric operators act on off-diagonal matrices; "
-            f"diagonal-block mass {diag_norm:.3e} found"
-        )
-    return SuVector(metric.factor_matrix() * x_m.matrix)
 
 
 def bracket(x: SuVector, y: SuVector) -> SuVector:

@@ -203,16 +203,31 @@ def _parabolic_polish(f, t0: float, delta: float) -> float:
     return polished if f(polished) <= max(f_mid, 1e-12) else t0
 
 
-# Phase entries (grid points times dimension) in one chunk of an arrival
+# Phase entries (grid points times dimension) in one batch of an arrival
 # scan, so its memory stays bounded whatever the horizon.
 _SCAN_CHUNK = 1 << 15
-# Grid points per row of a scan's offset table. A chunk of P points needs
-# P / this rows of base exponentials; a block near sqrt(P) made full scans
-# slower for that reason.
-_SCAN_BLOCK = 256
+# Fine grid steps per cell of an arrival scan: the unit its screen skips and
+# the row count, less two, of its offset table. The screen's bound loosens by
+# the Lipschitz rate times a cell's width, so wider cells survive more often;
+# narrower ones cost more base rows. 128 was fastest against 64 and 256.
+_SCAN_BLOCK = 128
 
 
-def _scan_arrival(values, objective, w, hbar, horizon, speed, gate, threshold, xtol=0.0):
+def _phase_rows(w, start, step, count, hbar):
+    """Rows exp(-i w (start + k step) / hbar) for k < count, as products of
+    two tables of about sqrt(count) rows each: count n complex products in
+    place of count n complex exponentials, each row within a few eps of
+    its direct exponential."""
+    size = int(np.ceil(np.sqrt(count)))
+    steps = np.exp(-1j * np.outer(np.arange(size) * step, w) / hbar)
+    jumps = np.exp(-1j * np.outer(start + np.arange(-(-count // size)) * (size * step), w) / hbar)
+    return (jumps[:, None, :] * steps[None]).reshape(-1, w.size)[:count]
+
+
+def _scan_arrival(
+    values, objective, w, hbar, horizon, speed, gate, threshold, screen, rate, screen_gate,
+    xtol=0.0,
+):
     """First refined local minimum in (0, horizon] at most ``threshold``.
 
     ``speed`` is the conserved rate, in units of 1 / hbar, at which the
@@ -223,59 +238,94 @@ def _scan_arrival(values, objective, w, hbar, horizon, speed, gate, threshold, x
     ``objective(0.0)`` with no scan: None if that exceeds ``threshold``,
     else StationaryStateError, since no finite travel time exists.
 
-    The grid is streamed in chunks of at most ``_SCAN_CHUNK`` phase entries
-    that overlap by two points. Point ``first + q B + r`` of the chunk that
-    starts at ``first`` has the phase row ``bases[q] * table[r]`` of
-    exp(-i w t / hbar): ``table`` holds the B offset rows, built once a
-    call, and ``bases`` the chunk's rows at ``first + q B``, with B
-    ``_SCAN_BLOCK`` or the chunk's points if fewer; a chunk is a whole
-    number of blocks unless the grid ends in it. ``values(table, bases)``
-    gives the objective at those points in time order. Each grid point no
-    larger than both neighbours (+inf past ``horizon``) and ``gate`` is
-    refined in time order: golden section over its two cells to
-    ``max(xtol, 1e-10 * bracket)``, floored at the float spacing, then a
+    The grid is cut into cells of K = ``_SCAN_BLOCK`` steps (fewer when the
+    grid or the chunk budget is small): cell j spans points jK to
+    min(jK + K, count), and owns the points jK to jK + K - 1. The scan
+    streams cells in chunks and screens each chunk first. ``screen(rows)``
+    gives a screen quantity s(t) at the cell ends, ``rows`` being their
+    phase rows exp(-i w t / hbar). It must move at most at ``rate / hbar``,
+    and wherever it exceeds ``screen_gate`` the objective, as computed, must
+    exceed ``gate``: the caller's margin covers roundoff. On a cell of width W
+    with end values a and b, s is at least (a + b - rate W / hbar) / 2
+    (Piyavskii-Shubert); when that exceeds ``screen_gate`` no point of the
+    cell can be a candidate, and the cell is skipped without building its
+    phase rows. Its points read as +inf; since a candidate is at most
+    ``gate`` and they exceed it, the candidates are those of a scan that
+    evaluates every point.
+
+    A live cell's values are the products ``bases[q] * table[r]``: ``bases``
+    holds cell starts, ``table`` the K + 2 offset rows for offsets -1 to K,
+    built once a call, so each cell carries both neighbours of its own
+    points. ``values(table, bases)`` gives the objective at those points,
+    base by base. Points past ``horizon`` read +inf. Chunks of cells start
+    at the batch size and double up to ``_SCAN_CHUNK`` phase entries, so an
+    early arrival pays only for the cells before it; live cells are
+    evaluated in batches of at most ``_SCAN_CHUNK`` phase entries.
+
+    Each owned point no larger than both neighbours and ``gate`` is refined
+    in time order, the origin excepted: golden section over its two cells
+    to ``max(xtol, 1e-10 * bracket)``, floored at the float spacing, then a
     parabolic polish of ``objective``. Returns the first refined time with
-    value at most ``threshold``, or None, and a dict of counters:
-    grid_points evaluated, step, chunks, refined minima and objective
+    value at most ``threshold``, or None, and a dict of counters: the fine
+    grid's points, its step, chunks, cells screened out, fine values
+    evaluated (K + 2 per live cell), refined minima and objective
     evaluations.
     """
     if _stationary(speed, float(np.linalg.norm(w))):
         if objective(0.0) <= threshold:
             raise StationaryStateError("the start is stationary at the target; no travel time")
-        return None, dict(grid_points=0, step=np.inf, chunks=0, refined=0, evaluations=1)
+        return None, dict(
+            grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0,
+            evaluations=1,
+        )
     step = 0.01 * hbar / speed
     count = max(int(np.ceil(horizon / step)), 8)
     dt = horizon / count
-    size = max(3, _SCAN_CHUNK // w.size)
-    block = min(_SCAN_BLOCK, size, count + 1)
-    size = min(size - size % block, count + 1)
-    table = np.exp(-1j * np.outer(np.arange(block) * dt, w) / hbar)
-    stats = dict(grid_points=0, step=step, chunks=0, refined=0, evaluations=0)
+    room = max(3, _SCAN_CHUNK // w.size)
+    block = min(_SCAN_BLOCK, room - 2, count + 1)
+    batch = max(1, room // (block + 2))
+    cells = count // block + 1
+    offsets = np.arange(-1, block + 1)
+    table = _phase_rows(w, -dt, dt, block + 2, hbar)
+    stats = dict(
+        grid_points=count + 1, step=step, chunks=0, screened=0, evaluated=0, refined=0,
+        evaluations=0,
+    )
 
     def counted(t: float) -> float:
         stats["evaluations"] += 1
         return objective(t)
 
-    first = stop = 0
-    while stop <= count:
-        stop = stats["grid_points"] = min(first + size, count + 1)
+    first, width = 0, batch
+    while first < cells:
+        stop = min(first + width, cells)
+        width = min(2 * width, room - 1)
         stats["chunks"] += 1
-        starts = np.arange(first, stop, block)
-        vals = values(table, np.exp(-1j * np.outer(starts * dt, w) / hbar))[: stop - first]
-        here = vals[1:]
-        right = np.append(vals[2:], np.inf)
-        minima = (here <= vals[:-1]) & (here <= right) & (here <= gate)
-        if stop <= count:  # the chunk's last point is judged in the next chunk
-            minima[-1] = False
-        for i in (first + 1 + np.nonzero(minima)[0]).tolist():
-            stats["refined"] += 1
-            lo = (i - 1) * dt
-            hi = (i + 1) * dt if i + 1 < count else horizon
-            tol = max(xtol, 1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
-            t_min, f_min = golden_section_min(counted, lo, hi, tol)
-            t_min = _parabolic_polish(counted, t_min, 0.02 * step)
-            f_min = min(f_min, counted(t_min))
-            if f_min <= threshold and t_min > 0.0:
-                return float(min(t_min, horizon)), stats
-        first = stop - 2
+        ends = np.minimum(np.arange(first, stop + 1) * block, count)
+        rows = _phase_rows(w, first * block * dt, block * dt, stop + 1 - first, hbar)
+        rows[-1] = np.exp(-1j * w * (ends[-1] * dt / hbar))  # the last end may be count
+        s = screen(rows)
+        lower = (s[:-1] + s[1:] - (rate / hbar) * (np.diff(ends) * dt)) / 2.0
+        live = first + np.nonzero(~(lower > screen_gate))[0]
+        stats["screened"] += stop - first - live.size
+        for k in range(0, live.size, batch):
+            cell = live[k : k + batch]
+            vals = values(table, rows[cell - first]).reshape(cell.size, block + 2)
+            stats["evaluated"] += vals.size
+            points = cell[:, None] * block + offsets
+            vals[points > count] = np.inf
+            here = vals[:, 1:-1]
+            minima = (here <= vals[:, :-2]) & (here <= vals[:, 2:]) & (here <= gate)
+            minima[cell == 0, 0] = False  # the origin is never an arrival
+            for i in points[:, 1:-1][minima].tolist():
+                stats["refined"] += 1
+                lo = (i - 1) * dt
+                hi = (i + 1) * dt if i + 1 < count else horizon
+                tol = max(xtol, 1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
+                t_min, f_min = golden_section_min(counted, lo, hi, tol)
+                t_min = _parabolic_polish(counted, t_min, 0.02 * step)
+                f_min = min(f_min, counted(t_min))
+                if f_min <= threshold and t_min > 0.0:
+                    return float(min(t_min, horizon)), stats
+        first = stop
     return None, stats

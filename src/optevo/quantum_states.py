@@ -20,7 +20,6 @@ from .errors import (
     DistinguishedStateNotMappedError,
     InvalidQuasiPureError,
     NotHermitianError,
-    NotRankOneError,
     NotUnitaryError,
     SpectraMismatchError,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "energy_uncertainty",
     "energy_uncertainty_max",
     "projector",
-    "state_from_projector",
     "quasi_pure",
     "quasi_pure_transport",
 ]
@@ -318,26 +316,6 @@ def projector(phi: PureState) -> DensityMatrix:
     """Rank-one density matrix |phi><phi|."""
     a = phi.amplitudes
     return DensityMatrix(np.outer(a, a.conj()))
-
-
-def state_from_projector(rho: DensityMatrix) -> PureState:
-    """Recover the state of a rank-one density matrix.
-
-    The phase is fixed by rotating the first nonzero amplitude onto the
-    positive real axis, so the output is a deterministic function of the
-    projector.
-    """
-    w, v = herm_eig(rho.matrix)
-    if rho.n >= 2 and float(w[-2]) > 1e-10:
-        raise NotRankOneError(
-            f"second-largest eigenvalue {float(w[-2])!r} exceeds the rank-one gate"
-        )
-    vec = v[:, -1]
-    idx = int(np.argmax(np.abs(vec) > 1e-9))
-    pivot = vec[idx]
-    vec = vec * (pivot.conjugate() / abs(pivot))
-    vec = vec / float(np.linalg.norm(vec))
-    return PureState(vec)
 
 
 def quasi_pure(spec: QuasiPureSpec) -> DensityMatrix:

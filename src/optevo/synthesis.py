@@ -25,12 +25,14 @@ arrival times by scanning.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EigenConvergenceError,
     NotHermitianError,
     NotOptimalError,
     StationaryStateError,
@@ -170,7 +172,11 @@ def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
     by multiples of the identity.
     """
     blocks = adapted_blocks(h, phi)
-    w, _ = herm_eig(h)
+    a = as_matrix(h)
+    try:
+        w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
     delta_e_max = float(w[-1] - w[0]) / 2.0
     delta_e = float(np.linalg.norm(blocks.coupling))
     if _stationary(delta_e, frobenius(h)):
@@ -296,11 +302,25 @@ def first_arrival_time(
     ``phi``: the ray's Fubini-Study speed delta_e / hbar is conserved along
     the orbit, so it moves at most 0.01 rad per step. The grid is streamed
     in fixed-size chunks with no cap on its length, each evaluated as one
-    product of a chunk's base phases with a table of offset phases built
+    product of its cells' base phases with a table of offset phases built
     once. Every local minimum that could reach arrival is refined by golden
     section, and the first refined minimum with infidelity at most 1e-9 is
     returned. The returned time is the refined minimizer, located far more
     tightly than 1e-7.
+
+    Cells of up to 128 grid steps are screened before they are evaluated.
+    The ray angle theta(t) = arccos |<psi|phi(t)>| moves at most at
+    delta_e / hbar (Anandan & Aharonov, PRL 65, 1697, 1990), so a cell of
+    width W whose end angles a and b give (a + b - delta_e W / hbar) / 2 above
+    arcsin(sqrt 1e-4) + 2 sqrt(d) + 101 d holds no grid point with
+    infidelity at most 1e-4, and is skipped. Here d = (2 n + 16 + 2 |w|_inf
+    horizon / hbar) eps bounds the roundoff of a computed overlap: n terms
+    of total modulus at most one, with phases built from a few rounded
+    factors whose arguments reach |w|_inf horizon / hbar. That moves an end
+    angle by at most 2 sqrt(d), and a grid point's infidelity by 2 d + d^2,
+    which is 101 d in angle at the gate. The returned times are those of a
+    scan that evaluates every grid point; a miss far from the target costs
+    about one row of n phases per cell.
 
     A stationary start (delta_e at most the floor ``qsl_time`` applies)
     is decided at t = 0 without a scan: None if the rays differ there.
@@ -329,11 +349,20 @@ def first_arrival_time(
     def values(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, 1.0 - np.abs((bases * weights) @ table.T).ravel() ** 2)
 
+    def angles(rows: np.ndarray) -> np.ndarray:
+        return np.arccos(np.minimum(1.0, np.abs(rows @ weights)))
+
     # A grid point adjacent to a true arrival sits within 0.005 rad of the
     # target, so its infidelity is below ~2.5e-5; the gate 1e-4 only skips
     # minima that provably cannot reach the arrival threshold.
     xtol = max(1e-12, 1e-10 * horizon)
-    return _scan_arrival(values, infidelity, w, hbar, horizon, delta_e, 1e-4, 1e-9, xtol)[0]
+    reach = float(np.max(np.abs(w))) * horizon / hbar
+    slack = (2 * w.size + 16 + 2 * reach) * np.finfo(float).eps
+    angle_gate = math.asin(0.01) + 2.0 * math.sqrt(slack) + 101.0 * slack
+    return _scan_arrival(
+        values, infidelity, w, hbar, horizon, delta_e, 1e-4, 1e-9,
+        angles, delta_e, angle_gate, xtol,
+    )[0]
 
 
 def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:

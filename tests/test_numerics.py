@@ -7,6 +7,7 @@ eigenvalues of diagonal matrices by inspection.
 
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from optevo import (
     unitary_exp,
 )
 import optevo
-from optevo import DensityMatrix, PureState, SuVector, numerics
+from optevo import DensityMatrix, PureState, SuVector, numerics, synthesis
 from optevo.numerics import _scan_arrival, as_matrix
 from optevo.sampling import random_pure_state
 
@@ -221,101 +222,148 @@ class TestGoldenSection:
 
 
 class TestScanArrival:
-    """Seams of the streaming scan. With w = (0, 1), speed 0.5 and hbar = 1
-    the grid step is 0.02 and the second phase column is exp(-i t), which
-    gives the grid times back on a horizon shorter than 2 pi; a chunk budget
-    of 16 phase entries makes chunks of 8 points, one table block each,
-    starting at indices 0, 6, 12."""
+    """Seams of the screened, streaming scan. With w = (0, 1), speed 0.5 and
+    hbar = 1 the grid step is 0.02 and the second phase column is exp(-i t),
+    which gives the grid times back on a horizon shorter than 2 pi. The
+    objective and the screen are both |t - t_star|, which moves at rate 1;
+    both gates are 0.05, so only the cells next to t_star survive. A chunk
+    budget of 16 phase entries makes cells of 6 steps, 51 of them (the last
+    holds only the final point 300), one cell a batch, and chunks of 1, 2,
+    4, then 7 cells: chunk 4 starts at cell 7, point 42."""
 
     W = np.array([0.0, 1.0])
     HORIZON = 6.0  # 300 grid steps of 0.02
 
-    def scan(self, monkeypatch, t_star):
-        monkeypatch.setattr(numerics, "_SCAN_CHUNK", 16)
+    def scan(self, monkeypatch, objective, chunk=16):
+        monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
+
+        def times(phases):
+            # Read in [-0.1, 2 pi - 0.1), so t = 0 and t = -dt stay near 0.
+            return np.mod(0.1 - np.angle(phases[..., 1]), 2.0 * np.pi) - 0.1
 
         def values(table, bases):
-            phases = bases[:, None, 1] * table[None, :, 1]
-            times = np.mod(-np.angle(phases.ravel()), 2.0 * np.pi)
-            return np.abs(times - t_star)
+            return objective(times(bases[:, None, :] * table[None]).ravel())
+
+        def screen(rows):
+            return objective(times(rows))
 
         return _scan_arrival(
-            values, lambda t: abs(t - t_star), self.W, 1.0, self.HORIZON, 0.5, 1.0, 1e-9
+            values, lambda t: float(objective(np.float64(t))), self.W, 1.0, self.HORIZON,
+            0.5, 0.05, 1e-9, screen, 1.0, 0.05,
         )
 
     @pytest.mark.parametrize(
         "index, chunks",
         [
-            (6, 1),  # last interior point of the first chunk
-            (7, 2),  # last point of the first chunk, judged in the second
-            (8, 2),  # first point the second chunk adds
-            (300, 50),  # final grid point: only its left neighbour exists
+            (1, 1),  # the first point after the origin
+            (5, 1),  # a cell's last point: its right neighbour starts the next cell
+            (6, 2),  # a cell's first point: its left neighbour ends the last cell
+            (41, 3),  # the last point of a chunk
+            (42, 4),  # the first point of the next chunk
+            (299, 10),  # the last point of the last full cell
+            (300, 10),  # the final grid point, alone in its cell
         ],
     )
     def test_lone_minimum_found_once(self, monkeypatch, index, chunks):
         t_star = index * (self.HORIZON / 300)
-        t, stats = self.scan(monkeypatch, t_star)
+        t, stats = self.scan(monkeypatch, lambda t: np.abs(t - t_star))
         assert t == pytest.approx(t_star, abs=1e-9)
         assert (stats["chunks"], stats["refined"]) == (chunks, 1)
+        # Chunks stream 1, 3, 7, 14, 21, ... cells; at most two are live.
+        streamed = min(51, (1, 3, 7)[chunks - 1] if chunks <= 3 else 7 * (chunks - 2))
+        assert stats["screened"] >= streamed - 2
 
     @pytest.mark.parametrize("index", [2, 3, 4, 5, 6, 299, 300])
     def test_blocks_keep_time_order(self, monkeypatch, index):
-        # Blocks of 3 make chunks of 6 points, two base rows each, starting at
-        # indices 0, 4, 8: a lone minimum on either side of a block seam is
-        # found once, at its own time.
+        # Cells of 3 steps, hundreds to a batch: a lone minimum on either side
+        # of a cell seam is found once, at its own time.
         monkeypatch.setattr(numerics, "_SCAN_BLOCK", 3)
         t_star = index * (self.HORIZON / 300)
-        t, stats = self.scan(monkeypatch, t_star)
+        t, stats = self.scan(monkeypatch, lambda t: np.abs(t - t_star), chunk=1 << 15)
         assert t == pytest.approx(t_star, abs=1e-9)
         assert stats["refined"] == 1
 
+    @pytest.mark.parametrize("index", [2, 5, 6, 40])
+    def test_minima_refined_in_time_order(self, monkeypatch, index):
+        # A minimum of 0.01, under the gate but above the threshold, then an
+        # arrival 7 steps later, both in one batch: the first is refined and
+        # passed over, the second returned.
+        monkeypatch.setattr(numerics, "_SCAN_BLOCK", 3)
+        near, hit = index * 0.02, (index + 7) * 0.02
+        t, stats = self.scan(
+            monkeypatch,
+            lambda t: np.minimum(np.abs(t - near) + 0.01, np.abs(t - hit)),
+            chunk=1 << 15,
+        )
+        assert t == pytest.approx(hit, abs=1e-9)
+        assert (stats["chunks"], stats["refined"]) == (1, 2)
+
     def test_factored_phases_match_direct(self, monkeypatch):
-        # Chunks of 40 points in blocks of 8; the phases reach about 50 rad.
+        # Batches of 4 cells of 8 steps, offsets -1 to 8; the phases reach
+        # about 50 rad. A screen that passes every cell lets the batches
+        # tile the grid in order.
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", 5 * 40)
         monkeypatch.setattr(numerics, "_SCAN_BLOCK", 8)
         w, hbar, horizon = np.array([-4.0, -1.3, 0.2, 2.9, 5.0]), 2.0, 20.0
-        chunks = []
+        batches = []
 
         def values(table, bases):
-            chunks.append((bases[:, None, :] * table[None]).reshape(-1, w.size))
-            return np.full(len(chunks[-1]), np.inf)
+            batches.append(bases[:, None, :] * table[None])
+            return np.full(batches[-1].shape[0] * batches[-1].shape[1], np.inf)
 
-        _, stats = _scan_arrival(values, None, w, hbar, horizon, 0.5, 1.0, 1e-9)
+        def screen(rows):
+            return np.zeros(len(rows))
+
+        _, stats = _scan_arrival(
+            values, None, w, hbar, horizon, 0.5, 1.0, 1e-9, screen, 0.0, 1.0
+        )
         count = stats["grid_points"] - 1
         dt = horizon / count
-        first = 0
-        for rows in chunks:
-            rows = rows[: count + 1 - first]
-            times = np.arange(first, first + len(rows)) * dt
-            assert np.max(np.abs(rows - np.exp(-1j * np.outer(times, w) / hbar))) <= 1e-13
-            first += len(rows) - 2
-        assert (first + 2, len(chunks)) == (count + 1, stats["chunks"]) and len(chunks) > 1
+        cell = 0
+        for rows in batches:
+            assert rows.shape[0] <= 4
+            for phases in rows:
+                times = (cell * 8 + np.arange(-1, 9)) * dt
+                assert np.max(np.abs(phases - np.exp(-1j * np.outer(times, w) / hbar))) <= 1e-13
+                cell += 1
+        assert cell == count // 8 + 1 and len(batches) > 1 and stats["chunks"] > 1
+        assert stats["screened"] == 0 and stats["evaluated"] == cell * 10
 
     def test_stationary_start_is_decided_without_a_scan(self):
         def values(table, bases):
             raise AssertionError("a stationary start needs no grid")
 
-        arrival, stats = _scan_arrival(values, lambda t: 0.5, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9)
+        scan = (values, lambda t: 0.5, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9, values, 0.0, 1.0)
+        arrival, stats = _scan_arrival(*scan)
         assert arrival is None
         assert (stats["grid_points"], stats["chunks"], stats["evaluations"]) == (0, 0, 1)
+        assert (stats["screened"], stats["evaluated"]) == (0, 0)
         with pytest.raises(StationaryStateError):
-            _scan_arrival(values, lambda t: 0.0, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9)
+            _scan_arrival(values, lambda t: 0.0, *scan[2:])
 
     def test_origin_is_never_an_arrival(self, monkeypatch):
-        t, stats = self.scan(monkeypatch, 0.0)
+        t, stats = self.scan(monkeypatch, lambda t: np.abs(t))
         assert t is None
         assert stats["grid_points"] == 301
         assert stats["refined"] == 0
 
-    def test_memory_bounded_on_long_miss(self):
+    def test_memory_bounded_on_long_miss(self, record_scans):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 32)
         phi, psi = random_pure_state(rng, 32), random_pure_state(rng, 32)
+        scans = record_scans(synthesis)
         tracemalloc.start()
         try:
-            arrival = first_arrival_time(h, phi, psi, 300.0)
+            arrival = first_arrival_time(h, phi, psi, 3000.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert arrival is None
-        # About 3e5 grid points; the whole-grid phase matrix took ~500 MB.
+        # About 1.8e6 grid points; a whole-grid phase matrix would take 900 MB.
         assert peak < 8e6
+        # The cell screen covered the grid in chunks that doubled from 7 cells
+        # to their full width of 1023 (room for _SCAN_CHUNK phase entries)
+        # and then stayed there.
+        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
+        assert scans[0]["chunks"] == 8 + math.ceil((cells - 7 * (2**8 - 1)) / 1023)
+        assert scans[0]["screened"] > 0.9 * cells

@@ -18,7 +18,6 @@ from optevo import (
     DistinguishedStateNotMappedError,
     InvalidQuasiPureError,
     NotHermitianError,
-    NotRankOneError,
     NotUnitaryError,
     PureState,
     QuasiPureSpec,
@@ -32,7 +31,6 @@ from optevo import (
     projector,
     quasi_pure,
     quasi_pure_transport,
-    state_from_projector,
 )
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 
@@ -297,22 +295,6 @@ class TestEnergyUncertainty:
 class TestProjectors:
     def test_projector_oracle(self):
         assert np.allclose(projector(KET0).matrix, np.diag([1.0, 0.0]), atol=ATOL)
-
-    def test_roundtrip_recovers_ray(self, rng):
-        for n in (2, 3, 5):
-            phi = random_pure_state(rng, n)
-            back = state_from_projector(projector(phi))
-            assert fidelity(phi, back) == pytest.approx(1.0, abs=1e-12)
-
-    def test_phase_convention(self):
-        phi = PureState.from_vector([1j, 1.0])
-        back = state_from_projector(projector(phi))
-        assert back.amplitudes[0].imag == pytest.approx(0.0, abs=1e-12)
-        assert back.amplitudes[0].real > 0.0
-
-    def test_rejects_rank_two(self):
-        with pytest.raises(NotRankOneError):
-            state_from_projector(DensityMatrix(np.eye(2) / 2.0))
 
 
 class TestQuasiPure:

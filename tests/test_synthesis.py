@@ -37,7 +37,7 @@ from optevo import (
     propagate,
     qsl_time,
 )
-from optevo import synthesis
+from optevo import numerics, synthesis
 from optevo.numerics import STRUCTURAL_TOL, _parabolic_polish, golden_section_min, herm_eig
 from optevo.sampling import random_hermitian, random_pure_state
 
@@ -248,6 +248,25 @@ class TestVerdict:
         h = optimal_hamiltonian(phi, psi, 0.8)
         shifted = h + 3.7 * np.eye(4)
         assert is_optimal_speed(shifted, phi).kind is Verdict.OPTIMAL
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
+    def test_spread_matches_eigendecomposition(self, n):
+        # delta_e_max comes from eigenvalues alone; the spread of the full
+        # eigendecomposition it replaced stays the reference. Random and
+        # maximal-speed generators over six decades of scale.
+        rng = np.random.default_rng([n, 59])
+        for k in range(30):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            phi, psi = distinct_pair(rng, n)
+            if k % 2:
+                h = scale * random_hermitian(rng, n)
+            else:
+                h = optimal_family_sample(phi, psi, scale, int(rng.integers(2**32)))
+            w, _ = herm_eig(h)
+            got = is_optimal_speed(h, phi).delta_e_max
+            assert abs(got - float(w[-1] - w[0]) / 2.0) <= 2 * n * np.finfo(float).eps * np.max(
+                np.abs(w)
+            )
 
 
 class TestOptimalHamiltonian:
@@ -496,6 +515,33 @@ class TestFirstArrival:
         delta_e = energy_uncertainty(h, phi)
         assert scans[0]["grid_points"] == math.ceil(20.0 * delta_e / (0.01 * hbar)) + 1
         assert scans[0]["step"] == pytest.approx(0.01 * hbar / delta_e, rel=1e-12)
+
+    def test_long_miss_evaluates_few_points(self, record_scans, rng):
+        # The ray stays far from the target, so the cell screen skips nearly
+        # every cell of the 4e6-point grid.
+        h = random_hermitian(rng, 8)
+        phi, psi = random_pure_state(rng, 8), random_pure_state(rng, 8)
+        scans = record_scans(synthesis)
+        assert first_arrival_time(h, phi, psi, 3e4) is None
+        delta_e = energy_uncertainty(h, phi)
+        assert scans[0]["grid_points"] == math.ceil(3e4 * delta_e / 0.01) + 1
+        assert scans[0]["evaluated"] <= 0.02 * scans[0]["grid_points"]
+        assert scans[0]["screened"] > 0
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_matches_reference_across_chunk_seams(self, monkeypatch, record_scans, kind):
+        # 48 phase entries at n = 8 make cells of 4 steps, one a batch, in
+        # chunks of 1, 2, 4, then 5 cells; the grids hold 50 to 1300 points,
+        # so every arrival and minimum near the gate lies among many seams.
+        monkeypatch.setattr(numerics, "_SCAN_CHUNK", 8 * 6)
+        h, phi, psi, horizon = _arrival_case(kind, 8, 1.0)
+        scans = record_scans(synthesis)
+        got = first_arrival_time(h, phi, psi, horizon)
+        want = _reference_first_arrival(h, phi, psi, horizon, 1.0)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert abs(got - want) <= 1e-9
+        assert scans[0]["chunks"] > 2
 
     @pytest.mark.parametrize("hbar", [1.0, 2.0])
     @pytest.mark.parametrize("kind, n", ARRIVAL_CASES)
