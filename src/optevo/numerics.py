@@ -271,13 +271,14 @@ def _scan_arrival(
     evaluated (K + 2 per live cell), refined minima and objective
     evaluations.
     """
+    stats = dict(
+        grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0, evaluations=0
+    )
     if _stationary(speed, float(np.linalg.norm(w))):
         if objective(0.0) <= threshold:
             raise StationaryStateError("the start is stationary at the target; no travel time")
-        return None, dict(
-            grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0,
-            evaluations=1,
-        )
+        stats["evaluations"] = 1
+        return None, stats
     step = 0.01 * hbar / speed
     count = max(int(np.ceil(horizon / step)), 8)
     dt = horizon / count
@@ -287,10 +288,7 @@ def _scan_arrival(
     cells = count // block + 1
     offsets = np.arange(-1, block + 1)
     table = _phase_rows(w, -dt, dt, block + 2, hbar)
-    stats = dict(
-        grid_points=count + 1, step=step, chunks=0, screened=0, evaluated=0, refined=0,
-        evaluations=0,
-    )
+    stats.update(grid_points=count + 1, step=step)
 
     def counted(t: float) -> float:
         stats["evaluations"] += 1
