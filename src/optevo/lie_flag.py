@@ -26,7 +26,7 @@ from .errors import (
     NotSkewHermitianError,
     NotUnitaryError,
 )
-from .numerics import SEARCH_TOL, STRUCTURAL_TOL, as_matrix, is_unitary, unitary_exp
+from .numerics import SEARCH_TOL, STRUCTURAL_TOL, _eigen_residual, as_matrix, is_unitary, unitary_exp
 
 __all__ = [
     "BlockStructure",
@@ -163,38 +163,25 @@ def bracket(x: SuVector, y: SuVector) -> SuVector:
     return SuVector(x.matrix @ y.matrix - y.matrix @ x.matrix)
 
 
-def _line_criterion_residual(x: SuVector) -> tuple[float, float]:
-    """Residual of the eigen-condition for the partition (1, n-1).
-
-    Writing the matrix as [[i a, -x*], [x, A]], returns
-    (|A x - i a x|, max(1, |A| |x|)).
-    """
-    m = x.matrix
-    a = float(m[0, 0].imag)
-    vec = m[1:, 0]
-    comp = m[1:, 1:]
-    residual = float(np.linalg.norm(comp @ vec - 1j * a * vec))
-    scale = max(1.0, float(np.linalg.norm(comp)) * float(np.linalg.norm(vec)))
-    return residual, scale
-
-
 def is_equigeodesic_structural(x: SuVector, blocks: BlockStructure) -> bool:
     """Closed-form certificate that every invariant metric geodesic through
     the origin with initial direction X is the one-parameter orbit of X.
 
-    For the partition (1, n-1) the certificate is the eigen-condition
-    A x = i a x on the blocks of X = [[i a, -x*], [x, A]], tested with a
-    scale-relative threshold. For partitions with three or more parts it is
-    the vanishing of every product X_ij X_jk over pairwise distinct block
-    indices. For a two-part partition whose first part exceeds 1 the
-    product test has no terms; the function warns and returns True, and
-    only the variational certificate carries information there.
+    For the partition (1, n-1) the certificate is (A - i a I) x = 0 on the
+    blocks of X = [[i a, -x*], [x, A]]; for three or more parts it is
+    X_ij X_jk = 0 for pairwise distinct block indices. Each is read as the
+    verdict is, by ``numerics._eigen_residual``: by direction, not size.
+    For a two-part partition whose first part exceeds 1 the product test
+    has no terms; the function warns and returns True, and only the
+    variational certificate carries information there.
     """
     _require_blocks_fit(x, blocks)
+    m = x.matrix
+    scale = float(np.linalg.norm(m))
     if blocks.count == 2:
         if blocks.parts[0] == 1:
-            residual, scale = _line_criterion_residual(x)
-            return residual <= SEARCH_TOL * scale
+            left = m[1:, 1:] - 1j * m[0, 0].imag * np.eye(x.dim - 1)
+            return _eigen_residual(left, m[1:, 0], scale, x.dim) <= SEARCH_TOL
         warnings.warn(
             "the block-product certificate is vacuous for a two-part partition "
             "with a non-line first part; use the variational test",
@@ -203,14 +190,10 @@ def is_equigeodesic_structural(x: SuVector, blocks: BlockStructure) -> bool:
         )
         return True
     sl = blocks.slices()
-    worst = 0.0
-    for i, j, k in itertools.permutations(range(blocks.count), 3):
-        left = x.matrix[sl[i], sl[j]]
-        right = x.matrix[sl[j], sl[k]]
-        prod = float(np.linalg.norm(left @ right))
-        scale = max(1.0, float(np.linalg.norm(left)) * float(np.linalg.norm(right)))
-        worst = max(worst, prod / scale)
-    return worst <= SEARCH_TOL
+    return all(
+        _eigen_residual(m[sl[i], sl[j]], m[sl[j], sl[k]], scale, x.dim) <= SEARCH_TOL
+        for i, j, k in itertools.permutations(range(blocks.count), 3)
+    )
 
 
 def is_equigeodesic_variational(

@@ -158,6 +158,19 @@ def _stationary(speed: float, scale: float) -> bool:
     return speed <= STRUCTURAL_TOL * max(1.0, scale)
 
 
+def _eigen_residual(left: np.ndarray, right: np.ndarray, scale: float, dim: int) -> float:
+    """|L R| / (|L| |R| + r / SEARCH_TOL), or 0 if L R = 0, for blocks L, R
+    cut from a dim x dim operator M with |M|_F = ``scale``, where
+    r = 8 dim eps |M|_F (|L| + |R|): if each block entry is off by at most
+    dim eps |M|_F, an exact pair reads at most SEARCH_TOL / 8. Past r this
+    is the normwise backward error of an eigenpair (Higham, Accuracy and
+    Stability of Numerical Algorithms): unchanged when M, L, R scale alike."""
+    defect = float(np.linalg.norm(left @ right))
+    a, b = float(np.linalg.norm(left)), float(np.linalg.norm(right))
+    roundoff = 8.0 * dim * float(np.finfo(float).eps) * scale * (a + b)
+    return defect / (a * b + roundoff / SEARCH_TOL) if defect else 0.0
+
+
 def golden_section_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
     """Golden-section minimum of a unimodal scalar function on [a, b].
 

@@ -10,9 +10,9 @@ first vector is the state, write the generator as
 
 with m the mean energy, x the coupling into the orthogonal complement and
 A the block on that complement. The uncertainty in the state is |x|, and
-the generator is maximal-speed precisely when A x = m x. That condition is
-unchanged by adding multiples of the identity, which only rotate the
-global phase.
+the generator is maximal-speed precisely when A x = m x, a condition on
+directions unchanged by scaling and by adding multiples of the identity;
+``numerics._eigen_residual`` reads it as it reads the structural test.
 
 This module extracts the block data, issues the verdict, builds
 maximal-speed generators between two rays (the canonical anti-Hermitian
@@ -41,6 +41,7 @@ from .lie_flag import SuVector
 from .numerics import (
     SEARCH_TOL,
     SPECTRAL_TOL,
+    _eigen_residual,
     _scan_arrival,
     _stationary,
     as_matrix,
@@ -75,10 +76,10 @@ class Verdict(enum.Enum):
 class OptimalityVerdict:
     """Outcome of the maximal-speed test.
 
-    ``residual`` is the eigen-condition defect |A x - m x| normalized by
-    max(1, |A| |x|). ``delta_e`` is the uncertainty in the tested state and
-    ``delta_e_max`` half the spectral spread; the two agree whenever the
-    verdict is optimal.
+    ``residual`` is ``numerics._eigen_residual`` of A - m I and x (0 if
+    stationary), optimal exactly when at most SEARCH_TOL. ``delta_e`` is
+    the uncertainty in the tested state and ``delta_e_max`` half the
+    spectral spread; the two agree whenever the verdict is optimal.
     """
 
     kind: Verdict
@@ -166,28 +167,28 @@ def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
 
     Stationary when the coupling |x| is at the stationary floor
     STRUCTURAL_TOL max(1, |H|_F) (the ray never moves). Otherwise optimal
-    exactly when the eigen-condition A x = m x holds within SEARCH_TOL,
-    which is equivalent to the uncertainty in the state saturating half
-    the spectral spread. The test is invariant under shifting the operator
-    by multiples of the identity.
+    exactly when (A - m I) x = 0 holds by direction: the verdict is the
+    same for lambda H + c I, save that its roundoff term grows with |H|_F.
     """
-    blocks = adapted_blocks(h, phi)
+    blocks, kind, residual = _classify(h, phi)
     a = as_matrix(h)
     try:
         w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    delta_e_max = float(w[-1] - w[0]) / 2.0
     delta_e = float(np.linalg.norm(blocks.coupling))
-    if _stationary(delta_e, frobenius(h)):
-        return OptimalityVerdict(Verdict.STATIONARY, 0.0, delta_e, delta_e_max)
-    defect = float(
-        np.linalg.norm(blocks.complement @ blocks.coupling - blocks.mean_energy * blocks.coupling)
-    )
-    scale = max(1.0, float(np.linalg.norm(blocks.complement)) * delta_e)
-    residual = defect / scale
-    kind = Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL
-    return OptimalityVerdict(kind, residual, delta_e, delta_e_max)
+    return OptimalityVerdict(kind, residual, delta_e, float(w[-1] - w[0]) / 2.0)
+
+
+def _classify(h, phi: PureState) -> tuple[HamiltonianBlocks, Verdict, float]:
+    """Adapted blocks of H with the verdict's kind and residual."""
+    blocks = adapted_blocks(h, phi)
+    x, scale = blocks.coupling, frobenius(h)
+    if _stationary(float(np.linalg.norm(x)), scale):
+        return blocks, Verdict.STATIONARY, 0.0
+    left = blocks.complement - blocks.mean_energy * np.eye(x.size)
+    residual = _eigen_residual(left, x, scale, x.size + 1)
+    return blocks, Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL, residual
 
 
 def optimal_hamiltonian(phi: PureState, psi: PureState, energy: float) -> np.ndarray:
@@ -370,18 +371,19 @@ def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:
 
     For a maximal-speed generator H and state phi, returns (X, U) where X
     is -iH with the trace part removed and U is the adapted-basis unitary
-    carrying the first standard basis vector to phi. Conjugating X by U*
-    yields a traceless skew-Hermitian matrix passing the structural
-    certificate for the partition (1, n-1), so the orbit of X through the
-    base point is a geodesic for every invariant metric.
+    carrying the first standard basis vector to phi. U* X U is equigeodesic
+    for the partition (1, n-1): the orbit of X through the base point is a
+    geodesic for every invariant metric. The structural certificate accepts
+    it unless rounding of a large identity part of H tilts a weak coupling.
     """
-    verdict = is_optimal_speed(h, phi)
-    if verdict.kind is not Verdict.OPTIMAL:
+    blocks, kind, _ = _classify(h, phi)
+    if kind is not Verdict.OPTIMAL:
         raise NotOptimalError(
-            f"generator is {verdict.kind.value}; only optimal generators correspond "
+            f"generator is {kind.value}; only optimal generators correspond "
             "to equigeodesic directions"
         )
     a = as_matrix(h)
     n = a.shape[0]
     traceless = a - (np.trace(a) / n) * np.eye(n)
-    return SuVector(-1j * traceless), adapted_basis(phi)
+    traceless -= (np.trace(traceless) / n) * np.eye(n)  # what rounding left of the trace
+    return SuVector(-1j * traceless), blocks.basis

@@ -466,7 +466,8 @@ def _synth_pair(rng, n, energy, family: bool):
 def check_synthesis_roundtrip(rng, trials, n_max):
     """Synthesized generators are verdict-optimal, their algebra vectors
     pass the structural certificate, and the target is reached at the
-    speed-limit time."""
+    speed-limit time. The certificate shares the verdict's kernel, so it
+    tests the pull-back to the base point, not an independent route."""
     worst = 0.0
     units = Units()
     for k in range(trials):

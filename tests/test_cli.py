@@ -166,6 +166,18 @@ class TestCheck:
         assert r.returncode == 5
         assert parse_lines(r.stdout)["verdict"] == "Stationary"
 
+    def test_weak_coupling_judged_by_direction(self, tmp_path):
+        # Just above the stationary floor, off every eigenvector of diag(1, 3).
+        h = np.diag([0.0, 1.0, 3.0]).astype(complex)
+        h[0, 1] = h[1, 0] = 4e-10
+        ham = write_matrix(tmp_path / "weak.json", h, "hermitian")
+        state = write_state(tmp_path / "e0.json", [1.0, 0.0, 0.0])
+        r = run_cli("check", "--ham", ham, "--state", state)
+        assert r.returncode == 1, r.stderr
+        lines = parse_lines(r.stdout)
+        assert lines["verdict"] == "Suboptimal"
+        assert float(lines["residual"]) > 1e-9
+
     def test_nonhermitian_content(self, tmp_path, qubit_files):
         bad = write_matrix(
             tmp_path / "bad.json", np.array([[0.0, 1.0], [0.0, 0.0]]), "hermitian"

@@ -201,6 +201,36 @@ class TestEquigeodesicCertificates:
         with pytest.raises(DimensionMismatchError):
             is_equigeodesic_structural(SuVector(ROT), LINE_BLOCKS)
 
+    @pytest.mark.parametrize("factor", [1e-5, 1e-6])
+    def test_structural_rejects_small_generic_directions(self, factor):
+        # Smallness alone must not certify a direction.
+        x = random_su_vector(np.random.default_rng(3), 5)
+        small = SuVector(factor * x.matrix)
+        for parts in ((1, 4), (1, 2, 2)):
+            assert is_equigeodesic_structural(small, BlockStructure(parts)) is False, parts
+
+    def test_structural_rejects_coupling_off_the_eigenvector(self):
+        # X = -i (H - tr H / 3) for H = diag(0, 1, 3) with H01 = 4e-10: the
+        # coupling points off every eigenvector of the complement.
+        h = np.diag([0.0, 1.0, 3.0]).astype(complex)
+        h[0, 1] = h[1, 0] = 4e-10
+        x = SuVector(-1j * (h - np.trace(h) / 3.0 * np.eye(3)))
+        assert not is_equigeodesic_structural(x, LINE_BLOCKS)
+
+    @pytest.mark.parametrize("parts", [(1, 1), (1, 4), (1, 7), (1, 1, 1), (1, 2, 2), (2, 2, 2)])
+    def test_structural_is_scale_free(self, parts):
+        blocks = BlockStructure(parts)
+        rng = np.random.default_rng([blocks.n, blocks.count, 67])
+        for _ in range(5):
+            if blocks.count == 2:
+                x = random_equigeodesic(rng, blocks.n)
+            else:
+                x = pair_direction(rng, blocks, with_isotropy=True)
+            generic = random_su_vector(rng, blocks.n)
+            for factor in 10.0 ** np.arange(-6.0, 7.0, 2.0):
+                assert is_equigeodesic_structural(SuVector(factor * x.matrix), blocks) is True
+                assert not is_equigeodesic_structural(SuVector(factor * generic.matrix), blocks)
+
     def test_ignores_sampling_arguments(self):
         plain = is_equigeodesic_variational(X_LINE_FALSE, LINE_BLOCKS)
         assert is_equigeodesic_variational(
