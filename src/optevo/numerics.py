@@ -32,7 +32,6 @@ __all__ = [
     "is_unitary",
     "herm_eig",
     "unitary_exp",
-    "golden_section_min",
 ]
 
 
@@ -171,49 +170,27 @@ def _eigen_residual(left: np.ndarray, right: np.ndarray, scale: float, dim: int)
     return defect / (a * b + roundoff / SEARCH_TOL) if defect else 0.0
 
 
-def golden_section_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal scalar function on [a, b].
-
-    Returns the midpoint of the final bracket and the function value there.
-    """
-    if not (b > a and xtol > 0.0):
-        raise ValueError("need b > a and xtol > 0")
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
-def _parabolic_polish(f, t0: float, delta: float) -> float:
-    """One parabolic vertex step around a quadratic minimum.
-
-    Golden section stalls once function values merge into the roundoff
-    plateau, leaving the minimizer only sqrt(eps)-accurate; sampling the
-    quadratic at +-delta, far outside the plateau, recovers the center.
-    Falls back to the input point when the local shape is not convex.
-    """
-    f_lo = f(t0 - delta)
-    f_mid = f(t0)
-    f_hi = f(t0 + delta)
-    curvature = f_lo - 2.0 * f_mid + f_hi
-    if not curvature > 0.0:
-        return t0
-    shift = 0.5 * delta * (f_lo - f_hi) / curvature
-    if abs(shift) > delta:
-        return t0
-    polished = t0 + shift
-    return polished if f(polished) <= max(f_mid, 1e-12) else t0
+def _newton_min(derivatives, lo: float, hi: float, t: float, tol: float) -> tuple[float, int]:
+    """Minimizer of a smooth function in [lo, hi] by Newton steps on its
+    derivative from t, ``derivatives(t)`` giving the first and second. The
+    first's sign moves an end of the bracket to t. Bisection replaces a
+    step where the curvature is not positive, or one that leaves the
+    bracket or exceeds half the last step. Returns the point the first step
+    of at most ``tol`` reaches, and the number of evaluations."""
+    last, steps = hi - lo, 0
+    while True:
+        slope, curvature = derivatives(t)
+        steps += 1
+        if slope == 0.0:
+            return t, steps
+        lo, hi = (lo, t) if slope > 0.0 else (t, hi)
+        step = -slope / curvature if curvature > 0.0 else np.inf
+        if not (lo <= t + step <= hi and abs(step) <= 0.5 * last):
+            step = 0.5 * (lo + hi) - t
+        last = abs(step)
+        if last <= tol:
+            return t + step, steps
+        t += step
 
 
 # Phase entries (grid points times dimension) in one batch of an arrival
@@ -238,8 +215,8 @@ def _phase_rows(w, start, step, count, hbar):
 
 
 def _scan_arrival(
-    values, objective, w, hbar, horizon, speed, gate, threshold, screen, rate, screen_gate,
-    xtol=0.0,
+    values, objective, derivatives, w, hbar, horizon, speed, gate, threshold, screen, rate,
+    screen_gate, xtol=0.0,
 ):
     """First refined local minimum in (0, horizon] at most ``threshold``.
 
@@ -276,17 +253,17 @@ def _scan_arrival(
     evaluated in batches of at most ``_SCAN_CHUNK`` phase entries.
 
     Each owned point no larger than both neighbours and ``gate`` is refined
-    in time order, the origin excepted: golden section over its two cells
-    to ``max(xtol, 1e-10 * bracket)``, floored at the float spacing, then a
-    parabolic polish of ``objective``. Returns the first refined time with
-    value at most ``threshold``, or None, and a dict of counters: the fine
-    grid's points, its step, chunks, cells screened out, fine values
-    evaluated (K + 2 per live cell), refined minima and objective
-    evaluations.
+    in time order, the origin excepted, by ``_newton_min`` from the point
+    over its two cells to max(xtol, 1e-10 bracket, 4 ulp). ``derivatives``
+    gives the time derivatives of a smooth quantity whose local minimum
+    stands for the objective's; ``objective`` is evaluated once, at the
+    refined time. Returns the first refined time with value at most
+    ``threshold``, or None, and a dict of counters: the fine grid's points,
+    its step, chunks, cells screened out, fine values evaluated (K + 2 per
+    live cell), refined minima, objective and derivative evaluations.
     """
-    stats = dict(
-        grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0, evaluations=0
-    )
+    stats = dict(grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0)
+    stats.update(evaluations=0, newton_steps=0)
     if _stationary(speed, float(np.linalg.norm(w))):
         if objective(0.0) <= threshold:
             raise StationaryStateError("the start is stationary at the target; no travel time")
@@ -302,10 +279,6 @@ def _scan_arrival(
     offsets = np.arange(-1, block + 1)
     table = _phase_rows(w, -dt, dt, block + 2, hbar)
     stats.update(grid_points=count + 1, step=step)
-
-    def counted(t: float) -> float:
-        stats["evaluations"] += 1
-        return objective(t)
 
     first, width = 0, batch
     while first < cells:
@@ -333,10 +306,10 @@ def _scan_arrival(
                 lo = (i - 1) * dt
                 hi = (i + 1) * dt if i + 1 < count else horizon
                 tol = max(xtol, 1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
-                t_min, f_min = golden_section_min(counted, lo, hi, tol)
-                t_min = _parabolic_polish(counted, t_min, 0.02 * step)
-                f_min = min(f_min, counted(t_min))
-                if f_min <= threshold and t_min > 0.0:
+                t_min, steps = _newton_min(derivatives, lo, hi, min(i * dt, hi), tol)
+                stats["newton_steps"] += steps
+                stats["evaluations"] += 1
+                if objective(t_min) <= threshold and t_min > 0.0:
                     return float(min(t_min, horizon)), stats
         first = stop
     return None, stats

@@ -26,3 +26,20 @@ def record_scans(monkeypatch):
         return stats
 
     return patch
+
+
+@pytest.fixture
+def record_newton(monkeypatch):
+    """Patch the arrival scans' refinement to record the derivative
+    evaluations each refined minimum takes; returns the list they are
+    appended to."""
+    steps = []
+    newton_min = numerics._newton_min
+
+    def recording(*args):
+        t, count = newton_min(*args)
+        steps.append(count)
+        return t, count
+
+    monkeypatch.setattr(numerics, "_newton_min", recording)
+    return steps

@@ -39,6 +39,7 @@ from optevo import (
 from optevo import evolution, numerics, verification
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from optevo.verification import run_suite
+from reference_refinement import refine
 
 ATOL = 1e-12
 FLAT_TOL = 1e-6
@@ -460,7 +461,8 @@ def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8
     """The density search without its Frobenius screen: the trace norm at
     every point of a grid of the given step, by default 0.01 hbar /
     delta_e_max as before the step followed ||[H, rho]||_1, the same gated
-    local-minimum test, and the same refinement. Its phases come straight
+    local-minimum test, and the former refinement: golden section and a
+    parabolic polish of the trace norm itself. Its phases come straight
     from the grid times, so its grid values match the streamed scan's to
     rounding. Returns the time, the minima refined and the smallest grid
     value."""
@@ -490,9 +492,8 @@ def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8
         refined += 1
         lo, hi = (i - 1) * dt, (i + 1) * dt if i + 1 < count else horizon
         tol = max(1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
-        t_min, f_min = numerics.golden_section_min(distance, lo, hi, tol)
-        t_min = numerics._parabolic_polish(distance, t_min, 0.02 * step)
-        if min(f_min, distance(t_min)) <= threshold and t_min > 0.0:
+        t_min, f_min = refine(distance, lo, hi, tol, step)
+        if f_min <= threshold and t_min > 0.0:
             return min(t_min, horizon), refined, float(vals.min())
     return None, refined, float(vals.min())
 
@@ -591,6 +592,60 @@ class TestAgainstReferenceScan:
             assert abs(got - want) <= 1e-9
         if kind == "near-gate":
             assert refined > 0
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_newton_steps_per_minimum(self, record_scans, record_newton, hbar):
+        # Newton on the squared Frobenius distance lands within tolerance in
+        # three steps; the trace norm is taken once per refined minimum.
+        scans = record_scans(evolution)
+        for kind in DENSITY_KINDS:
+            for n in (2, 3, 4, 8, 16, 32):
+                h, rho, target, horizon = _density_case(kind, n, hbar)
+                density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
+        assert len(record_newton) == sum(s["refined"] for s in scans) >= 18
+        assert sum(record_newton) == sum(s["newton_steps"] for s in scans)
+        assert max(record_newton) == 3
+        assert all(s["evaluations"] == s["refined"] for s in scans)
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_shifted_generator_keeps_the_arrival(self, hbar):
+        for kind in DENSITY_KINDS:
+            for n in (2, 3, 8, 32):
+                h, rho, target, horizon = _density_case(kind, n, hbar)
+                units = Units(hbar=hbar)
+                want = density_arrival_time(h, rho, target, horizon, units)
+                shifted = h + 1e4 * float(np.linalg.norm(h)) * np.eye(n)
+                got = density_arrival_time(shifted, rho, target, horizon, units)
+                assert (got is None) == (want is None), (kind, n)
+                if got is not None:
+                    assert abs(got - want) <= 1e-9, (kind, n)
+
+    def test_near_miss_targets_decide_as_the_reference(self):
+        # A passage of a full-rank density pushed off the orbit by a random
+        # traceless E with |E|_1 below the threshold 1e-8. The refinement
+        # minimizes the Frobenius distance, the reference the trace
+        # distance; off the orbit the two minimizers differ, by a few
+        # |E|_1 / v in time at most, v = |[H, rho]|_1 / hbar being the
+        # speed of both distances.
+        for k in range(60):
+            n, hbar = (2, 3, 4, 8)[k % 4], (1.0, 2.0)[k // 4 % 2]
+            rng = np.random.default_rng([k, 83])
+            h = _fixed_spread(rng, n)
+            rho = _random_density(rng, n, np.arange(1.0, n + 1.0))
+            scale = hbar / (2.0 * math.sqrt(n))
+            t_star = float(rng.uniform(1.0, 3.0)) * scale
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            e = (g + g.conj().T) / 2.0
+            e -= np.trace(e) / n * np.eye(n)
+            size = 10.0 ** rng.uniform(-10.0, -8.0)
+            e *= size / np.sum(np.abs(np.linalg.eigvalsh(e)))
+            moved = propagate_density(h, rho, t_star, Units(hbar=hbar)).matrix
+            target, horizon = DensityMatrix(moved + e), 1.3 * t_star + 0.5 * scale
+            got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
+            want, _, _ = _reference_density_arrival(h, rho, target, horizon, hbar)
+            assert got is not None and want is not None, k
+            speed = np.sum(np.abs(np.linalg.eigvalsh(1j * (h @ rho.matrix - rho.matrix @ h))))
+            assert abs(got - want) <= 2.0 * size * hbar / speed + 1e-11, k
 
 
 class TestDensityScreen:

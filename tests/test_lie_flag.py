@@ -5,6 +5,8 @@ explicit 2x2 matrices, the bracket oracle by multiplying the matrices out,
 the rotation orbit from the series of the real 2x2 rotation generator.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from optevo import (
     killing_norm,
     reductive_split,
 )
+from optevo.numerics import SEARCH_TOL
 from optevo.sampling import random_equigeodesic, random_su_vector, random_unitary
 
 ATOL = 1e-12
@@ -79,6 +82,37 @@ class TestSuVector:
         a, b = SuVector(ROT), SuVector(ROT)
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+    def test_rejects_small_pure_trace(self):
+        # Both defects are judged against |X|_F, so smallness does not pass.
+        with pytest.raises(NotSkewHermitianError):
+            SuVector(1e-11j * np.eye(3))
+        with pytest.raises(NotSkewHermitianError):
+            SuVector(1e-11 * np.diag([1.0, -1.0]))
+
+    def test_zero_matrix_constructs(self):
+        assert not SuVector(np.zeros((3, 3))).matrix.any()
+
+    def test_judgement_is_scale_free(self, rng):
+        x = random_su_vector(rng, 4).matrix
+        bad = x + 1e-8 * np.linalg.norm(x) * np.diag([1j, 0.0, 0.0, 0.0])
+        for factor in 10.0 ** np.arange(-12.0, 13.0, 3.0):
+            SuVector(factor * x)
+            with pytest.raises(NotSkewHermitianError):
+                SuVector(factor * bad)
+
+    def test_bracket_and_split_of_nearly_commuting_vectors(self, rng):
+        # Their defects are roundoff on the inputs' scale, large against
+        # their own norm, so they are not judged again.
+        x, y = random_su_vector(rng, 6), random_su_vector(rng, 6)
+        for delta in (1e-6, 1e-10):
+            b = bracket(x, SuVector(x.matrix + delta * y.matrix))
+            assert np.linalg.norm(b.matrix - delta * bracket(x, y).matrix) < 1e-13
+        u = random_unitary(rng, 6)
+        tangent = random_equigeodesic(rng, 6, with_isotropy=False)
+        moved = ad_conjugate(u.conj().T, ad_conjugate(u, tangent))
+        iso, _ = reductive_split(moved, BlockStructure((1, 5)))
+        assert 0.0 < np.linalg.norm(iso.matrix) < 1e-13
 
 
 class TestKillingPairing:
@@ -267,6 +301,38 @@ def sampled_variational(x, blocks, rng, samples=16):
     return worst <= RESIDUAL_TRUE, worst
 
 
+def block_pairs(x, blocks):
+    """X_p for each block pair p: the part of X on the pair's two
+    off-diagonal blocks."""
+    sl = blocks.slices()
+    for i, j in itertools.combinations(range(blocks.count), 2):
+        pair = np.zeros_like(x.matrix)
+        pair[sl[i], sl[j]] = x.matrix[sl[i], sl[j]]
+        pair[sl[j], sl[i]] = x.matrix[sl[j], sl[i]]
+        yield SuVector(pair)
+
+
+def bracket_defect(x, blocks):
+    """sum_p |[X, X_p]_m| in the Killing norm."""
+    pairs = block_pairs(x, blocks)
+    return sum(killing_norm(reductive_split(bracket(x, p), blocks)[1]) for p in pairs)
+
+
+def reference_variational(x, blocks):
+    """The exact certificate's residual under its former normalization,
+    kept as the reference: 10 sum_p |[X, X_p]_m| / max(1, |X|^2)."""
+    return 10.0 * bracket_defect(x, blocks) / max(1.0, killing_inner(x, x))
+
+
+def scale_free_denominator(x, blocks):
+    """|X| sum_p |X_p| + r / SEARCH_TOL with r = 8 n eps |X| sum_p (|X| + |X_p|),
+    Killing norms, as the certificate's docstring states it."""
+    size = killing_norm(x)
+    parts = [killing_norm(pair) for pair in block_pairs(x, blocks)]
+    roundoff = 8.0 * x.dim * np.finfo(float).eps * size * (len(parts) * size + sum(parts))
+    return size * sum(parts) + roundoff / SEARCH_TOL
+
+
 REFERENCE_PARTITIONS = [(1, k) for k in range(1, 8)] + [
     (1, 1, 1), (1, 2, 2), (2, 3), (2, 2, 2), (1, 1, 1, 1)
 ]
@@ -310,8 +376,9 @@ class TestVariationalAgainstSampledReference:
             ok, exact = is_equigeodesic_variational(x, blocks)
             ref_ok, sampled = sampled_variational(x, blocks, rng)
             assert ok == ref_ok == expected
-            # Up to roundoff where both residuals are themselves roundoff.
-            assert exact >= sampled - 1e-15
+            # The exact residual under the sampled one's normalization
+            # dominates it, up to roundoff where both are roundoff.
+            assert reference_variational(x, blocks) >= sampled - 1e-15
             if expected:
                 assert exact <= RESIDUAL_TRUE
             else:
@@ -327,9 +394,52 @@ class TestVariationalAgainstSampledReference:
         _, tangent = reductive_split(x, blocks)
         top = scaled_by_metric(blocks, {(1, 0): 10.0}, tangent)
         _, br_tangent = reductive_split(bracket(x, top), blocks)
-        assert exact == pytest.approx(
-            killing_norm(br_tangent) / max(1.0, killing_inner(x, x)), rel=1e-12
+        assert exact * scale_free_denominator(x, blocks) == pytest.approx(
+            killing_norm(br_tangent), rel=1e-12
         )
+
+    @pytest.mark.parametrize("parts", REFERENCE_PARTITIONS)
+    def test_rescales_the_former_normalization(self, parts):
+        # The residual is the former one with |X| sum_p |X_p| (plus the
+        # roundoff term) in place of max(1, |X|^2).
+        blocks = BlockStructure(parts)
+        rng = np.random.default_rng([2027, blocks.n, blocks.count])
+        for _ in range(12):
+            x = random_su_vector(rng, blocks.n)
+            ok, exact = is_equigeodesic_variational(x, blocks)
+            before = reference_variational(x, blocks)
+            rescaled = exact * scale_free_denominator(x, blocks) / max(1.0, killing_inner(x, x))
+            assert rescaled == pytest.approx(before, rel=1e-12)
+            assert not ok and min(exact, before) > RESIDUAL_FALSE
+
+    @pytest.mark.parametrize("parts", [(1, 1), (1, 4), (1, 7), (1, 1, 1), (1, 2, 2), (2, 2, 2)])
+    def test_variational_is_scale_free(self, parts):
+        blocks = BlockStructure(parts)
+        rng = np.random.default_rng([blocks.n, blocks.count, 71])
+        for _ in range(5):
+            if blocks.count == 2 and parts[0] == 1:
+                x = random_equigeodesic(rng, blocks.n)
+            else:
+                x = pair_direction(rng, blocks, with_isotropy=True)
+            generic = random_su_vector(rng, blocks.n)
+            _, at_one = is_equigeodesic_variational(generic, blocks)
+            for factor in 10.0 ** np.arange(-6.0, 7.0, 2.0):
+                ok, residual = is_equigeodesic_variational(SuVector(factor * x.matrix), blocks)
+                assert ok and residual <= RESIDUAL_TRUE / 8.0
+                scaled = SuVector(factor * generic.matrix)
+                ok, residual = is_equigeodesic_variational(scaled, blocks)
+                assert not ok and residual == pytest.approx(at_one, rel=1e-12)
+
+    def test_small_vectors_off_their_direction_fail(self):
+        # Both passed the former max(1, |X|^2) scale, at 4.9e-10 and 1.3e-10.
+        h = np.diag([0.0, 1.0, 3.0]).astype(complex)
+        h[0, 1] = h[1, 0] = 4e-10
+        x = SuVector(-1j * (h - np.trace(h) / 3.0 * np.eye(3)))
+        assert reference_variational(x, LINE_BLOCKS) <= RESIDUAL_TRUE
+        assert is_equigeodesic_variational(x, LINE_BLOCKS)[0] is False
+        small = SuVector(1e-6 * random_su_vector(np.random.default_rng(3), 5).matrix)
+        assert reference_variational(small, BlockStructure((1, 4))) <= RESIDUAL_TRUE
+        assert is_equigeodesic_variational(small, BlockStructure((1, 4)))[0] is False
 
 
 class TestConjugationAndOrbit:

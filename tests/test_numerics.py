@@ -22,7 +22,6 @@ from optevo import (
     StationaryStateError,
     first_arrival_time,
     frobenius,
-    golden_section_min,
     herm_eig,
     is_hermitian,
     is_skew_hermitian,
@@ -204,23 +203,6 @@ class TestUnitaryExp:
         assert np.linalg.norm(u - unitary_exp(h, s + t)) < 1e-11
 
 
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        x, fx = golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 1e-8)
-        assert abs(x - 2.0) < 1e-6
-        assert fx < 1e-12
-
-    def test_vee_minimum(self):
-        x, _ = golden_section_min(lambda x: abs(x - 0.7), 0.0, 1.0, 1e-10)
-        assert abs(x - 0.7) < 1e-8
-
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 1.0, 0.0, 1e-8)
-        with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 0.0, 1.0, 0.0)
-
-
 class TestScanArrival:
     """Seams of the screened, streaming scan. With w = (0, 1), speed 0.5 and
     hbar = 1 the grid step is 0.02 and the second phase column is exp(-i t),
@@ -229,12 +211,14 @@ class TestScanArrival:
     both gates are 0.05, so only the cells next to t_star survive. A chunk
     budget of 16 phase entries makes cells of 6 steps, 51 of them (the last
     holds only the final point 300), one cell a batch, and chunks of 1, 2,
-    4, then 7 cells: chunk 4 starts at cell 7, point 42."""
+    4, then 7 cells: chunk 4 starts at cell 7, point 42. The objectives are
+    kinked at their minima, so ``slope`` gives their first derivative, the
+    second is 0 and the refinement bisects."""
 
     W = np.array([0.0, 1.0])
     HORIZON = 6.0  # 300 grid steps of 0.02
 
-    def scan(self, monkeypatch, objective, chunk=16):
+    def scan(self, monkeypatch, objective, slope, chunk=16):
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
 
         def times(phases):
@@ -248,8 +232,8 @@ class TestScanArrival:
             return objective(times(rows))
 
         return _scan_arrival(
-            values, lambda t: float(objective(np.float64(t))), self.W, 1.0, self.HORIZON,
-            0.5, 0.05, 1e-9, screen, 1.0, 0.05,
+            values, lambda t: float(objective(np.float64(t))), lambda t: (slope(t), 0.0),
+            self.W, 1.0, self.HORIZON, 0.5, 0.05, 1e-9, screen, 1.0, 0.05,
         )
 
     @pytest.mark.parametrize(
@@ -266,7 +250,9 @@ class TestScanArrival:
     )
     def test_lone_minimum_found_once(self, monkeypatch, index, chunks):
         t_star = index * (self.HORIZON / 300)
-        t, stats = self.scan(monkeypatch, lambda t: np.abs(t - t_star))
+        t, stats = self.scan(
+            monkeypatch, lambda t: np.abs(t - t_star), lambda t: np.sign(t - t_star)
+        )
         assert t == pytest.approx(t_star, abs=1e-9)
         assert (stats["chunks"], stats["refined"]) == (chunks, 1)
         # Chunks stream 1, 3, 7, 14, 21, ... cells; at most two are live.
@@ -279,7 +265,9 @@ class TestScanArrival:
         # of a cell seam is found once, at its own time.
         monkeypatch.setattr(numerics, "_SCAN_BLOCK", 3)
         t_star = index * (self.HORIZON / 300)
-        t, stats = self.scan(monkeypatch, lambda t: np.abs(t - t_star), chunk=1 << 15)
+        t, stats = self.scan(
+            monkeypatch, lambda t: np.abs(t - t_star), lambda t: np.sign(t - t_star), 1 << 15
+        )
         assert t == pytest.approx(t_star, abs=1e-9)
         assert stats["refined"] == 1
 
@@ -293,7 +281,8 @@ class TestScanArrival:
         t, stats = self.scan(
             monkeypatch,
             lambda t: np.minimum(np.abs(t - near) + 0.01, np.abs(t - hit)),
-            chunk=1 << 15,
+            lambda t: np.sign(t - (near if abs(t - near) + 0.01 < abs(t - hit) else hit)),
+            1 << 15,
         )
         assert t == pytest.approx(hit, abs=1e-9)
         assert (stats["chunks"], stats["refined"]) == (1, 2)
@@ -315,7 +304,7 @@ class TestScanArrival:
             return np.zeros(len(rows))
 
         _, stats = _scan_arrival(
-            values, None, w, hbar, horizon, 0.5, 1.0, 1e-9, screen, 0.0, 1.0
+            values, None, None, w, hbar, horizon, 0.5, 1.0, 1e-9, screen, 0.0, 1.0
         )
         count = stats["grid_points"] - 1
         dt = horizon / count
@@ -333,7 +322,9 @@ class TestScanArrival:
         def values(table, bases):
             raise AssertionError("a stationary start needs no grid")
 
-        scan = (values, lambda t: 0.5, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9, values, 0.0, 1.0)
+        scan = (
+            values, lambda t: 0.5, None, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9, values, 0.0, 1.0
+        )
         arrival, stats = _scan_arrival(*scan)
         assert arrival is None
         assert (stats["grid_points"], stats["chunks"], stats["evaluations"]) == (0, 0, 1)
@@ -342,7 +333,7 @@ class TestScanArrival:
             _scan_arrival(values, lambda t: 0.0, *scan[2:])
 
     def test_origin_is_never_an_arrival(self, monkeypatch):
-        t, stats = self.scan(monkeypatch, lambda t: np.abs(t))
+        t, stats = self.scan(monkeypatch, lambda t: np.abs(t), np.sign)
         assert t is None
         assert stats["grid_points"] == 301
         assert stats["refined"] == 0

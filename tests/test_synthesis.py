@@ -31,6 +31,7 @@ from optevo import (
     first_arrival_time,
     fs_distance,
     is_equigeodesic_structural,
+    is_equigeodesic_variational,
     is_optimal_speed,
     optimal_family_sample,
     optimal_hamiltonian,
@@ -38,14 +39,9 @@ from optevo import (
     qsl_time,
 )
 from optevo import numerics, synthesis
-from optevo.numerics import (
-    SEARCH_TOL,
-    STRUCTURAL_TOL,
-    _parabolic_polish,
-    golden_section_min,
-    herm_eig,
-)
+from optevo.numerics import SEARCH_TOL, STRUCTURAL_TOL, herm_eig
 from optevo.sampling import random_hermitian, random_pure_state
+from reference_refinement import refine
 
 ATOL = 1e-12
 ARRIVAL_TOL = 1e-7
@@ -301,16 +297,17 @@ class TestVerdict:
                 assert verdict.kind is Verdict.OPTIMAL, (scale, shift, verdict)
                 assert type(verdict.residual) is float
                 x, base = equigeodesic_vector_of(h, phi)
-                certified = is_equigeodesic_structural(
-                    ad_conjugate(base.conj().T, x), BlockStructure((1, n - 1))
-                )
+                y, blocks = ad_conjugate(base.conj().T, x), BlockStructure((1, n - 1))
+                certified = is_equigeodesic_structural(y, blocks)
+                variational, residual = is_equigeodesic_variational(y, blocks)
                 assert type(certified) is bool
                 # H + c I stores its diagonal to ulp(c), about 2e-12 |H|_F
                 # here: that tilts the coupling of X = -i (H - tr H / n) by
                 # a relative 1e-6, which X alone cannot tell from a real
-                # defect. Only the verdict sees |H|_F, so the certificate
-                # is held to the unshifted members.
+                # defect. Only the verdict sees |H|_F, so the certificates
+                # are held to the unshifted members.
                 assert certified or shift, (scale, verdict)
+                assert variational or shift, (scale, residual)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
     def test_spread_matches_eigendecomposition(self, n):
@@ -503,7 +500,8 @@ def _reference_first_arrival(h, phi, psi, horizon, hbar):
     """The pure search before its step followed delta_e(phi) and its phases
     were factored: the infidelity at every point of the grid of step 0.01
     hbar / delta_e_max, with phases exponentiated straight from the grid
-    times, the same gated local-minimum test and the same refinement."""
+    times, the same gated local-minimum test and the former refinement,
+    golden section and a parabolic polish of the infidelity."""
     w, v = herm_eig(h)
     weights = (v.conj().T @ psi.amplitudes).conj() * (v.conj().T @ phi.amplitudes)
 
@@ -521,9 +519,8 @@ def _reference_first_arrival(h, phi, psi, horizon, hbar):
             continue
         lo, hi = (i - 1) * dt, (i + 1) * dt if i + 1 < count else horizon
         tol = max(xtol, 1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
-        t_min, f_min = golden_section_min(infidelity, lo, hi, tol)
-        t_min = _parabolic_polish(infidelity, t_min, 0.02 * step)
-        if min(f_min, infidelity(t_min)) <= 1e-9 and t_min > 0.0:
+        t_min, f_min = refine(infidelity, lo, hi, tol, step)
+        if f_min <= 1e-9 and t_min > 0.0:
             return min(t_min, horizon)
     return None
 
@@ -618,6 +615,33 @@ class TestFirstArrival:
             assert abs(got - want) <= 1e-9
         if kind == "near-gate":
             assert scans[0]["refined"] > 0
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_newton_steps_per_minimum(self, record_scans, record_newton, hbar):
+        # From a grid point within half a step of a smooth minimum, Newton on
+        # the infidelity's derivative lands within tolerance in three steps.
+        scans = record_scans(synthesis)
+        for kind, n in ARRIVAL_CASES:
+            h, phi, psi, horizon = _arrival_case(kind, n, hbar)
+            first_arrival_time(h, phi, psi, horizon, Units(hbar=hbar))
+        assert len(record_newton) == sum(s["refined"] for s in scans) >= 17
+        assert sum(record_newton) == sum(s["newton_steps"] for s in scans)
+        assert max(record_newton) == 3
+        assert all(s["evaluations"] == s["refined"] for s in scans)
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    def test_shifted_generator_keeps_the_arrival(self, hbar):
+        # The refinement's derivatives take the levels relative to their
+        # mean, so an identity part of 1e4 |H|_F stays out of their roundoff.
+        for kind, n in ARRIVAL_CASES:
+            h, phi, psi, horizon = _arrival_case(kind, n, hbar)
+            units = Units(hbar=hbar)
+            want = first_arrival_time(h, phi, psi, horizon, units)
+            shifted = h + 1e4 * float(np.linalg.norm(h)) * np.eye(n)
+            got = first_arrival_time(shifted, phi, psi, horizon, units)
+            assert (got is None) == (want is None), (kind, n)
+            if got is not None:
+                assert abs(got - want) <= 1e-9, (kind, n)
 
 
 class TestEquigeodesicVector:
