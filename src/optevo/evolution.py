@@ -317,8 +317,8 @@ def density_arrival_time(
     omega_jk = (w_j - w_k) / hbar), and is judged by its one trace norm. It
     minimizes the trace distance too for a target on the orbit, or for two
     quasi-pure densities of one spectrum (D is rank two and traceless, so
-    ||D||_1 = sqrt 2 ||D||_F); targets off the orbit by |E|_1 < 1e-8 moved
-    it by under |E|_1 hbar / ||[H, rho]||_1, with the same decisions.
+    ||D||_1 = sqrt 2 ||D||_F); 60 full-rank targets off the orbit by
+    |E|_1 < 1e-8 moved it by under |E|_1 hbar / ||[H, rho]||_1, deciding alike.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")

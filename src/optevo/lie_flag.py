@@ -107,7 +107,8 @@ def _closed(a: np.ndarray) -> SuVector:
     """SuVector of a fresh result of an su(n) operation on valid vectors, not
     judged again: its roundoff is on the inputs' scale, which can exceed its own."""
     a.flags.writeable = False
-    object.__setattr__(vector := object.__new__(SuVector), "matrix", a)
+    vector = object.__new__(SuVector)
+    object.__setattr__(vector, "matrix", a)
     return vector
 
 

@@ -262,8 +262,10 @@ def _scan_arrival(
     its step, chunks, cells screened out, fine values evaluated (K + 2 per
     live cell), refined minima, objective and derivative evaluations.
     """
-    stats = dict(grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0)
-    stats.update(evaluations=0, newton_steps=0)
+    stats = dict(
+        grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0, evaluations=0,
+        newton_steps=0,
+    )
     if _stationary(speed, float(np.linalg.norm(w))):
         if objective(0.0) <= threshold:
             raise StationaryStateError("the start is stationary at the target; no travel time")

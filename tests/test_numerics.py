@@ -30,7 +30,7 @@ from optevo import (
 )
 import optevo
 from optevo import DensityMatrix, PureState, SuVector, numerics, synthesis
-from optevo.numerics import _scan_arrival, as_matrix
+from optevo.numerics import _newton_min, _scan_arrival, as_matrix
 from optevo.sampling import random_pure_state
 
 ATOL = 1e-12
@@ -201,6 +201,23 @@ class TestUnitaryExp:
         h = random_hermitian(np.random.default_rng(seed), 4)
         u = unitary_exp(h, s) @ unitary_exp(h, t)
         assert np.linalg.norm(u - unitary_exp(h, s + t)) < 1e-11
+
+
+class TestNewtonMin:
+    def test_smooth_minimum_in_three_steps(self):
+        t, steps = _newton_min(
+            lambda t: (math.sin(t - 0.3), math.cos(t - 0.3)), 0.2, 0.45, 0.33, 1e-12
+        )
+        assert abs(t - 0.3) <= 1e-15 and steps == 3
+
+    def test_bisection_keeps_the_bracket(self):
+        # A maximum inside: the curvature is negative, so every step bisects
+        # toward the lower end, the minimizer on the bracket.
+        t, _ = _newton_min(lambda t: (math.sin(t), math.cos(t)), 2.0, 4.0, 2.1, 1e-12)
+        assert 2.0 <= t <= 2.0 + 1e-12
+        # A flat minimum, where Newton alone converges only linearly.
+        t, steps = _newton_min(lambda t: (4.0 * t**3, 12.0 * t**2), -0.5, 1.0, 0.9, 1e-12)
+        assert abs(t) <= 1e-11 and steps < 100
 
 
 class TestScanArrival:
