@@ -262,63 +262,51 @@ def density_arrival_time(
     """Earliest time in (0, horizon] at which the evolving density comes
     within ``threshold`` of the target in trace norm, or None.
 
-    Same streaming scan-and-refine search as the pure-state arrival. Since
-    |d/dt ||rho(t) - target||_1| <= ||[H, rho]||_1 / hbar, and that norm is
-    conserved, the grid step 0.01 hbar / (||[H, rho]||_1 / 2) lets
-    the distance change by at most 0.02 per step. In the generator's
-    eigenbasis the commutator is (w_j - w_k) S_jk, so its trace norm costs
-    one n x n ``eigvalsh``. As ||[H, rho]||_1 <= 2 delta_e_max, the step is
-    never shorter than 0.01 hbar / delta_e_max. A stationary density
-    (||[H, rho]||_1 / 2 at most the floor ``qsl_time`` applies) is decided
-    at t = 0 without a scan: None if it is farther than ``threshold`` from
-    the target, StationaryStateError if it is within it.
+    Same search as the pure-state arrival: it screens, gates and refines
+    one distance, the Frobenius distance ||D||_F of D = rho(t) - target,
+    then judges the trace norm once per refined minimum
+    (``numerics._scan_arrival``). Since |d/dt ||rho(t) - target||_1| <=
+    ||[H, rho]||_1 / hbar, and that norm is conserved, the grid step
+    0.01 hbar / (||[H, rho]||_1 / 2) lets the trace distance change by at
+    most 0.02 per step. In the generator's eigenbasis the commutator is
+    (w_j - w_k) S_jk, so its trace norm costs one n x n ``eigvalsh``. As
+    ||[H, rho]||_1 <= 2 delta_e_max, the step is never shorter than
+    0.01 hbar / delta_e_max. A stationary density (||[H, rho]||_1 / 2 at
+    most the floor ``qsl_time`` applies) is decided at t = 0 without a
+    scan: None if it is farther than ``threshold`` from the target,
+    StationaryStateError if it is within it.
 
-    Each chunk is first screened with the Frobenius norm. With S and G the
-    two densities in the generator's eigenbasis and p the row of phases
-    exp(-i w t / hbar), the difference is D = S o pp* - G, and
+    With S and G the two densities in the generator's eigenbasis and p the
+    row of phases exp(-i w t / hbar), D = S o pp* - G, and
 
         ||D||_F^2 = ||S||_F^2 + ||G||_F^2 - 2 Re sum_jk p_j M_jk conj(p_k),
 
-    M = S o G^T: one (rows, n) @ (n, n) product per chunk, the rows being
-    the chunk's base phases times the scan's offset table. Because
-    ||D||_F <= ||D||_1, a point whose Frobenius norm exceeds the scan's gate
-    cannot pass it, so the stacked ``eigvalsh`` runs only on the points with
-    ||D||_F^2 <= gate^2 + margin. Every other point reads +inf: its trace
-    norm, as ``eigvalsh`` would compute it, is above the gate, so it is no
-    candidate, and a candidate, being at most the gate, compares with +inf
-    as with that value. The refined minima are those of a scan that
-    diagonalizes every point. The screen assumes nothing of the densities.
+    M = S o G^T: one (rows, n) @ (n, n) product per chunk of cell ends or
+    of grid points. No ``eigvalsh`` is spent on the grid. ||D||_F moves at
+    most at ||[H, rho]||_F / hbar, the commutator's Frobenius norm, so a
+    cell of up to 128 grid steps, of width W, whose end distances a and b
+    give (a + b - ||[H, rho]||_F W / hbar) / 2 above the gate
+    max(100 threshold, 0.05) by the margin s (2 sqrt(d) + sqrt(n) d) is
+    skipped; s^2 = ||S||_F^2 + ||G||_F^2 and
+    d = (64 n^2 + 8 |w|_inf horizon / hbar) eps. The quadratic form sums
+    terms of total size at most 2 s^2 (Cauchy-Schwarz) in inner products of
+    length n, and its phases, whose arguments reach |w|_inf horizon / hbar,
+    are unimodular only to a few eps, so a computed ||D||_F^2 is within
+    d s^2 of exact, and a computed ||D||_F within s sqrt(d): an end value
+    and a grid point's value together take 2 s sqrt(d). A grid point's
+    phases, products of two tables, move its distance by a few eps s more,
+    well within s sqrt(n) d.
 
-    The margin is 64 n^2 eps s^2 with s^2 = ||S||_F^2 + ||G||_F^2. The
-    quadratic form sums terms of total size at most 2 s^2 (Cauchy-Schwarz)
-    in inner products of length n, and its phases are unimodular only to a
-    few eps, so it is off by at most (4 n + 16) eps s^2. ``eigvalsh`` is
-    taken to return each eigenvalue within 8 n eps ||D||_2 <= 8 n eps s sqrt 2,
-    so a computed trace norm at most gate bounds the exact Frobenius norm by
-    gate + e, e = 8 sqrt 2 n^2 eps s. If gate >= sqrt 2 s >= ||D||_F every
-    point is near anyway; otherwise (gate + e)^2 - gate^2 < 32 n^2 eps s^2
-    plus a negligible e^2, and both errors together stay below the margin.
-
-    Cells of up to 128 grid steps are screened before that, on the same
-    Frobenius norm at the cell ends. It moves at most at ||[H, rho]||_F /
-    hbar, the commutator's Frobenius norm, so a cell of width W whose end
-    norms a and b give (a + b - ||[H, rho]||_F W / hbar) / 2 above the gate plus
-    s (2 sqrt(d) + sqrt(n) d) holds no point whose trace norm reaches the
-    gate, and is skipped; its points are never formed. Here
-    d = (64 n^2 + 8 |w|_inf horizon / hbar) eps. The end norms are then
-    within s sqrt(d) of exact, the quadratic form's roundoff above being
-    joined by that of the phases, whose arguments reach |w|_inf horizon /
-    hbar. The phases move a point's trace norm by at most sqrt(n) d s / 2,
-    and ``eigvalsh`` by less than s sqrt(d). No ``eigvalsh`` is spent on
-    the screen.
-
-    The returned time minimizes ||D||_F^2 locally, refined by Newton steps
-    on its time derivatives (forms of 2 i omega o M and 2 omega^2 o M,
-    omega_jk = (w_j - w_k) / hbar), and is judged by its one trace norm. It
-    minimizes the trace distance too for a target on the orbit, or for two
-    quasi-pure densities of one spectrum (D is rank two and traceless, so
-    ||D||_1 = sqrt 2 ||D||_F); 60 full-rank targets off the orbit by
-    |E|_1 < 1e-8 moved it by under |E|_1 hbar / ||[H, rho]||_1, deciding alike.
+    The candidates, local minima of ||D||_F at most the gate, include every
+    grid point whose trace distance is at most the gate, since
+    ||D||_F <= ||D||_1. Each is refined by Newton steps on the time
+    derivatives of ||D||_F^2 (forms of 2 i omega o M and 2 omega^2 o M,
+    omega_jk = (w_j - w_k) / hbar), and judged by its one trace norm. The
+    refined time minimizes the trace distance too for a target on the
+    orbit, or for two quasi-pure densities of one spectrum (D is rank two
+    and traceless, so ||D||_1 = sqrt 2 ||D||_F); 60 full-rank targets off
+    the orbit by |E|_1 < 1e-8 moved it by under |E|_1 hbar / ||[H, rho]||_1,
+    deciding alike.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -334,38 +322,25 @@ def density_arrival_time(
     forms = np.array([2j * gaps * cross / hbar, 2.0 * (gaps / hbar) ** 2 * cross])
     commutator = 1j * gaps * start
     speed = float(np.sum(np.abs(np.linalg.eigvalsh(commutator)))) / 2.0
-    gate = max(100.0 * threshold, 5e-2)
     eps = np.finfo(float).eps
-    cutoff = gate * gate + 64.0 * w.size**2 * eps * squares
     slack = (64.0 * w.size**2 + 8.0 * float(np.max(np.abs(w))) * horizon / hbar) * eps
-    screen_gate = gate + np.sqrt(squares) * (2.0 * np.sqrt(slack) + np.sqrt(w.size) * slack)
+    margin = np.sqrt(squares) * (2.0 * np.sqrt(slack) + np.sqrt(w.size) * slack)
 
-    def trace_norms(phases: np.ndarray) -> np.ndarray:
-        rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
-        return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
-
-    def frobenius_squares(phases: np.ndarray) -> np.ndarray:
-        return squares - 2.0 * np.einsum("ij,ij->i", phases @ cross, phases.conj()).real
-
-    def values(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    def distance(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
         phases = (bases[:, None, :] * table[None]).reshape(-1, w.size)
-        near = np.nonzero(frobenius_squares(phases) <= cutoff)[0]
-        out = np.full(len(phases), np.inf)
-        out[near] = trace_norms(phases[near])
-        return out
+        form = np.einsum("ij,ij->i", phases @ cross, phases.conj()).real
+        return np.sqrt(np.maximum(0.0, squares - 2.0 * form))
 
-    def frobenius_norms(rows: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, frobenius_squares(rows)))
-
-    def distance(t: float) -> float:
-        return float(trace_norms(np.exp(-1j * w * (t / hbar))[None, :])[0])
+    def trace_norm(t: float) -> float:
+        phases = np.exp(-1j * w * (t / hbar))
+        rotated = start * np.outer(phases, phases.conj())
+        return float(np.sum(np.abs(np.linalg.eigvalsh(rotated - goal))))
 
     def derivatives(t: float) -> tuple[float, float]:
         phases = np.exp(-1j * (w - w.mean()) * (t / hbar))
         return tuple(((forms @ phases.conj()) @ phases).real)
 
-    rate = float(np.linalg.norm(commutator))
     return _scan_arrival(
-        values, distance, derivatives, w, hbar, horizon, speed, gate, threshold,
-        frobenius_norms, rate, screen_gate,
+        distance, trace_norm, derivatives, w, hbar, horizon, speed,
+        float(np.linalg.norm(commutator)), max(100.0 * threshold, 5e-2), margin, threshold,
     )[0]

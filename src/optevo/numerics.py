@@ -215,52 +215,55 @@ def _phase_rows(w, start, step, count, hbar):
 
 
 def _scan_arrival(
-    values, objective, derivatives, w, hbar, horizon, speed, gate, threshold, screen, rate,
-    screen_gate, xtol=0.0,
+    distance, objective, derivatives, w, hbar, horizon, speed, rate, gate, margin, threshold,
+    xtol=0.0,
 ):
     """First refined local minimum in (0, horizon] at most ``threshold``.
 
+    The scan screens, gates and refines one distance d(t) to the target,
+    then judges once. ``distance(table, bases)`` gives d at the products
+    ``bases[q] * table[r]`` of phase rows exp(-i w t / hbar), base by base.
+    d must move at most at ``rate / hbar``. ``objective(t)`` is the judge,
+    read once per refined minimum.
+
     ``speed`` is the conserved rate, in units of 1 / hbar, at which the
-    scanned quantity can change: the grid ``i * horizon / count`` (the last
+    judged quantity can change: the grid ``i * horizon / count`` (the last
     point exactly ``horizon``) has step at most 0.01 hbar / speed. A start
     whose speed is at the stationary floor (``_stationary`` with scale
     |w|_2, which is |H|_F) never moves, so it is decided from
     ``objective(0.0)`` with no scan: None if that exceeds ``threshold``,
     else StationaryStateError, since no finite travel time exists.
 
-    The grid is cut into cells of K = ``_SCAN_BLOCK`` steps (fewer when the
-    grid or the chunk budget is small): cell j spans points jK to
+    Screen. The grid is cut into cells of K = ``_SCAN_BLOCK`` steps (fewer
+    when the grid or the chunk budget is small): cell j spans points jK to
     min(jK + K, count), and owns the points jK to jK + K - 1. The scan
-    streams cells in chunks and screens each chunk first. ``screen(rows)``
-    gives a screen quantity s(t) at the cell ends, ``rows`` being their
-    phase rows exp(-i w t / hbar). It must move at most at ``rate / hbar``,
-    and wherever it exceeds ``screen_gate`` the objective, as computed, must
-    exceed ``gate``: the caller's margin covers roundoff. On a cell of width W
-    with end values a and b, s is at least (a + b - rate W / hbar) / 2
-    (Piyavskii-Shubert); when that exceeds ``screen_gate`` no point of the
-    cell can be a candidate, and the cell is skipped without building its
-    phase rows. Its points read as +inf; since a candidate is at most
-    ``gate`` and they exceed it, the candidates are those of a scan that
-    evaluates every point.
+    streams cells in chunks and reads d at each chunk's cell ends, through
+    a one-row table of ones. On a cell of width W with end values a and b,
+    d is at least (a + b - rate W / hbar) / 2 (Piyavskii-Shubert). When
+    that exceeds ``gate + margin`` the cell is skipped without building its
+    phase rows, its points reading as +inf. ``margin`` covers the roundoff
+    of the end values and of a point's value, so a skipped cell holds no
+    point whose computed d is at most ``gate``, and the candidates are
+    those of a scan that evaluates every point.
 
-    A live cell's values are the products ``bases[q] * table[r]``: ``bases``
-    holds cell starts, ``table`` the K + 2 offset rows for offsets -1 to K,
-    built once a call, so each cell carries both neighbours of its own
-    points. ``values(table, bases)`` gives the objective at those points,
-    base by base. Points past ``horizon`` read +inf. Chunks of cells start
-    at the batch size and double up to ``_SCAN_CHUNK`` phase entries, so an
-    early arrival pays only for the cells before it; live cells are
-    evaluated in batches of at most ``_SCAN_CHUNK`` phase entries.
+    Gate. A live cell's points are read through ``table``, the K + 2 offset
+    rows for offsets -1 to K, built once a call, so each cell carries both
+    neighbours of its own points. Points past ``horizon`` read +inf. Chunks
+    of cells start at the batch size and double up to ``_SCAN_CHUNK`` phase
+    entries, so an early arrival pays only for the cells before it; live
+    cells are evaluated in batches of at most ``_SCAN_CHUNK`` phase entries.
+    Each owned point no larger than both neighbours and ``gate`` is a
+    candidate, the origin excepted.
 
-    Each owned point no larger than both neighbours and ``gate`` is refined
-    in time order, the origin excepted, by ``_newton_min`` from the point
-    over its two cells to max(xtol, 1e-10 bracket, 4 ulp). ``derivatives``
-    gives the time derivatives of a smooth quantity whose local minimum
-    stands for the objective's; ``objective`` is evaluated once, at the
-    refined time. Returns the first refined time with value at most
-    ``threshold``, or None, and a dict of counters: the fine grid's points,
-    its step, chunks, cells screened out, fine values evaluated (K + 2 per
-    live cell), refined minima, objective and derivative evaluations.
+    Refine and judge. Candidates are taken in time order. Each is refined
+    by ``_newton_min`` from the point over its two cells to max(xtol,
+    1e-10 bracket, 4 ulp), ``derivatives`` giving the first two time
+    derivatives of d or of a smooth quantity with the same local minima.
+    ``objective`` is then evaluated once, at the refined time. Returns the
+    first refined time with value at most ``threshold``, or None, and a
+    dict of counters: the fine grid's points, its step, chunks, cells
+    screened out, fine values evaluated (K + 2 per live cell), refined
+    minima, objective and derivative evaluations.
     """
     stats = dict(
         grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0, evaluations=0,
@@ -280,6 +283,7 @@ def _scan_arrival(
     cells = count // block + 1
     offsets = np.arange(-1, block + 1)
     table = _phase_rows(w, -dt, dt, block + 2, hbar)
+    ones = np.ones((1, w.size))
     stats.update(grid_points=count + 1, step=step)
 
     first, width = 0, batch
@@ -290,13 +294,13 @@ def _scan_arrival(
         ends = np.minimum(np.arange(first, stop + 1) * block, count)
         rows = _phase_rows(w, first * block * dt, block * dt, stop + 1 - first, hbar)
         rows[-1] = np.exp(-1j * w * (ends[-1] * dt / hbar))  # the last end may be count
-        s = screen(rows)
-        lower = (s[:-1] + s[1:] - (rate / hbar) * (np.diff(ends) * dt)) / 2.0
-        live = first + np.nonzero(~(lower > screen_gate))[0]
+        d = distance(ones, rows)
+        lower = (d[:-1] + d[1:] - (rate / hbar) * (np.diff(ends) * dt)) / 2.0
+        live = first + np.nonzero(~(lower > gate + margin))[0]
         stats["screened"] += stop - first - live.size
         for k in range(0, live.size, batch):
             cell = live[k : k + batch]
-            vals = values(table, rows[cell - first]).reshape(cell.size, block + 2)
+            vals = distance(table, rows[cell - first]).reshape(cell.size, block + 2)
             stats["evaluated"] += vals.size
             points = cell[:, None] * block + offsets
             vals[points > count] = np.inf

@@ -298,31 +298,34 @@ def first_arrival_time(
     """Earliest time in (0, horizon] at which the evolving ray meets the
     target ray, or None if it never does.
 
-    The infidelity 1 - |<psi|phi(t)>|^2 is scanned on a uniform grid of
-    step 0.01 hbar / delta_e, delta_e being the uncertainty of ``h`` in
-    ``phi``: the ray's Fubini-Study speed delta_e / hbar is conserved along
-    the orbit, so it moves at most 0.01 rad per step. The grid is streamed
-    in chunks with no cap on its length (``numerics._scan_arrival``). Each
-    local minimum that could reach arrival is refined by Newton steps on
-    the infidelity's time derivatives: exp(-i (w - <w>) t / hbar) times the
-    overlap weights against the powers 1, -i (w - <w>) / hbar and
-    -((w - <w>) / hbar)^2, centred on the mean energy <w> so that a shift
-    H + c I stays out of their roundoff. The first refined minimizer with
-    infidelity at most 1e-9 is returned, located far more tightly than 1e-7.
-
-    Cells of up to 128 grid steps are screened before they are evaluated.
-    The ray angle theta(t) = arccos |<psi|phi(t)>| moves at most at
-    delta_e / hbar (Anandan & Aharonov, PRL 65, 1697, 1990), so a cell of
-    width W whose end angles a and b give (a + b - delta_e W / hbar) / 2 above
-    arcsin(sqrt 1e-4) + 2 sqrt(d) + 101 d holds no grid point with
-    infidelity at most 1e-4, and is skipped. Here d = (2 n + 16 + 2 |w|_inf
-    horizon / hbar) eps bounds the roundoff of a computed overlap: n terms
-    of total modulus at most one, with phases built from a few rounded
-    factors whose arguments reach |w|_inf horizon / hbar. That moves an end
-    angle by at most 2 sqrt(d), and a grid point's infidelity by 2 d + d^2,
-    which is 101 d in angle at the gate. The returned times are those of a
+    The search screens, gates and refines one distance, the ray angle
+    theta(t) = arccos |<psi|phi(t)>|, then judges once
+    (``numerics._scan_arrival``). The angle moves at most at
+    delta_e / hbar (Anandan & Aharonov, PRL 65, 1697, 1990), delta_e being
+    the uncertainty of ``h`` in ``phi``, conserved along the orbit; the
+    uniform grid of step 0.01 hbar / delta_e is streamed in chunks with no
+    cap on its length. Cells of up to 128 grid steps whose Lipschitz lower
+    bound (a + b - delta_e W / hbar) / 2, from the end angles a and b of a
+    cell of width W, clears the gate arcsin(0.01) by the margin
+    2 sqrt(d) + 101 d are skipped. Here d = (2 n + 16 + 2 |w|_inf horizon /
+    hbar) eps bounds the roundoff of a computed overlap: n terms of total
+    modulus at most one, with phases built from a few rounded factors whose
+    arguments reach |w|_inf horizon / hbar. That moves an end angle by at
+    most 2 sqrt(d), and a grid point's angle at the gate by at most
+    d / sin(arcsin 0.01) + O(d^2) < 101 d. The candidates are those of a
     scan that evaluates every grid point; a miss far from the target costs
-    about one row of n phases per cell.
+    about one row of n phases per cell. A grid point next to an arrival
+    sits within 0.005 rad of the target, so the gate drops only minima that
+    cannot reach it.
+
+    Each candidate, a local minimum of the angle at most the gate, is
+    refined by Newton steps on the time derivatives of the infidelity
+    sin^2 theta = 1 - |<psi|phi(t)>|^2, which has the same minima:
+    exp(-i (w - <w>) t / hbar) times the overlap weights against the powers
+    1, -i (w - <w>) / hbar and -((w - <w>) / hbar)^2, centred on the mean
+    energy <w> so that a shift H + c I stays out of their roundoff. The
+    first refined minimizer whose angle is at most arcsin(sqrt 1e-9) is
+    returned, located far more tightly than 1e-7.
 
     A stationary start (delta_e at most the floor ``qsl_time`` applies)
     is decided at t = 0 without a scan: None if the rays differ there.
@@ -347,31 +350,23 @@ def first_arrival_time(
     rates = -1j * (w - mean) / hbar
     powers = np.array([np.ones_like(rates), rates, rates * rates])
 
-    def infidelity(t: float) -> float:
-        ov = complex(np.sum(np.exp(-1j * w * (t / hbar)) * weights))
-        return max(0.0, 1.0 - (ov.real * ov.real + ov.imag * ov.imag))
+    def distance(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        return np.arccos(np.minimum(1.0, np.abs((bases * weights) @ table.T).ravel()))
+
+    def angle(t: float) -> float:
+        return float(distance(np.ones((1, w.size)), np.exp(-1j * w * (t / hbar))[None])[0])
 
     def derivatives(t: float) -> tuple[float, float]:
         ov, slope, curve = powers @ (np.exp(rates * t) * weights)
         ov = ov.conjugate()
         return -2.0 * (ov * slope).real, -2.0 * (abs(slope) ** 2 + (ov * curve).real)
 
-    def values(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, 1.0 - np.abs((bases * weights) @ table.T).ravel() ** 2)
-
-    def angles(rows: np.ndarray) -> np.ndarray:
-        return np.arccos(np.minimum(1.0, np.abs(rows @ weights)))
-
-    # A grid point adjacent to a true arrival sits within 0.005 rad of the
-    # target, so its infidelity is below ~2.5e-5; the gate 1e-4 only skips
-    # minima that provably cannot reach the arrival threshold.
     xtol = max(1e-12, 1e-10 * horizon)
     reach = float(np.max(np.abs(w))) * horizon / hbar
     slack = (2 * w.size + 16 + 2 * reach) * np.finfo(float).eps
-    angle_gate = math.asin(0.01) + 2.0 * math.sqrt(slack) + 101.0 * slack
     return _scan_arrival(
-        values, infidelity, derivatives, w, hbar, horizon, delta_e, 1e-4, 1e-9,
-        angles, delta_e, angle_gate, xtol,
+        distance, angle, derivatives, w, hbar, horizon, delta_e, delta_e, math.asin(0.01),
+        2.0 * math.sqrt(slack) + 101.0 * slack, math.asin(math.sqrt(1e-9)), xtol,
     )[0]
 
 

@@ -498,21 +498,6 @@ def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8
     return None, refined, float(vals.min())
 
 
-def _unscreened_values(h, rho, target):
-    """Grid values of the density search with its Frobenius screen removed:
-    the trace norm of every point the scan evaluates."""
-    w, v = numerics.herm_eig(h)
-    start = v.conj().T @ rho.matrix @ v
-    goal = v.conj().T @ target.matrix @ v
-
-    def values(table, bases):
-        phases = (bases[:, None, :] * table[None]).reshape(-1, w.size)
-        rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
-        return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
-
-    return values
-
-
 def _random_density(rng, n, spectrum):
     u = random_unitary(rng, n)
     return DensityMatrix((u * (np.asarray(spectrum) / np.sum(spectrum))) @ u.conj().T)
@@ -648,27 +633,37 @@ class TestAgainstReferenceScan:
             assert abs(got - want) <= 2.0 * size * hbar / speed + 1e-11, k
 
 
+# The screen's cases, and each kind of density search at two sizes.
+COVER_CASES = {
+    **SCREEN_CASES,
+    **{
+        f"{kind}-n{n}": (*_density_case(kind, n, 1.0), 1.0)
+        for kind in DENSITY_KINDS
+        for n in (3, 8)
+    },
+}
+
+
 class TestDensityScreen:
     @pytest.mark.parametrize("chunk", [1 << 15, 64])
-    @pytest.mark.parametrize("name", sorted(SCREEN_CASES))
-    def test_matches_unscreened_scan(self, name, chunk, monkeypatch):
-        h, rho, target, horizon, hbar = SCREEN_CASES[name]
+    @pytest.mark.parametrize("name", sorted(COVER_CASES))
+    def test_candidates_cover_the_trace_norm_scan(self, name, chunk, monkeypatch, record_scans):
+        # The scan's candidates are the Frobenius distance's minima at most
+        # the gate. Since ||D||_F <= ||D||_1 they are at least as many as
+        # the trace-norm minima at most the gate on the same grid, and the
+        # search decides alike.
+        h, rho, target, horizon, hbar = COVER_CASES[name]
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
-        unscreened = _unscreened_values(h, rho, target)
-        runs = []
-
-        def both(values, *args):
-            # The same scan, cells and refinement, once with every evaluated
-            # point diagonalized.
-            runs.append(numerics._scan_arrival(unscreened, *args))
-            runs.append(numerics._scan_arrival(values, *args))
-            return runs[-1]
-
-        monkeypatch.setattr(evolution, "_scan_arrival", both)
+        scans = record_scans(evolution)
         got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
-        (want, unscreened_scan), (_, scan) = runs
-        assert got == want
-        assert scan == unscreened_scan
+        (scan,) = scans
+        want, refined, _ = _reference_density_arrival(
+            h, rho, target, horizon, hbar, step=scan["step"]
+        )
+        assert (got is None) == (want is None) == ("hit" not in name)
+        if got is not None:
+            assert abs(got - want) <= 1e-9
+        assert scan["refined"] >= refined
         assert scan["chunks"] > (1 if chunk == 64 else 0)
         commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
         assert scan["step"] == pytest.approx(
@@ -707,24 +702,33 @@ class TestDensityScreen:
         assert got is None and want is None
         assert scans[0]["refined"] == refined > 0
 
-    def test_miss_diagonalizes_no_grid_row(self, monkeypatch, record_scans):
-        rng = np.random.default_rng(47)
-        h = _fixed_spread(rng, 6)
-        rho, target = _quasi_pure_density(rng, 6), _quasi_pure_density(rng, 6)
-        rows = []
+    @pytest.mark.parametrize(
+        "kind, n", [("long-miss", 6)] + [(k, n) for k in DENSITY_KINDS for n in (3, 8)]
+    )
+    def test_scan_diagonalizes_no_grid_row(self, monkeypatch, record_scans, kind, n):
+        # The only eigvalsh calls are on single n x n matrices: the
+        # commutator's trace norm, then the judge's, once per refined minimum.
+        if kind == "long-miss":
+            rng = np.random.default_rng(47)
+            h = _fixed_spread(rng, n)
+            rho, target = _quasi_pure_density(rng, n), _quasi_pure_density(rng, n)
+            horizon = 200.0
+        else:
+            h, rho, target, horizon = _density_case(kind, n, 1.0)
+        shapes = []
         eigvalsh = np.linalg.eigvalsh
 
         def counting(a, *args, **kwargs):
-            if a.ndim == 3:  # a stack of grid rows, not the commutator's norm
-                rows.append(a.shape[0])
+            shapes.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         scans = record_scans(evolution)
-        assert density_arrival_time(h, rho, target, 200.0) is None
-        assert scans[0]["grid_points"] > 10_000
-        assert sum(r for r in rows if r != 1) == 0
-        assert rows.count(1) == scans[0]["evaluations"]
+        arrival = density_arrival_time(h, rho, target, horizon)
+        assert (arrival is None) == kind.endswith(("miss", "gate"))
+        assert shapes == [(n, n)] * (1 + scans[0]["evaluations"])
+        if kind == "long-miss":
+            assert scans[0]["grid_points"] > 10_000
 
     def test_memory_bounded_on_miss(self):
         rng = np.random.default_rng(53)

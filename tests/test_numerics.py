@@ -224,13 +224,13 @@ class TestScanArrival:
     """Seams of the screened, streaming scan. With w = (0, 1), speed 0.5 and
     hbar = 1 the grid step is 0.02 and the second phase column is exp(-i t),
     which gives the grid times back on a horizon shorter than 2 pi. The
-    objective and the screen are both |t - t_star|, which moves at rate 1;
-    both gates are 0.05, so only the cells next to t_star survive. A chunk
-    budget of 16 phase entries makes cells of 6 steps, 51 of them (the last
-    holds only the final point 300), one cell a batch, and chunks of 1, 2,
-    4, then 7 cells: chunk 4 starts at cell 7, point 42. The objectives are
-    kinked at their minima, so ``slope`` gives their first derivative, the
-    second is 0 and the refinement bisects."""
+    distance and the judge are both |t - t_star|, which moves at rate 1;
+    the gate is 0.05 with no margin, so only the cells next to t_star
+    survive. A chunk budget of 16 phase entries makes cells of 6 steps, 51
+    of them (the last holds only the final point 300), one cell a batch,
+    and chunks of 1, 2, 4, then 7 cells: chunk 4 starts at cell 7, point
+    42. The distances are kinked at their minima, so ``slope`` gives their
+    first derivative, the second is 0 and the refinement bisects."""
 
     W = np.array([0.0, 1.0])
     HORIZON = 6.0  # 300 grid steps of 0.02
@@ -242,15 +242,12 @@ class TestScanArrival:
             # Read in [-0.1, 2 pi - 0.1), so t = 0 and t = -dt stay near 0.
             return np.mod(0.1 - np.angle(phases[..., 1]), 2.0 * np.pi) - 0.1
 
-        def values(table, bases):
+        def distance(table, bases):
             return objective(times(bases[:, None, :] * table[None]).ravel())
 
-        def screen(rows):
-            return objective(times(rows))
-
         return _scan_arrival(
-            values, lambda t: float(objective(np.float64(t))), lambda t: (slope(t), 0.0),
-            self.W, 1.0, self.HORIZON, 0.5, 0.05, 1e-9, screen, 1.0, 0.05,
+            distance, lambda t: float(objective(np.float64(t))), lambda t: (slope(t), 0.0),
+            self.W, 1.0, self.HORIZON, 0.5, 1.0, 0.05, 0.0, 1e-9,
         )
 
     @pytest.mark.parametrize(
@@ -306,22 +303,24 @@ class TestScanArrival:
 
     def test_factored_phases_match_direct(self, monkeypatch):
         # Batches of 4 cells of 8 steps, offsets -1 to 8; the phases reach
-        # about 50 rad. A screen that passes every cell lets the batches
-        # tile the grid in order.
+        # about 50 rad. A distance of 0 at every cell end keeps every cell,
+        # so the batches tile the grid in order; each chunk first reads its
+        # cell ends through a one-row table of ones.
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", 5 * 40)
         monkeypatch.setattr(numerics, "_SCAN_BLOCK", 8)
         w, hbar, horizon = np.array([-4.0, -1.3, 0.2, 2.9, 5.0]), 2.0, 20.0
-        batches = []
+        ends, batches = [], []
 
-        def values(table, bases):
+        def distance(table, bases):
+            if table.shape[0] == 1:
+                assert np.array_equal(table, np.ones((1, w.size)))
+                ends.append(bases)
+                return np.zeros(len(bases))
             batches.append(bases[:, None, :] * table[None])
             return np.full(batches[-1].shape[0] * batches[-1].shape[1], np.inf)
 
-        def screen(rows):
-            return np.zeros(len(rows))
-
         _, stats = _scan_arrival(
-            values, None, None, w, hbar, horizon, 0.5, 1.0, 1e-9, screen, 0.0, 1.0
+            distance, None, None, w, hbar, horizon, 0.5, 0.0, 1.0, 0.0, 1e-9
         )
         count = stats["grid_points"] - 1
         dt = horizon / count
@@ -334,20 +333,29 @@ class TestScanArrival:
                 cell += 1
         assert cell == count // 8 + 1 and len(batches) > 1 and stats["chunks"] > 1
         assert stats["screened"] == 0 and stats["evaluated"] == cell * 10
+        # One read of the ends per chunk; a chunk's last end, the horizon at
+        # the last, is read again as the next chunk's first.
+        assert len(ends) == stats["chunks"]
+        first = 0
+        for rows in ends:
+            times = np.minimum((first + np.arange(len(rows))) * 8, count) * dt
+            assert np.max(np.abs(rows - np.exp(-1j * np.outer(times, w) / hbar))) <= 1e-13
+            first += len(rows) - 1
+        assert first == cell
 
     def test_stationary_start_is_decided_without_a_scan(self):
-        def values(table, bases):
+        def distance(table, bases):
             raise AssertionError("a stationary start needs no grid")
 
         scan = (
-            values, lambda t: 0.5, None, self.W, 1.0, 6.0, 1e-11, 1.0, 1e-9, values, 0.0, 1.0
+            distance, lambda t: 0.5, None, self.W, 1.0, 6.0, 1e-11, 0.0, 1.0, 0.0, 1e-9
         )
         arrival, stats = _scan_arrival(*scan)
         assert arrival is None
         assert (stats["grid_points"], stats["chunks"], stats["evaluations"]) == (0, 0, 1)
         assert (stats["screened"], stats["evaluated"]) == (0, 0)
         with pytest.raises(StationaryStateError):
-            _scan_arrival(values, lambda t: 0.0, *scan[2:])
+            _scan_arrival(distance, lambda t: 0.0, *scan[2:])
 
     def test_origin_is_never_an_arrival(self, monkeypatch):
         t, stats = self.scan(monkeypatch, lambda t: np.abs(t), np.sign)
