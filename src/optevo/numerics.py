@@ -37,8 +37,9 @@ __all__ = [
 
 # Scale-relative threshold for structural predicates such as hermiticity
 # and unitarity: a matrix M passes when its defect norm is at most
-# STRUCTURAL_TOL * max(1, |M|_F), so the checks behave the same for weak
-# and strong operators. The stationary floor uses the same rule.
+# STRUCTURAL_TOL * |M|_F, so the checks behave the same at every scale and
+# the zero matrix passes. The stationary floor is STRUCTURAL_TOL *
+# max(1, |H|_F): a start that slow counts as stationary however weak H is.
 STRUCTURAL_TOL = 1e-10
 # Threshold for spectrum-derived quantities: state norms, eigenvalue
 # floors, probability weights.
@@ -60,29 +61,24 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(as_matrix(m)))
 
 
-def _scale(a: np.ndarray) -> float:
-    # Relative scale floor: predicates on tiny matrices fall back to an
-    # absolute threshold.
-    return max(1.0, float(np.linalg.norm(a)))
-
-
 def is_hermitian(m) -> bool:
     """Whether ``M`` equals its conjugate transpose within tolerance."""
     a = as_matrix(m)
-    return float(np.linalg.norm(a - a.conj().T)) <= STRUCTURAL_TOL * _scale(a)
+    return float(np.linalg.norm(a - a.conj().T)) <= STRUCTURAL_TOL * float(np.linalg.norm(a))
 
 
 def is_skew_hermitian(m) -> bool:
     """Whether ``M`` equals the negative of its conjugate transpose within tolerance."""
     a = as_matrix(m)
-    return float(np.linalg.norm(a + a.conj().T)) <= STRUCTURAL_TOL * _scale(a)
+    return float(np.linalg.norm(a + a.conj().T)) <= STRUCTURAL_TOL * float(np.linalg.norm(a))
 
 
 def is_unitary(m) -> bool:
     """Whether ``M* M`` equals the identity within tolerance."""
     a = as_matrix(m)
     gram = a.conj().T @ a
-    return float(np.linalg.norm(gram - np.eye(a.shape[0]))) <= STRUCTURAL_TOL * _scale(a)
+    defect = float(np.linalg.norm(gram - np.eye(a.shape[0])))
+    return defect <= STRUCTURAL_TOL * float(np.linalg.norm(a))
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:

@@ -91,17 +91,16 @@ def _check_pure(a: np.ndarray) -> None:
 def _check_density(a: np.ndarray) -> None:
     """The density gates, on one matrix (n, n) or a stack (T, n, n).
 
-    Finite entries; Hermiticity (the defect against the scale
-    max(1, ||A||_F), as ``is_hermitian`` states it); unit trace; and the
-    smallest eigenvalue of the Hermitian part, from one stacked ``eigvalsh``.
+    Finite entries; Hermiticity (the defect against STRUCTURAL_TOL ||A||_F,
+    as ``is_hermitian`` states it); unit trace; and the smallest eigenvalue
+    of the Hermitian part, from one stacked ``eigvalsh``.
     """
     nonfinite = np.sum(~np.isfinite(a), axis=(-2, -1))
     _require(nonfinite == 0, nonfinite, "density matrix has {!r} non-finite entries")
     adjoint = np.swapaxes(a.conj(), -1, -2)
     defect = np.linalg.norm(a - adjoint, axis=(-2, -1))
-    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     _require(
-        defect <= STRUCTURAL_TOL * scale, defect,
+        defect <= STRUCTURAL_TOL * np.linalg.norm(a, axis=(-2, -1)), defect,
         "density matrix is not Hermitian: ||A - A*||_F = {!r}",
     )
     tr = np.trace(a, axis1=-2, axis2=-1)

@@ -107,6 +107,15 @@ class TestPredicates:
         big[1, 0] = 1e-6 * (1 + 1e-12)
         assert is_hermitian(big)
 
+    def test_no_absolute_floor(self):
+        # The defect is judged against STRUCTURAL_TOL |M|_F alone, as
+        # SuVector judges it: a floor of 1 passed both of these.
+        assert not is_skew_hermitian(1e-11 * np.diag([1.0, -1.0]))
+        with pytest.raises(NotHermitianError):
+            herm_eig(1e-11 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        zero = np.zeros((3, 3))
+        assert is_hermitian(zero) and is_skew_hermitian(zero)
+
 
 class TestFrobenius:
     def test_diagonal_oracle(self):
