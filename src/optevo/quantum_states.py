@@ -243,26 +243,24 @@ class QuasiPureSpec:
 def fs_distance(phi: PureState, psi: PureState) -> float:
     """Ray distance arccos |<phi|psi>|, in [0, pi/2].
 
-    Insensitive to the phases of both arguments. The angle is evaluated as
-    atan2(|psi - phi <phi|psi>|, |<phi|psi>|): sine and cosine both come
-    from the vectors, so the result carries an absolute error of a few eps
-    everywhere, including at zero distance where arccos of a modulus near 1
-    would lose half the digits. The two arguments enter in a fixed order
-    (by their bytes), so the value is bitwise symmetric.
+    Insensitive to the phases of both arguments: ``_ray_angles`` on one
+    pair. The two arguments enter in a fixed order (by their bytes), so the
+    value is bitwise symmetric.
     """
     a, b = phi.amplitudes, psi.amplitudes
     if a.size != b.size:
         raise DimensionMismatchError(f"dimensions differ: {a.size} vs {b.size}")
     if a.tobytes() > b.tobytes():
         a, b = b, a
-    ov = np.vdot(a, b)
-    rest = b - a * ov
-    return math.atan2(math.sqrt(np.vdot(rest, rest).real), abs(ov))
+    return float(_ray_angles(a[None], b[None])[0])
 
 
 def _ray_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``fs_distance`` row by row, in the same atan2 form, between two
-    (T, n) stacks of unit vectors or one (1, n) row and a stack."""
+    """Ray distances row by row between two (T, n) stacks of unit vectors,
+    or one (1, n) row and a stack, as atan2(|b - a <a|b>|, |<a|b>|). Sine
+    and cosine both come from the vectors, so the result carries an
+    absolute error of a few eps everywhere, including at zero distance,
+    where arccos of a modulus near 1 would lose half the digits."""
     ov = np.vecdot(a, b)
     rest = a * ov[:, None]
     np.subtract(b, rest, out=rest)

@@ -5,6 +5,7 @@ overlaps, uncertainties from first and second moments of diagonal
 observables, the maximal uncertainty from half the spectral spread.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -140,7 +141,35 @@ class TestDensityMatrix:
         assert len({a, b, a}) == 2
 
 
+def _reference_fs_distance(phi, psi):
+    """fs_distance before it was read through the stacked ray angles: the
+    same atan2 form from scalar math.atan2 and two np.vdot calls."""
+    a, b = phi.amplitudes, psi.amplitudes
+    if a.tobytes() > b.tobytes():
+        a, b = b, a
+    ov = np.vdot(a, b)
+    rest = b - a * ov
+    return math.atan2(math.sqrt(np.vdot(rest, rest).real), abs(ov))
+
+
 class TestRayMetric:
+    def test_matches_scalar_reference(self, rng):
+        # Random pairs, and pairs turned by 1e-9 to 1e-3 rad from each other,
+        # up to n = 64: the two summation orders agree to a few eps.
+        worst = 0.0
+        for k in range(400):
+            n = (2, 3, 8, 64)[k % 4]
+            phi, psi = random_pure_state(rng, n), random_pure_state(rng, n)
+            if k % 2:
+                rest = psi.amplitudes - phi.amplitudes * phi.overlap(psi)
+                angle = 10.0 ** rng.uniform(-9.0, -3.0)
+                psi = PureState.from_vector(
+                    math.cos(angle) * phi.amplitudes
+                    + math.sin(angle) * rest / np.linalg.norm(rest)
+                )
+            worst = max(worst, abs(fs_distance(phi, psi) - _reference_fs_distance(phi, psi)))
+        assert worst <= 4.0 * np.finfo(float).eps
+
     def test_orthogonal_quarter_turn(self):
         assert fs_distance(KET0, KET1) == pytest.approx(np.pi / 2.0, abs=ATOL)
 
