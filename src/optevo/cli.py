@@ -16,7 +16,8 @@ Exit codes, shared across subcommands:
 * 5  check: the state is stationary for the generator
 
 With ``--json`` the only stdout is a run report object carrying the same
-facts machine-readably, plus input digests and wall time.
+facts machine-readably, plus input digests, wall time and the optevo,
+numpy and Python versions.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     BlockStructureError,
     DimensionMismatchError,
@@ -178,6 +180,11 @@ class _Report:
             "outputs": {},
             "seed": seed,
             "wall_time_s": None,
+            "versions": {
+                "optevo": __version__,
+                "numpy": np.__version__,
+                "python": ".".join(map(str, sys.version_info[:3])),
+            },
         }
         self.as_json = as_json
         self.start = time.perf_counter()

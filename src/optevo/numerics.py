@@ -3,7 +3,8 @@
 Hermitian eigendecompositions, unitary exponentials, the Frobenius norm,
 and structural predicates. Everything downstream is built on these
 primitives. All operations are pure functions on plain numpy arrays and
-never mutate their arguments.
+never mutate their arguments; ``herm_eig`` remembers its last
+factorization, keyed on the input's content.
 
 Three fixed thresholds serve the whole package: ``STRUCTURAL_TOL`` for
 structural predicates and the stationary floor, ``SPECTRAL_TOL`` for
@@ -11,6 +12,8 @@ spectrum-derived quantities and ``SEARCH_TOL`` for criterion residuals.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -98,7 +101,18 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
         symmetrized before factorization, which makes the output a
         deterministic function of the matrix alone; degenerate blocks come
         out orthonormal and every consumer in this package is invariant to
-        the basis chosen inside such a block.
+        the basis chosen inside such a block. Both arrays are read-only:
+        writing into them raises ``ValueError``.
+
+    Notes
+    -----
+    The last factorization is remembered, keyed on the exact bytes and
+    dimension of the complex input, so the propagator, the verdict, the
+    arrival scans and the sampler share one ``eigh`` per generator. One
+    entry is kept: it holds a copy of the input and the factors, about
+    130 KB at n = 64. The key is the content, not the object, so writing
+    into H in place is a fresh factorization, never a stale one. Errors
+    are raised on every call and never remembered.
 
     Raises
     ------
@@ -108,6 +122,13 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
         If the underlying solver fails to converge.
     """
     a = as_matrix(h)
+    return _factor(a.tobytes(), a.shape[0])
+
+
+@functools.lru_cache(maxsize=1)
+def _factor(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` of the n x n complex matrix stored in ``data``."""
+    a = np.frombuffer(data, dtype=complex).reshape(n, n)
     if not is_hermitian(a):
         defect = float(np.linalg.norm(a - a.conj().T))
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
@@ -116,7 +137,10 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    return np.real(w), v
+    w = np.real(w)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
 
 
 def unitary_exp(h, t: float, hbar: float = 1.0) -> np.ndarray:

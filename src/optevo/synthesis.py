@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EigenConvergenceError,
     NotHermitianError,
     NotOptimalError,
     StationaryStateError,
@@ -171,11 +170,7 @@ def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
     same for lambda H + c I, save that its roundoff term grows with |H|_F.
     """
     blocks, kind, residual = _classify(h, phi)
-    a = as_matrix(h)
-    try:
-        w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
+    w, _ = herm_eig(h)
     delta_e = float(np.linalg.norm(blocks.coupling))
     return OptimalityVerdict(kind, residual, delta_e, float(w[-1] - w[0]) / 2.0)
 

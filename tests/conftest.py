@@ -9,6 +9,34 @@ def rng():
     return np.random.default_rng(20260819)
 
 
+@pytest.fixture(autouse=True)
+def forget_factorization():
+    """Empty ``herm_eig``'s remembered factorization before each test, so
+    no test depends on which generator an earlier test factorized."""
+    numerics._factor.cache_clear()
+
+
+@pytest.fixture
+def record_eigh(monkeypatch):
+    """Patch numpy's two Hermitian eigensolvers to record each call;
+    returns a function that empties ``herm_eig``'s memory, starts
+    recording and gives the list of solver names, one per call."""
+
+    def patch():
+        numerics._factor.cache_clear()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def recording(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        return calls
+
+    return patch
+
+
 @pytest.fixture
 def record_scans(monkeypatch):
     """Patch a module's arrival scan to record the counters of each call;

@@ -6,12 +6,14 @@ and file side effects are exercised exactly as a shell user sees them.
 
 import json
 import math
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import optevo
 from optevo import DensityMatrix, PureState, Verdict, is_optimal_speed
 from optevo.sampling import random_unitary
 from optevo.serialization import (
@@ -386,6 +388,22 @@ class TestJsonReports:
         assert doc["outputs"]["T"] == pytest.approx(np.pi / 2.0, abs=1e-9)
         assert doc["outputs"]["out"] == str(out)
         assert doc["wall_time_s"] >= 0.0
+
+    def test_check_report_schema(self, qubit_files):
+        r = run_cli(
+            "check", "--ham", qubit_files["sigma_y"], "--state", qubit_files["ket0"],
+            "--json",
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
+        doc = json.loads(r.stdout)
+        assert set(doc) == {"command", "inputs", "outputs", "seed", "wall_time_s", "versions"}
+        assert set(doc["inputs"]) == {"ham", "state"}
+        assert set(doc["outputs"]) == {"verdict", "delta_e", "delta_e_max", "residual"}
+        assert doc["versions"] == {
+            "optevo": optevo.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        }
 
     def test_check_report_keeps_exit_code(self, qubit_files):
         r = run_cli(

@@ -23,6 +23,7 @@ from optevo import (
     Units,
     density_arrival_time,
     fidelity,
+    first_arrival_time,
     fs_distance,
     fs_speed_profile,
     geodesic_defect,
@@ -445,6 +446,21 @@ class TestDensityArrival:
         )
         assert scans[0]["chunks"] == 1
         assert scans[0]["evaluated"] <= numerics._SCAN_CHUNK // 2
+
+    def test_one_eigendecomposition_for_both_scans(self, record_eigh):
+        # A quasi-pure density arrives with its distinguished state; both
+        # scans of one generator share one eigh.
+        rng = np.random.default_rng(61)
+        frame = random_unitary(rng, 5)
+        spec = QuasiPureSpec(0.8, 0.05, tuple(PureState(frame[:, j]) for j in range(5)))
+        h = _fixed_spread(rng, 5)
+        rho, phi = quasi_pure(spec), spec.basis[0]
+        target, psi = propagate_density(h, rho, 0.4), propagate(h, phi, 0.4)
+        calls = record_eigh()
+        density_t = density_arrival_time(h, rho, target, 3.0)
+        pure_t = first_arrival_time(h, phi, psi, 3.0)
+        assert calls.count("eigh") == 1
+        assert density_t == pytest.approx(pure_t, abs=1e-7)
 
     def test_rejects_bad_horizon(self):
         rho = DensityMatrix(np.eye(2) / 2.0)

@@ -144,16 +144,52 @@ class TestHermEig:
         assert np.linalg.norm(recon - SIGMA_X) < RECON_TOL
 
     def test_rejects_nonhermitian(self):
-        with pytest.raises(NotHermitianError):
-            herm_eig([[0.0, 1.0], [0.0, 0.0]])
+        # Errors are never remembered: a repeat raises again.
+        for _ in range(2):
+            with pytest.raises(NotHermitianError):
+                herm_eig([[0.0, 1.0], [0.0, 0.0]])
 
     def test_convergence_failure_is_wrapped(self, monkeypatch):
         def boom(_):
             raise np.linalg.LinAlgError("did not converge")
 
+        herm_eig(SIGMA_Z)
+        _, v = herm_eig(SIGMA_X)
         monkeypatch.setattr(np.linalg, "eigh", boom)
-        with pytest.raises(EigenConvergenceError):
-            herm_eig(SIGMA_Z)
+        # The last factorization is served without the solver; SIGMA_Z,
+        # factorized before it, is factorized afresh and fails every time.
+        assert herm_eig(SIGMA_X.copy())[1] is v
+        for _ in range(2):
+            with pytest.raises(EigenConvergenceError):
+                herm_eig(SIGMA_Z)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_bit_equal_to_direct_eigh(self, rng, layout):
+        h = layout(random_hermitian(rng, 7))
+        want_w, want_v = np.linalg.eigh((h + h.conj().T) / 2.0)
+        for _ in range(2):
+            w, v = herm_eig(h)
+            assert w.tobytes() == want_w.tobytes()
+            assert v.tobytes() == want_v.tobytes()
+
+    def test_outputs_are_read_only(self):
+        w, v = herm_eig(SIGMA_Y)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+    def test_writing_into_the_input_refactorizes(self, rng):
+        h = random_hermitian(rng, 5)
+        before, _ = herm_eig(h)
+        h[0, 0] += 1.0
+        w, v = herm_eig(h)
+        assert w.tobytes() == np.linalg.eigh((h + h.conj().T) / 2.0)[0].tobytes()
+        assert not np.array_equal(w, before)
+        assert np.linalg.norm((v * w) @ v.conj().T - h) < RECON_TOL
+
+    def test_remembers_one_factorization(self):
+        assert numerics._factor.cache_info().maxsize == 1
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=2**31 - 1))

@@ -224,6 +224,15 @@ class TestAdaptedBlocks:
         )
 
 
+def _reference_delta_e_max(h):
+    """Half the spectral spread from an eigenvalues-only solve of the
+    symmetrized generator, as ``is_optimal_speed`` took it before it read
+    ``herm_eig``."""
+    a = np.asarray(h, dtype=complex)
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return float(w[-1] - w[0]) / 2.0
+
+
 class TestVerdict:
     def test_pauli_y_is_optimal(self):
         v = is_optimal_speed(SIGMA_Y, KET0)
@@ -311,9 +320,10 @@ class TestVerdict:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
     def test_spread_matches_eigendecomposition(self, n):
-        # delta_e_max comes from eigenvalues alone; the spread of the full
-        # eigendecomposition it replaced stays the reference. Random and
-        # maximal-speed generators over six decades of scale.
+        # delta_e_max is the spread of herm_eig's shared factorization; the
+        # eigenvalues-only solve it replaced stays the reference, held to the
+        # same bound. Random and maximal-speed generators over six decades
+        # of scale.
         rng = np.random.default_rng([n, 59])
         for k in range(30):
             scale = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -324,9 +334,21 @@ class TestVerdict:
                 h = optimal_family_sample(phi, psi, scale, int(rng.integers(2**32)))
             w, _ = herm_eig(h)
             got = is_optimal_speed(h, phi).delta_e_max
-            assert abs(got - float(w[-1] - w[0]) / 2.0) <= 2 * n * np.finfo(float).eps * np.max(
-                np.abs(w)
-            )
+            bound = 2 * n * np.finfo(float).eps * np.max(np.abs(w))
+            assert abs(got - float(w[-1] - w[0]) / 2.0) <= bound
+            assert abs(got - _reference_delta_e_max(h)) <= bound
+
+    def test_one_eigendecomposition_per_generator(self, rng, record_eigh):
+        # Propagation, the verdict, the spectrum and the arrival scan of
+        # one generator share one eigh, and no eigenvalues-only solve.
+        phi, psi = distinct_pair(rng, 8)
+        h = optimal_family_sample(phi, psi, 1.0, 4)
+        calls = record_eigh()
+        moved = propagate(h, phi, 0.4)
+        assert is_optimal_speed(h, phi).kind is Verdict.OPTIMAL
+        herm_eig(h)
+        assert first_arrival_time(h, phi, moved, 3.0) == pytest.approx(0.4, abs=ARRIVAL_TOL)
+        assert calls == ["eigh"]
 
 
 class TestOptimalHamiltonian:
