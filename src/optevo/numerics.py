@@ -104,6 +104,13 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
         the basis chosen inside such a block. Both arrays are read-only:
         writing into them raises ``ValueError``.
 
+    Raises
+    ------
+    NotHermitianError
+        If the hermiticity defect exceeds tolerance.
+    EigenConvergenceError
+        If the underlying solver fails to converge.
+
     Notes
     -----
     The last factorization is remembered, keyed on the exact bytes and
@@ -113,13 +120,6 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     130 KB at n = 64. The key is the content, not the object, so writing
     into H in place is a fresh factorization, never a stale one. Errors
     are raised on every call and never remembered.
-
-    Raises
-    ------
-    NotHermitianError
-        If the hermiticity defect exceeds tolerance.
-    EigenConvergenceError
-        If the underlying solver fails to converge.
     """
     a = as_matrix(h)
     return _factor(a.tobytes(), a.shape[0])
@@ -137,7 +137,6 @@ def _factor(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    w = np.real(w)
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v
