@@ -10,17 +10,23 @@ how geodesic a trajectory is: the endpoint-distance speed profile, the
 excess of summed segment lengths over the endpoint distance (both from the
 atan2 ray distance), and the leakage out of the plane spanned by the
 endpoints.
+
+The density arrival search judges the trace distance against its
+threshold whatever the pair. Two quasi-pure densities of one spectrum move
+as their distinguished rays, so it scans those rays at n per grid point;
+any other pair takes the Frobenius scan, at n^2 per grid point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FoldExceededError
-from .numerics import _scan_arrival, as_matrix, herm_eig, unitary_exp
+from .numerics import SPECTRAL_TOL, _ray_search, _scan_arrival, as_matrix, herm_eig, unitary_exp
 from .quantum_states import (
     DensityMatrix,
     PureState,
@@ -262,22 +268,113 @@ def density_arrival_time(
     """Earliest time in (0, horizon] at which the evolving density comes
     within ``threshold`` of the target in trace norm, or None.
 
-    Same search as the pure-state arrival: it screens, gates and refines
-    one distance, the Frobenius distance ||D||_F of D = rho(t) - target,
-    then judges the trace norm once per refined minimum
-    (``numerics._scan_arrival``). Since |d/dt ||rho(t) - target||_1| <=
-    ||[H, rho]||_1 / hbar, and that norm is conserved, the grid step
-    0.01 hbar / (||[H, rho]||_1 / 2) lets the trace distance change by at
-    most 0.02 per step. In the generator's eigenbasis the commutator is
-    (w_j - w_k) S_jk, so its trace norm costs one n x n ``eigvalsh``. As
-    ||[H, rho]||_1 <= 2 delta_e_max, the step is never shorter than
-    0.01 hbar / delta_e_max. A stationary density (||[H, rho]||_1 / 2 at
-    most the floor ``qsl_time`` applies) is decided at t = 0 without a
-    scan: None if it is farther than ``threshold`` from the target,
-    StationaryStateError if it is within it.
+    Same search as the pure-state arrival (``numerics._scan_arrival``): it
+    screens, gates and refines one distance, the Frobenius distance
+    ||D||_F of D = rho(t) - target, then judges the trace norm ||D||_1 once
+    per refined minimum. The grid step is 0.01 hbar over the density's
+    conserved speed ||[H, rho]||_1 / 2, so the trace distance changes by at
+    most 0.02 per step; as ||[H, rho]||_1 <= 2 delta_e_max, the step is
+    never shorter than 0.01 hbar / delta_e_max. The gate is
+    max(100 threshold, 0.05) on ||D||_F <= ||D||_1. A stationary density
+    (speed at most the floor ``qsl_time`` applies) is decided at t = 0
+    without a scan: None if it is farther than ``threshold`` from the
+    target, StationaryStateError if it is within it.
 
-    With S and G the two densities in the generator's eigenbasis and p the
-    row of phases exp(-i w t / hbar), D = S o pp* - G, and
+    Two quasi-pure densities of one spectrum, p2 I + (p1 - p2) |phi><phi|
+    and p2 I + (p1 - p2) |psi><psi| (p1 above or below 1/n), scan their
+    distinguished rays: with theta(t) the angle between phi(t) and psi,
+    ||D||_F = sqrt 2 |p1 - p2| sin theta, ||D||_1 = 2 |p1 - p2| sin theta,
+    and the speed is |p1 - p2| delta_e(phi). Grid, gate and threshold keep
+    their meaning; a grid point costs n, not n^2, and no ``eigvalsh`` is
+    taken. The pair is recognized by one ``eigh`` of each density, not
+    ``herm_eig``, whose one entry keeps H: spectra equal within
+    SPECTRAL_TOL, one simple eigenvalue and one (n - 1)-fold one. The grid
+    reads sin theta as sqrt(1 - c^2) from the overlap modulus c
+    (``numerics._ray_search``), Newton refines the ray's infidelity, and
+    the judge is the stable sine 2 |p1 - p2| |psi - <phi(t)|psi> phi(t)|,
+    exact to a few eps at zero distance. With c within d of exact, 1 - c^2
+    is within r = 3 d, so sin theta is within sqrt r, and within r / s_g at
+    the gate s_g in sin theta: the screen's margin is
+    sqrt 2 |p1 - p2| (2 sqrt r + 2 r / s_g). A small |p1 - p2| shrinks the
+    margin with the distance; once sqrt 2 |p1 - p2| is under the gate,
+    every local minimum is a candidate, as on the Frobenius scan.
+
+    Every other pair takes the Frobenius scan, ``_density_scan``.
+    """
+    rays = _quasi_pure_rays(rho, target)
+    if rays is None:
+        return _density_scan(h, rho, target, horizon, units, threshold)
+    gap, phi, psi = rays
+    w, v = _generator_factors(h, rho, target, horizon)
+    hbar = units.hbar
+    start, goal, delta_e, slack, overlaps, derivatives = _ray_search(
+        w, v, phi, psi, hbar, horizon
+    )
+    scale = math.sqrt(2.0) * gap
+    gate = max(100.0 * threshold, 5e-2)
+    roundoff = 3.0 * slack
+    margin = scale * (2.0 * math.sqrt(roundoff) + 2.0 * scale * roundoff / gate)
+
+    def distance(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        c = overlaps(table, bases)
+        return scale * np.sqrt(np.maximum(0.0, 1.0 - c * c))
+
+    def trace_norm(t: float) -> float:
+        moved = start * np.exp(-1j * w * (t / hbar))
+        return 2.0 * gap * float(np.linalg.norm(goal - np.vdot(moved, goal) * moved))
+
+    return _scan_arrival(
+        distance, trace_norm, derivatives, w, hbar, horizon, gap * delta_e, scale * delta_e,
+        gate, margin, threshold,
+    )[0]
+
+
+def _quasi_pure_rays(rho: DensityMatrix, target: DensityMatrix):
+    """(|p1 - p2|, phi, psi) when rho = p2 I + (p1 - p2) |phi><phi| and
+    target = p2 I + (p1 - p2) |psi><psi|, their spectra equal within
+    SPECTRAL_TOL and their (n - 1)-fold eigenvalue within SPECTRAL_TOL of
+    degenerate and farther from the simple one; None otherwise."""
+    if rho.n != target.n or rho.n < 2:
+        return None
+    w, v = np.linalg.eigh(rho.matrix)
+    # The simple eigenvalue is the lowest when p1 < 1/n, the highest when p1 > 1/n.
+    for k, rest in ((0, w[1:]), (-1, w[:-1])):
+        if rest[-1] - rest[0] <= SPECTRAL_TOL < abs(w[k] - rest[k]):  # rest[k] is next to w[k]
+            break
+    else:
+        return None
+    u_w, u = np.linalg.eigh(target.matrix)
+    if float(np.max(np.abs(u_w - w))) > SPECTRAL_TOL:
+        return None
+    return float(w[-1] - w[0]), v[:, k], u[:, k]
+
+
+def _generator_factors(h, rho: DensityMatrix, target: DensityMatrix, horizon: float):
+    """``herm_eig(h)`` once the horizon and the dimensions pass."""
+    if not horizon > 0.0:
+        raise ValueError("horizon must be positive")
+    w, v = herm_eig(h)
+    if rho.n != w.size or target.n != w.size:
+        raise DimensionMismatchError("generator and densities must share one dimension")
+    return w, v
+
+
+def _density_scan(
+    h,
+    rho: DensityMatrix,
+    target: DensityMatrix,
+    horizon: float,
+    units: Units = Units(),
+    threshold: float = 1e-8,
+) -> float | None:
+    """``density_arrival_time`` on the Frobenius distance, for any pair of
+    densities.
+
+    The speed ||[H, rho]||_1 / 2 comes from the commutator, in the
+    generator's eigenbasis (w_j - w_k) S_jk, at the cost of one n x n
+    ``eigvalsh``. With S and G the two densities in the generator's
+    eigenbasis and p the row of phases exp(-i w t / hbar), D = S o pp* - G,
+    and
 
         ||D||_F^2 = ||S||_F^2 + ||G||_F^2 - 2 Re sum_jk p_j M_jk conj(p_k),
 
@@ -301,18 +398,14 @@ def density_arrival_time(
     grid point whose trace distance is at most the gate, since
     ||D||_F <= ||D||_1. Each is refined by Newton steps on the time
     derivatives of ||D||_F^2 (forms of 2 i omega o M and 2 omega^2 o M,
-    omega_jk = (w_j - w_k) / hbar), and judged by its one trace norm. The
-    refined time minimizes the trace distance too for a target on the
-    orbit, or for two quasi-pure densities of one spectrum (D is rank two
-    and traceless, so ||D||_1 = sqrt 2 ||D||_F); 60 full-rank targets off
-    the orbit by |E|_1 < 1e-8 moved it by under |E|_1 hbar / ||[H, rho]||_1,
-    deciding alike.
+    omega_jk = (w_j - w_k) / hbar), and judged by its one trace norm, an
+    n x n ``eigvalsh``. The refined time minimizes the trace distance too
+    for a target on the orbit, or for two quasi-pure densities of one
+    spectrum (D is rank two and traceless, so ||D||_1 = sqrt 2 ||D||_F);
+    60 full-rank targets off the orbit by |E|_1 < 1e-8 moved it by under
+    |E|_1 hbar / ||[H, rho]||_1, deciding alike.
     """
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    w, v = herm_eig(h)
-    if rho.n != w.size or target.n != w.size:
-        raise DimensionMismatchError("generator and densities must share one dimension")
+    w, v = _generator_factors(h, rho, target, horizon)
     hbar = units.hbar
     start = v.conj().T @ rho.matrix @ v
     goal = v.conj().T @ target.matrix @ v

@@ -13,8 +13,6 @@ spectrum-derived quantities and ``SEARCH_TOL`` for criterion residuals.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import (
@@ -113,19 +111,28 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
     Notes
     -----
-    The last factorization is remembered, keyed on the exact bytes and
-    dimension of the complex input, so the propagator, the verdict, the
-    arrival scans and the sampler share one ``eigh`` per generator. One
-    entry is kept: it holds a copy of the input and the factors, about
-    130 KB at n = 64. The key is the content, not the object, so writing
-    into H in place is a fresh factorization, never a stale one. Errors
-    are raised on every call and never remembered.
+    The last factorization is remembered, keyed on the exact bytes of the
+    complex input (their length fixes the dimension), so the propagator,
+    the verdict, the arrival scans and the sampler share one ``eigh`` per
+    generator. One entry is kept: it holds a copy of the input and the
+    factors, about 130 KB at n = 64. A lookup compares the input's bytes
+    with that one key and hashes nothing. The key is the content, not the
+    object, so writing into H in place is a fresh factorization, never a
+    stale one. Errors are raised on every call and never remembered.
     """
     a = as_matrix(h)
-    return _factor(a.tobytes(), a.shape[0])
+    data = a.tobytes()
+    last = _remembered[0]
+    if last is None or last[0] != data:
+        last = _remembered[0] = (data, _factor(data, a.shape[0]))
+    return last[1]
 
 
-@functools.lru_cache(maxsize=1)
+# The one factorization ``herm_eig`` remembers, as (input bytes, (w, v)), or
+# None: one slot, read and replaced whole.
+_remembered: list = [None]
+
+
 def _factor(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``herm_eig`` of the n x n complex matrix stored in ``data``."""
     a = np.frombuffer(data, dtype=complex).reshape(n, n)
@@ -231,6 +238,43 @@ def _phase_rows(w, start, step, count, hbar):
     steps = np.exp(-1j * np.outer(np.arange(size) * step, w) / hbar)
     jumps = np.exp(-1j * np.outer(start + np.arange(-(-count // size)) * (size * step), w) / hbar)
     return (jumps[:, None, :] * steps[None]).reshape(-1, w.size)[:count]
+
+
+def _ray_search(w, v, phi, psi, hbar, horizon):
+    """Set-up of a ``_scan_arrival`` along the orbit of ``phi`` for the ray
+    of ``psi``, under the generator of eigenpairs (w, v).
+
+    Returns the start and the target in the eigenbasis; delta_e, the
+    generator's uncertainty in the start, conserved along the orbit; the
+    slack d = (2 n + 16 + 2 |w|_inf horizon / hbar) eps, within which a
+    computed overlap modulus is exact (n terms of total modulus at most
+    one, with phases built from a few rounded factors whose arguments reach
+    |w|_inf horizon / hbar); ``overlaps(table, bases)``, the moduli
+    |<psi|phi(t)>| at phase rows, in the form a scan's distance takes; and
+    ``derivatives(t)``, the first two time derivatives of the infidelity
+    1 - |<psi|phi(t)>|^2, from phases centred on the mean energy so that a
+    shift H + c I stays out of their roundoff.
+    """
+    start = v.conj().T @ phi
+    target = v.conj().T @ psi
+    weights = target.conj() * start
+    probabilities = start.real**2 + start.imag**2
+    mean = probabilities @ w
+    delta_e = float(np.sqrt(probabilities @ (w - mean) ** 2))
+    rates = -1j * (w - mean) / hbar
+    powers = np.array([np.ones_like(rates), rates, rates * rates])
+    reach = float(np.max(np.abs(w))) * horizon / hbar
+    slack = (2 * w.size + 16 + 2 * reach) * np.finfo(float).eps
+
+    def overlaps(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        return np.abs((bases * weights) @ table.T).ravel()
+
+    def derivatives(t: float) -> tuple[float, float]:
+        ov, slope, curve = powers @ (np.exp(rates * t) * weights)
+        ov = ov.conjugate()
+        return -2.0 * (ov * slope).real, -2.0 * (abs(slope) ** 2 + (ov * curve).real)
+
+    return start, target, delta_e, slack, overlaps, derivatives
 
 
 def _scan_arrival(

@@ -41,6 +41,7 @@ from .numerics import (
     SEARCH_TOL,
     SPECTRAL_TOL,
     _eigen_residual,
+    _ray_search,
     _scan_arrival,
     _stationary,
     as_matrix,
@@ -302,23 +303,18 @@ def first_arrival_time(
     cap on its length. Cells of up to 128 grid steps whose Lipschitz lower
     bound (a + b - delta_e W / hbar) / 2, from the end angles a and b of a
     cell of width W, clears the gate arcsin(0.01) by the margin
-    2 sqrt(d) + 101 d are skipped. Here d = (2 n + 16 + 2 |w|_inf horizon /
-    hbar) eps bounds the roundoff of a computed overlap: n terms of total
-    modulus at most one, with phases built from a few rounded factors whose
-    arguments reach |w|_inf horizon / hbar. That moves an end angle by at
-    most 2 sqrt(d), and a grid point's angle at the gate by at most
-    d / sin(arcsin 0.01) + O(d^2) < 101 d. The candidates are those of a
-    scan that evaluates every grid point; a miss far from the target costs
-    about one row of n phases per cell. A grid point next to an arrival
+    2 sqrt(d) + 101 d are skipped. Here d bounds the roundoff of a computed
+    overlap modulus (``numerics._ray_search``, which sets up the search).
+    That moves an end angle by at most 2 sqrt(d), and a grid point's angle
+    at the gate by at most d / sin(arcsin 0.01) + O(d^2) < 101 d. The
+    candidates are those of a scan that evaluates every grid point; a miss
+    far from the target costs about one row of n phases per cell. A grid point next to an arrival
     sits within 0.005 rad of the target, so the gate drops only minima that
     cannot reach it.
 
     Each candidate, a local minimum of the angle at most the gate, is
     refined by Newton steps on the time derivatives of the infidelity
-    sin^2 theta = 1 - |<psi|phi(t)>|^2, which has the same minima:
-    exp(-i (w - <w>) t / hbar) times the overlap weights against the powers
-    1, -i (w - <w>) / hbar and -((w - <w>) / hbar)^2, centred on the mean
-    energy <w> so that a shift H + c I stays out of their roundoff. The
+    sin^2 theta = 1 - |<psi|phi(t)>|^2, which has the same minima. The
     first refined minimizer whose angle is at most arcsin(sqrt 1e-9) is
     returned, located far more tightly than 1e-7.
 
@@ -336,29 +332,17 @@ def first_arrival_time(
     hbar = units.hbar
     if phi.n != w.size or psi.n != w.size:
         raise DimensionMismatchError("generator and states must share one dimension")
-    start = v.conj().T @ phi.amplitudes
-    target = v.conj().T @ psi.amplitudes
-    weights = target.conj() * start
-    probabilities = start.real**2 + start.imag**2
-    mean = probabilities @ w
-    delta_e = float(np.sqrt(probabilities @ (w - mean) ** 2))
-    rates = -1j * (w - mean) / hbar
-    powers = np.array([np.ones_like(rates), rates, rates * rates])
+    _, _, delta_e, slack, overlaps, derivatives = _ray_search(
+        w, v, phi.amplitudes, psi.amplitudes, hbar, horizon
+    )
 
     def distance(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        return np.arccos(np.minimum(1.0, np.abs((bases * weights) @ table.T).ravel()))
+        return np.arccos(np.minimum(1.0, overlaps(table, bases)))
 
     def angle(t: float) -> float:
         return float(distance(np.ones((1, w.size)), np.exp(-1j * w * (t / hbar))[None])[0])
 
-    def derivatives(t: float) -> tuple[float, float]:
-        ov, slope, curve = powers @ (np.exp(rates * t) * weights)
-        ov = ov.conjugate()
-        return -2.0 * (ov * slope).real, -2.0 * (abs(slope) ** 2 + (ov * curve).real)
-
     xtol = max(1e-12, 1e-10 * horizon)
-    reach = float(np.max(np.abs(w))) * horizon / hbar
-    slack = (2 * w.size + 16 + 2 * reach) * np.finfo(float).eps
     return _scan_arrival(
         distance, angle, derivatives, w, hbar, horizon, delta_e, delta_e, math.asin(0.01),
         2.0 * math.sqrt(slack) + 101.0 * slack, math.asin(math.sqrt(1e-9)), xtol,

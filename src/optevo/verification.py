@@ -19,6 +19,7 @@ import numpy as np
 
 from .evolution import (
     Trajectory,
+    _density_scan,
     density_arrival_time,
     fs_speed_profile,
     geodesic_defect,
@@ -817,8 +818,9 @@ def check_subspace_confinement(rng, trials, n_max):
 @check("quasi-pure-reduction", "evolution", 1e-7)
 def check_quasi_pure_reduction(rng, trials, n_max):
     """Quasi-pure transport reduces to the distinguished rays: the unitary
-    carries the mixture exactly, and the density arrival time equals the
-    pure arrival time."""
+    carries the mixture exactly, and the density arrival time, a search on
+    the distinguished rays, equals the pure arrival time and the Frobenius
+    scan's (``evolution._density_scan``), which never reads the rays."""
     units = Units()
     worst_time = 0.0
     for _ in range(trials):
@@ -851,12 +853,12 @@ def check_quasi_pure_reduction(rng, trials, n_max):
         h = optimal_hamiltonian(phi1, psi1, energy)
         horizon = 1.4 * units.hbar * fs_distance(phi1, psi1) / energy + 0.2
         pure_t = first_arrival_time(h, phi1, psi1, horizon, units)
-        density_t = density_arrival_time(
-            h, quasi_pure(source), quasi_pure(target), horizon, units
-        )
-        if pure_t is None or density_t is None:
+        rho, sigma = quasi_pure(source), quasi_pure(target)
+        density_t = density_arrival_time(h, rho, sigma, horizon, units)
+        frobenius_t = _density_scan(h, rho, sigma, horizon, units)
+        if pure_t is None or density_t is None or frobenius_t is None:
             raise _Fail("an arrival search came back empty")
-        worst_time = max(worst_time, abs(pure_t - density_t))
+        worst_time = max(worst_time, abs(pure_t - density_t), abs(frobenius_t - density_t))
     return worst_time
 
 

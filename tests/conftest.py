@@ -13,7 +13,7 @@ def rng():
 def forget_factorization():
     """Empty ``herm_eig``'s remembered factorization before each test, so
     no test depends on which generator an earlier test factorized."""
-    numerics._factor.cache_clear()
+    numerics._remembered[0] = None
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def record_eigh(monkeypatch):
     recording and gives the list of solver names, one per call."""
 
     def patch():
-        numerics._factor.cache_clear()
+        numerics._remembered[0] = None
         calls = []
         for name in ("eigh", "eigvalsh"):
 

@@ -38,6 +38,7 @@ from optevo import (
     trace_distance,
 )
 from optevo import evolution, numerics, verification
+from optevo.evolution import _density_scan
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from optevo.verification import run_suite
 from reference_refinement import refine
@@ -449,7 +450,9 @@ class TestDensityArrival:
 
     def test_one_eigendecomposition_for_both_scans(self, record_eigh):
         # A quasi-pure density arrives with its distinguished state; both
-        # scans of one generator share one eigh.
+        # scans of one generator share its one eigh. The density scan takes
+        # one more per density to recognize the quasi-pure pair, and no
+        # eigvalsh.
         rng = np.random.default_rng(61)
         frame = random_unitary(rng, 5)
         spec = QuasiPureSpec(0.8, 0.05, tuple(PureState(frame[:, j]) for j in range(5)))
@@ -458,8 +461,9 @@ class TestDensityArrival:
         target, psi = propagate_density(h, rho, 0.4), propagate(h, phi, 0.4)
         calls = record_eigh()
         density_t = density_arrival_time(h, rho, target, 3.0)
+        assert calls == ["eigh"] * 3
         pure_t = first_arrival_time(h, phi, psi, 3.0)
-        assert calls.count("eigh") == 1
+        assert calls == ["eigh"] * 3
         assert density_t == pytest.approx(pure_t, abs=1e-7)
 
     def test_rejects_bad_horizon(self):
@@ -602,7 +606,7 @@ class TestAgainstReferenceScan:
         for kind in DENSITY_KINDS:
             for n in (2, 3, 4, 8, 16, 32):
                 h, rho, target, horizon = _density_case(kind, n, hbar)
-                density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
+                _density_scan(h, rho, target, horizon, Units(hbar=hbar))
         assert len(record_newton) == sum(s["refined"] for s in scans) >= 18
         assert sum(record_newton) == sum(s["newton_steps"] for s in scans)
         assert max(record_newton) == 3
@@ -671,7 +675,7 @@ class TestDensityScreen:
         h, rho, target, horizon, hbar = COVER_CASES[name]
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
         scans = record_scans(evolution)
-        got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
+        got = _density_scan(h, rho, target, horizon, Units(hbar=hbar))
         (scan,) = scans
         want, refined, _ = _reference_density_arrival(
             h, rho, target, horizon, hbar, step=scan["step"]
@@ -740,7 +744,7 @@ class TestDensityScreen:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         scans = record_scans(evolution)
-        arrival = density_arrival_time(h, rho, target, horizon)
+        arrival = _density_scan(h, rho, target, horizon)
         assert (arrival is None) == kind.endswith(("miss", "gate"))
         assert shapes == [(n, n)] * (1 + scans[0]["evaluations"])
         if kind == "long-miss":
@@ -759,3 +763,129 @@ class TestDensityScreen:
         assert arrival is None
         # Chunks of (rows, n, n) matrices peaked near 35 MB at n = 32.
         assert peak < 8e6
+
+
+def _one_spectrum_pair(rng, n, gap, above):
+    """Two quasi-pure densities of one spectrum, |p1 - p2| = gap, with p1
+    above 1/n or below it, on random frames."""
+    p2 = (1.0 - gap) / n if above else (1.0 + gap) / n
+    p1 = p2 + gap if above else p2 - gap
+    frames = random_unitary(rng, n), random_unitary(rng, n)
+    return [
+        quasi_pure(QuasiPureSpec(p1, p2, tuple(PureState(f[:, j]) for j in range(n))))
+        for f in frames
+    ]
+
+
+@pytest.fixture
+def record_frobenius(monkeypatch):
+    """Patch the Frobenius scan to record each call; returns the list of
+    calls."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _density_scan(*args)
+
+    monkeypatch.setattr(evolution, "_density_scan", recording)
+    return calls
+
+
+class TestQuasiPureRoute:
+    @pytest.mark.parametrize("above", [True, False])
+    @pytest.mark.parametrize("gap", [0.5, 1e-3, 1e-6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 32, 64])
+    def test_matches_frobenius_scan(self, n, gap, above, monkeypatch, record_scans):
+        # A hit and a miss at two hbar, on H and on H + 1e4 |H|_F I: the ray
+        # search decides as the Frobenius scan, on the same grid, and takes
+        # no eigvalsh. At |p1 - p2| = 1e-6 the shifted generator's speed is
+        # under the stationary floor, which grows with |H|_F: both scans
+        # return None at t = 0.
+        gap = gap if above else min(gap, 0.5 / (n - 1))
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        scans = record_scans(evolution)
+        for k, (hbar, kind) in enumerate([(1.0, "hit"), (2.0, "hit"), (1.0, "miss"), (2.0, "miss")]):
+            rng = np.random.default_rng([n, k, int(above), round(-math.log10(gap))])
+            rho, other = _one_spectrum_pair(rng, n, gap, above)
+            h = _fixed_spread(rng, n)
+            units, scale = Units(hbar=hbar), hbar / (2.0 * math.sqrt(n))
+            t_star = float(rng.uniform(1.0, 3.0)) * scale
+            if kind == "hit":
+                target = propagate_density(h, rho, t_star, units)
+                horizon = 1.3 * t_star + 0.5 * scale
+            else:
+                target, horizon = other, 10.0 * scale
+            for shift in (0.0, 1e4 * float(np.linalg.norm(h))):
+                g = h + shift * np.eye(n)
+                scans.clear()
+                shapes.clear()
+                got = density_arrival_time(g, rho, target, horizon, units)
+                assert not shapes
+                want = _density_scan(g, rho, target, horizon, units)
+                routed, frobenius = scans
+                assert (got is None) == (want is None), (hbar, kind, shift)
+                if not shift:
+                    assert (got is None) == (kind == "miss"), (hbar, kind)
+                if got is not None:
+                    assert abs(got - want) <= 1e-9, (hbar, kind, shift)
+                assert routed["grid_points"] == frobenius["grid_points"]
+                assert routed["step"] == pytest.approx(frobenius["step"], rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["spectra-differ", "full-rank", "split"])
+    def test_other_pairs_take_the_frobenius_scan(self, case, record_frobenius):
+        # A passage whose target's spectrum is mixed 1e-9 towards I / n, a
+        # full-rank passage, and a quasi-pure spectrum whose (n - 1)-fold
+        # eigenvalue is split by 1e-9: each is the Frobenius scan's, bit for
+        # bit.
+        n = 5
+        rng = np.random.default_rng([59, ("spectra-differ", "full-rank", "split").index(case)])
+        h = _fixed_spread(rng, n)
+        spectrum = {
+            "spectra-differ": [0.6] + [0.1] * 4,
+            "full-rank": np.arange(1.0, n + 1.0),
+            "split": [0.6, 0.1 + 1e-9, 0.1, 0.1, 0.1],
+        }[case]
+        rho = _random_density(rng, n, spectrum)
+        target = propagate_density(h, rho, 0.4).matrix
+        if case == "spectra-differ":
+            target = (1.0 - 1e-9) * target + 1e-9 * np.eye(n) / n
+        got = density_arrival_time(h, rho, DensityMatrix(target), 3.0)
+        want = _density_scan(h, rho, DensityMatrix(target), 3.0)
+        assert len(record_frobenius) == 1
+        assert got is not None and got == want
+
+    def test_stationary_pair(self, record_frobenius):
+        # The distinguished ray is an eigenvector of H: the pair never moves,
+        # and t = 0 decides it.
+        rng = np.random.default_rng(67)
+        frame = random_unitary(rng, 3)
+        h = (frame * np.array([1.0, -0.5, 2.0])) @ frame.conj().T
+        basis = [PureState(frame[:, j]) for j in range(3)]
+        rho = quasi_pure(QuasiPureSpec(0.6, 0.2, basis))
+        other = quasi_pure(QuasiPureSpec(0.6, 0.2, basis[1::-1] + basis[2:]))
+        with pytest.raises(StationaryStateError):
+            density_arrival_time(h, rho, rho, 10.0)
+        assert density_arrival_time(h, rho, other, 10.0) is None
+        assert not record_frobenius
+
+    def test_memory_bounded_on_miss(self, record_frobenius):
+        rng = np.random.default_rng(71)
+        rho, target = _one_spectrum_pair(rng, 64, 0.5, True)
+        h = _fixed_spread(rng, 64)
+        numerics.herm_eig(h)
+        tracemalloc.start()
+        try:
+            arrival = density_arrival_time(h, rho, target, 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert arrival is None and not record_frobenius
+        # One chunk of phase rows, 2^15 complex entries, peaked near 0.55 MB.
+        assert peak < 2e6

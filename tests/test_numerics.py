@@ -188,8 +188,31 @@ class TestHermEig:
         assert not np.array_equal(w, before)
         assert np.linalg.norm((v * w) @ v.conj().T - h) < RECON_TOL
 
-    def test_remembers_one_factorization(self):
-        assert numerics._factor.cache_info().maxsize == 1
+    def test_remembers_one_factorization(self, rng):
+        # One slot: a second generator's factorization replaces the first's,
+        # which is then factorized afresh.
+        a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        first = herm_eig(a)
+        assert herm_eig(a) is first
+        second = herm_eig(b)
+        assert len(numerics._remembered) == 1
+        key, factors = numerics._remembered[0]
+        assert key == b.tobytes() and factors is second
+        again = herm_eig(a)
+        assert again is not first and again[0].tobytes() == first[0].tobytes()
+
+    def test_lookup_by_content(self, rng):
+        # An equal copy hits; one ulp anywhere misses.
+        h = random_hermitian(rng, 6)
+        factors = herm_eig(h)
+        assert herm_eig(h.copy()) is factors
+        assert herm_eig(np.asfortranarray(h)) is factors
+        nudged = h.copy()
+        nudged[2, 2] = np.nextafter(nudged[2, 2].real, np.inf)
+        moved = herm_eig(nudged)
+        assert moved is not factors
+        assert numerics._remembered[0][0] == nudged.tobytes()
+        assert moved[0].tobytes() == np.linalg.eigh((nudged + nudged.conj().T) / 2.0)[0].tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=2**31 - 1))
