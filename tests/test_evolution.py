@@ -460,6 +460,7 @@ class TestDensityArrival:
         rho, phi = quasi_pure(spec), spec.basis[0]
         target, psi = propagate_density(h, rho, 0.4), propagate(h, phi, 0.4)
         calls = record_eigh()
+        numerics.herm_eig(h)
         density_t = density_arrival_time(h, rho, target, 3.0)
         assert calls == ["eigh"] * 3
         pure_t = first_arrival_time(h, phi, psi, 3.0)
@@ -777,6 +778,13 @@ def _one_spectrum_pair(rng, n, gap, above):
     ]
 
 
+def _completion(rng, a):
+    """n - 1 orthonormal states orthogonal to the unit vector a."""
+    n = a.size
+    q, _ = np.linalg.qr(np.column_stack([a, random_unitary(rng, n)[:, 1:]]))
+    return [PureState(q[:, j]) for j in range(1, n)]
+
+
 @pytest.fixture
 def record_frobenius(monkeypatch):
     """Patch the Frobenius scan to record each call; returns the list of
@@ -835,8 +843,11 @@ class TestQuasiPureRoute:
                     assert (got is None) == (kind == "miss"), (hbar, kind)
                 if got is not None:
                     assert abs(got - want) <= 1e-9, (hbar, kind, shift)
+                # The Frobenius speed is an eigvalsh of a commutator whose
+                # entries are of size |p1 - p2|, so it is good to about
+                # eps / |p1 - p2| relative (8e-10 seen at 1e-6, n <= 64).
                 assert routed["grid_points"] == frobenius["grid_points"]
-                assert routed["step"] == pytest.approx(frobenius["step"], rel=1e-9)
+                assert routed["step"] == pytest.approx(frobenius["step"], rel=1e-13 / gap)
 
     @pytest.mark.parametrize("case", ["spectra-differ", "full-rank", "split"])
     def test_other_pairs_take_the_frobenius_scan(self, case, record_frobenius):
@@ -860,6 +871,35 @@ class TestQuasiPureRoute:
         want = _density_scan(h, rho, DensityMatrix(target), 3.0)
         assert len(record_frobenius) == 1
         assert got is not None and got == want
+
+    @pytest.mark.parametrize("closest", [1e-8, 1e-4])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_threshold_keeps_its_meaning(self, n, closest, record_frobenius):
+        # phi lies in the span of H's first n - 1 eigenvectors, and so does
+        # its orbit; the target ray leans off phi(t0) by alpha towards the
+        # last one, so the trace distance is least at t0, where it is
+        # 2 |p1 - p2| sin alpha = ``closest``. A threshold 5 % above arrives
+        # there, 5 % below never does.
+        rng = np.random.default_rng([73, n])
+        w, v = np.linalg.eigh(_fixed_spread(rng, n))
+        h = (v * w) @ v.conj().T
+        phi = v[:, :-1] @ random_pure_state(rng, n - 1).amplitudes
+        gap, t0 = 0.5, 0.7
+        alpha = math.asin(closest / (2.0 * gap))
+        psi = math.cos(alpha) * propagate(h, PureState(phi), t0).amplitudes
+        psi += math.sin(alpha) * v[:, -1]
+        p2 = (1.0 - gap) / n
+        rho, target = (
+            quasi_pure(QuasiPureSpec(p2 + gap, p2, (PureState(a), *_completion(rng, a))))
+            for a in (phi, psi)
+        )
+        for factor, arrives in ((1.05, True), (0.95, False)):
+            got = density_arrival_time(h, rho, target, 2.0, threshold=factor * closest)
+            want = _density_scan(h, rho, target, 2.0, threshold=factor * closest)
+            assert (got is not None) == (want is not None) == arrives, factor
+            if arrives:
+                assert abs(got - t0) <= 1e-9 and abs(want - t0) <= 1e-9
+        assert len(record_frobenius) == 0
 
     def test_stationary_pair(self, record_frobenius):
         # The distinguished ray is an eigenvector of H: the pair never moves,
