@@ -202,7 +202,7 @@ class TestHermEig:
         assert again is not first and again[0].tobytes() == first[0].tobytes()
 
     def test_lookup_by_content(self, rng):
-        # An equal copy hits; one ulp anywhere misses.
+        # An equal copy hits, whatever its layout; one ulp in one entry misses.
         h = random_hermitian(rng, 6)
         factors = herm_eig(h)
         assert herm_eig(h.copy()) is factors
