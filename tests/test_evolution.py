@@ -672,12 +672,16 @@ class TestDensityScreen:
         # The scan's candidates are the Frobenius distance's minima at most
         # the gate. Since ||D||_F <= ||D||_1 they are at least as many as
         # the trace-norm minima at most the gate on the same grid, and the
-        # search decides alike.
+        # search decides alike. A quasi-pure pair of one spectrum scans its
+        # rays, where the distance is ||D||_F itself. The Frobenius scan's
+        # step is 0.02 hbar / ||[H, rho]||_1, and the ray search takes its
+        # grid.
         h, rho, target, horizon, hbar = COVER_CASES[name]
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
         scans = record_scans(evolution)
-        got = _density_scan(h, rho, target, horizon, Units(hbar=hbar))
-        (scan,) = scans
+        got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
+        _density_scan(h, rho, target, horizon, Units(hbar=hbar))
+        scan, frobenius = scans
         want, refined, _ = _reference_density_arrival(
             h, rho, target, horizon, hbar, step=scan["step"]
         )
@@ -687,9 +691,11 @@ class TestDensityScreen:
         assert scan["refined"] >= refined
         assert scan["chunks"] > (1 if chunk == 64 else 0)
         commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
-        assert scan["step"] == pytest.approx(
+        assert frobenius["step"] == pytest.approx(
             0.02 * hbar / np.sum(np.abs(np.linalg.eigvalsh(commutator))), rel=1e-12
         )
+        assert scan["grid_points"] == frobenius["grid_points"]
+        assert scan["step"] == pytest.approx(frobenius["step"], rel=1e-12)
 
     def test_cases_cover_each_outcome(self):
         outcomes = {
