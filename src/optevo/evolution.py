@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import numerics
 from .errors import DimensionMismatchError, FoldExceededError
 from .numerics import SPECTRAL_TOL, _ray_search, _scan_arrival, as_matrix, herm_eig, unitary_exp
 from .quantum_states import (
@@ -333,7 +334,15 @@ def _quasi_pure_rays(rho: DensityMatrix, target: DensityMatrix):
     """(|p1 - p2|, phi, psi) when rho = p2 I + (p1 - p2) |phi><phi| and
     target = p2 I + (p1 - p2) |psi><psi|, their spectra equal within
     SPECTRAL_TOL and their (n - 1)-fold eigenvalue within SPECTRAL_TOL of
-    degenerate and farther from the simple one; None otherwise."""
+    degenerate and farther from the simple one; None otherwise.
+
+    Equal spectra w and u have equal purities: |sum w^2 - sum u^2| is at
+    most max |w - u| sum |w + u|, and so 2 SPECTRAL_TOL for unit-trace
+    spectra that are nonnegative within SPECTRAL_TOL. The target's purity
+    is read as ``eigh`` reads the matrix, from its lower triangle and real
+    diagonal, in O(n^2); where it differs from rho's by more than that plus
+    8 n^2 eps (the rounding of both sums and ``eigh``'s backward error),
+    the target's ``eigh`` is skipped."""
     if rho.n != target.n or rho.n < 2:
         return None
     w, v = np.linalg.eigh(rho.matrix)
@@ -342,6 +351,10 @@ def _quasi_pure_rays(rho: DensityMatrix, target: DensityMatrix):
         if rest[-1] - rest[0] <= SPECTRAL_TOL < abs(w[k] - rest[k]):  # rest[k] is next to w[k]
             break
     else:
+        return None
+    lower, diagonal = np.tril(target.matrix, -1), target.matrix.diagonal().real
+    purity = 2.0 * np.vdot(lower, lower).real + diagonal @ diagonal
+    if abs(purity - w @ w) > 2.0 * SPECTRAL_TOL + 8.0 * rho.n**2 * np.finfo(float).eps:
         return None
     u_w, u = np.linalg.eigh(target.matrix)
     if float(np.max(np.abs(u_w - w))) > SPECTRAL_TOL:
@@ -378,21 +391,24 @@ def _density_scan(
 
         ||D||_F^2 = ||S||_F^2 + ||G||_F^2 - 2 Re sum_jk p_j M_jk conj(p_k),
 
-    M = S o G^T: one (rows, n) @ (n, n) product per chunk of cell ends or
-    of grid points. No ``eigvalsh`` is spent on the grid. ||D||_F moves at
-    most at ||[H, rho]||_F / hbar, the commutator's Frobenius norm, so a
-    cell of up to 128 grid steps, of width W, whose end distances a and b
-    give (a + b - ||[H, rho]||_F W / hbar) / 2 above the gate
-    max(100 threshold, 0.05) by the margin s (2 sqrt(d) + sqrt(n) d) is
-    skipped; s^2 = ||S||_F^2 + ||G||_F^2 and
-    d = (64 n^2 + 8 |w|_inf horizon / hbar) eps. The quadratic form sums
-    terms of total size at most 2 s^2 (Cauchy-Schwarz) in inner products of
-    length n, and its phases, whose arguments reach |w|_inf horizon / hbar,
-    are unimodular only to a few eps, so a computed ||D||_F^2 is within
-    d s^2 of exact, and a computed ||D||_F within s sqrt(d): an end value
-    and a grid point's value together take 2 s sqrt(d). A grid point's
-    phases, products of two tables, move its distance by a few eps s more,
-    well within s sqrt(n) d.
+    M = S o G^T: one (rows, n) @ (n, n) product per slice of cell ends or
+    of grid points. A slice builds its rows of phases, products of a base
+    row and a table row, for at most ``numerics._SCAN_CHUNK`` phase entries
+    (one base row when its table holds more), so memory stays bounded
+    whatever the horizon. No ``eigvalsh`` is spent on the grid. ||D||_F
+    moves at most at ||[H, rho]||_F / hbar, the commutator's Frobenius
+    norm, so a cell of up to 128 grid steps, of width W, whose end
+    distances a and b give (a + b - ||[H, rho]||_F W / hbar) / 2 above the
+    gate max(100 threshold, 0.05) by the margin s (2 sqrt(d) + sqrt(n) d)
+    is skipped; s^2 = ||S||_F^2 + ||G||_F^2 and d = (64 n^2 + 8 |w|_inf
+    horizon / hbar) eps. The quadratic form sums terms of total size at
+    most 2 s^2 (Cauchy-Schwarz) in inner products of length n, and its
+    phases, whose arguments reach |w|_inf horizon / hbar, are unimodular
+    only to a few eps, so a computed ||D||_F^2 is within d s^2 of exact,
+    and a computed ||D||_F within s sqrt(d): an end value and a grid
+    point's value together take 2 s sqrt(d). A grid point's phases,
+    products of two tables, move its distance by a few eps s more, well
+    within s sqrt(n) d.
 
     The candidates, local minima of ||D||_F at most the gate, include every
     grid point whose trace distance is at most the gate, since
@@ -420,9 +436,14 @@ def _density_scan(
     margin = np.sqrt(squares) * (2.0 * np.sqrt(slack) + np.sqrt(w.size) * slack)
 
     def distance(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        phases = (bases[:, None, :] * table[None]).reshape(-1, w.size)
-        form = np.einsum("ij,ij->i", phases @ cross, phases.conj()).real
-        return np.sqrt(np.maximum(0.0, squares - 2.0 * form))
+        size = len(table)
+        rows = max(1, numerics._SCAN_CHUNK // (size * w.size))
+        out = np.empty(len(bases) * size)
+        for k in range(0, len(bases), rows):
+            phases = (bases[k : k + rows, None, :] * table[None]).reshape(-1, w.size)
+            form = np.einsum("ij,ij->i", phases @ cross, phases.conj()).real
+            out[k * size : k * size + len(phases)] = squares - 2.0 * form
+        return np.sqrt(np.maximum(0.0, out, out=out), out=out)
 
     def trace_norm(t: float) -> float:
         phases = np.exp(-1j * w * (t / hbar))

@@ -220,7 +220,8 @@ def _newton_min(derivatives, lo: float, hi: float, t: float, tol: float) -> tupl
 
 
 # Phase entries (grid points times dimension) in one batch of an arrival
-# scan, so its memory stays bounded whatever the horizon.
+# scan's live cells, and cells in one chunk of its screen, so its memory
+# stays bounded whatever the horizon.
 _SCAN_CHUNK = 1 << 15
 # Fine grid steps per cell of an arrival scan: the unit its screen skips and
 # the row count, less two, of its offset table. The screen's bound loosens by
@@ -230,14 +231,15 @@ _SCAN_BLOCK = 128
 
 
 def _phase_rows(w, start, step, count, hbar):
-    """Rows exp(-i w (start + k step) / hbar) for k < count, as products of
-    two tables of about sqrt(count) rows each: count n complex products in
-    place of count n complex exponentials, each row within a few eps of
-    its direct exponential."""
+    """Tables ``jumps`` and ``fine`` of about sqrt(count) rows each whose
+    products jumps[k // size] * fine[k % size], size = len(fine), are the
+    rows exp(-i w (start + k step) / hbar) for k < count: 2 sqrt(count) n
+    complex exponentials, each product within a few eps of its direct
+    exponential."""
     size = int(np.ceil(np.sqrt(count)))
-    steps = np.exp(-1j * np.outer(np.arange(size) * step, w) / hbar)
+    fine = np.exp(-1j * np.outer(np.arange(size) * step, w) / hbar)
     jumps = np.exp(-1j * np.outer(start + np.arange(-(-count // size)) * (size * step), w) / hbar)
-    return (jumps[:, None, :] * steps[None]).reshape(-1, w.size)[:count]
+    return jumps, fine
 
 
 def _ray_search(w, v, phi, psi, hbar, horizon):
@@ -300,21 +302,31 @@ def _scan_arrival(
     Screen. The grid is cut into cells of K = ``_SCAN_BLOCK`` steps (fewer
     when the grid or the chunk budget is small): cell j spans points jK to
     min(jK + K, count), and owns the points jK to jK + K - 1. The scan
-    streams cells in chunks and reads d at each chunk's cell ends, through
-    a one-row table of ones. On a cell of width W with end values a and b,
-    d is at least (a + b - rate W / hbar) / 2 (Piyavskii-Shubert). When
-    that exceeds ``gate + margin`` the cell is skipped without building its
-    phase rows, its points reading as +inf. ``margin`` covers the roundoff
-    of the end values and of a point's value, so a skipped cell holds no
-    point whose computed d is at most ``gate``, and the candidates are
-    those of a scan that evaluates every point.
+    takes cells in chunks and reads d at a chunk's C + 1 cell ends in one
+    call, ``distance(fine, jumps)``: the two tables of ``_phase_rows``,
+    about sqrt C rows each, ``fine`` at stride K dt from 0 and ``jumps`` at
+    stride len(fine) K dt from the chunk's first end. For the ray overlap
+    that is one (sqrt C, n) @ (n, sqrt C) product with no C x n temporary.
+    The last chunk's final end, the horizon, is off that stride and is
+    read once more through a one-row table of ones. On a cell of width W
+    with end values a and b, d is at least (a + b - rate W / hbar) / 2
+    (Piyavskii-Shubert). When that exceeds ``gate + margin`` the cell is
+    skipped without building its phase rows, its points reading as +inf.
+    ``margin`` covers the roundoff of the end values and of a point's
+    value, so a skipped cell holds no point whose computed d is at most
+    ``gate``, and the candidates are those of a scan that evaluates every
+    point.
 
     Gate. A live cell's points are read through ``table``, the K + 2 offset
-    rows for offsets -1 to K, built once a call, so each cell carries both
-    neighbours of its own points. Points past ``horizon`` read +inf. Chunks
-    of cells start at the batch size and double up to ``_SCAN_CHUNK`` phase
-    entries, so an early arrival pays only for the cells before it; live
-    cells are evaluated in batches of at most ``_SCAN_CHUNK`` phase entries.
+    rows for offsets -1 to K, built once a call, from its base row, the
+    product jumps[q] * fine[r] behind its first end; so each cell carries
+    both neighbours of its own points. Points past ``horizon`` read +inf.
+    The first chunk holds one batch of cells, so an early arrival pays
+    only for the cells before it; the rest of the horizon is screened in
+    chunks of up to ``_SCAN_CHUNK`` cells, each O(C) in memory for the ray
+    overlap. A distance that builds the products itself reads ``bases`` in
+    slices to stay bounded, as ``evolution._density_scan`` does. Live cells
+    are evaluated in batches of at most ``_SCAN_CHUNK`` phase entries.
     Each owned point no larger than both neighbours and ``gate`` is a
     candidate, the origin excepted.
 
@@ -345,25 +357,27 @@ def _scan_arrival(
     batch = max(1, room // (block + 2))
     cells = count // block + 1
     offsets = np.arange(-1, block + 1)
-    table = _phase_rows(w, -dt, dt, block + 2, hbar)
-    ones = np.ones((1, w.size))
+    jumps, fine = _phase_rows(w, -dt, dt, block + 2, hbar)
+    table = (jumps[:, None, :] * fine[None]).reshape(-1, w.size)[: block + 2]
     stats.update(grid_points=count + 1, step=step)
 
     first, width = 0, batch
     while first < cells:
         stop = min(first + width, cells)
-        width = min(2 * width, room - 1)
+        width = _SCAN_CHUNK
         stats["chunks"] += 1
         ends = np.minimum(np.arange(first, stop + 1) * block, count)
-        rows = _phase_rows(w, first * block * dt, block * dt, stop + 1 - first, hbar)
-        rows[-1] = np.exp(-1j * w * (ends[-1] * dt / hbar))  # the last end may be count
-        d = distance(ones, rows)
+        jumps, fine = _phase_rows(w, first * block * dt, block * dt, ends.size, hbar)
+        d = distance(fine, jumps)[: ends.size]
+        if stop == cells:  # the last end is count, off the cells' stride
+            d[-1] = distance(np.ones((1, w.size)), np.exp(-1j * w * (count * dt / hbar))[None])[0]
         lower = (d[:-1] + d[1:] - (rate / hbar) * (np.diff(ends) * dt)) / 2.0
         live = first + np.nonzero(~(lower > gate + margin))[0]
         stats["screened"] += stop - first - live.size
         for k in range(0, live.size, batch):
             cell = live[k : k + batch]
-            vals = distance(table, rows[cell - first]).reshape(cell.size, block + 2)
+            q, r = np.divmod(cell - first, len(fine))
+            vals = distance(table, jumps[q] * fine[r]).reshape(cell.size, block + 2)
             stats["evaluated"] += vals.size
             points = cell[:, None] * block + offsets
             vals[points > count] = np.inf

@@ -308,7 +308,8 @@ def first_arrival_time(
     That moves an end angle by at most 2 sqrt(d), and a grid point's angle
     at the gate by at most d / sin(arcsin 0.01) + O(d^2) < 101 d. The
     candidates are those of a scan that evaluates every grid point; a miss
-    far from the target costs about one row of n phases per cell. A grid
+    far from the target costs about n complex products per cell, one
+    (sqrt C, n) @ (n, sqrt C) product for a chunk of C cells. A grid
     point next to an arrival sits within 0.005 rad of the target, so the
     gate drops only minima that cannot reach it.
 

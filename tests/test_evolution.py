@@ -771,6 +771,52 @@ class TestDensityScreen:
         # Chunks of (rows, n, n) matrices peaked near 35 MB at n = 32.
         assert peak < 8e6
 
+    def test_memory_bounded_on_full_rank_long_miss(self, record_scans):
+        # 8e5 grid points, nearly every cell live; after a first chunk of 3
+        # cells the second screens the other 6365 at once. Its cell ends read
+        # in one piece took 35 MB; in slices of _SCAN_CHUNK phase entries the
+        # peak is near 2.3 MB.
+        rng = np.random.default_rng(79)
+        h = _fixed_spread(rng, 64)
+        rho = _random_density(rng, 64, np.arange(1.0, 65.0))
+        target = _random_density(rng, 64, np.arange(1.0, 65.0) ** 2)
+        numerics.herm_eig(h)
+        scans = record_scans(evolution)
+        tracemalloc.start()
+        try:
+            arrival = density_arrival_time(h, rho, target, 3000.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert arrival is None and scans[0]["chunks"] == 2
+        assert scans[0]["grid_points"] > 500_000
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("kind", ["quasi-pure", "full-rank"])
+    def test_arrival_in_the_second_chunk(self, kind, record_scans):
+        # At n = 8 the first chunk holds 31 cells of 128 steps; a passage
+        # 5000 steps out is found in the second, as the trace-norm reference
+        # finds it, by the ray search (a quasi-pure pair of one spectrum) and
+        # by the Frobenius scan.
+        rng = np.random.default_rng([89, kind == "full-rank"])
+        h = _fixed_spread(rng, 8)
+        if kind == "quasi-pure":
+            rho = _one_spectrum_pair(rng, 8, 0.5, True)[0]
+        else:
+            rho = _random_density(rng, 8, np.arange(1.0, 9.0))
+        commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
+        t_star = 5000 * 0.02 / np.sum(np.abs(np.linalg.eigvalsh(commutator)))
+        target = propagate_density(h, rho, t_star)
+        scans = record_scans(evolution)
+        got = density_arrival_time(h, rho, target, 1.5 * t_star)
+        frobenius = _density_scan(h, rho, target, 1.5 * t_star)
+        want, _, _ = _reference_density_arrival(
+            h, rho, target, 1.5 * t_star, step=scans[1]["step"]
+        )
+        assert abs(want - t_star) <= 1e-9
+        assert abs(got - want) <= 1e-9 and abs(frobenius - want) <= 1e-9
+        assert [scan["chunks"] for scan in scans] == [2, 2]
+
 
 def _one_spectrum_pair(rng, n, gap, above):
     """Two quasi-pure densities of one spectrum, |p1 - p2| = gap, with p1
@@ -920,6 +966,29 @@ class TestQuasiPureRoute:
             density_arrival_time(h, rho, rho, 10.0)
         assert density_arrival_time(h, rho, other, 10.0) is None
         assert not record_frobenius
+
+    @pytest.mark.parametrize("case", ["one-spectrum", "other-purity", "same-purity"])
+    def test_target_eigh_only_at_equal_purity(self, case, record_eigh):
+        # Against rho of spectrum (0.6, 0.1, 0.1, 0.1, 0.1), purity 0.4, a
+        # target of one spectrum is factorized and routed; one of another
+        # purity is turned away before its eigh; one of purity 0.4 but
+        # another spectrum is factorized and turned away.
+        rng = np.random.default_rng(97)
+        p = (1.7 + math.sqrt(1.7**2 + 16 * 0.41)) / 8.0  # 4 p^2 - 1.7 p - 0.41 = 0
+        spectrum = {
+            "one-spectrum": [0.6] + [0.1] * 4,
+            "other-purity": [0.7] + [0.075] * 4,
+            "same-purity": [p, 0.15] + [(0.85 - p) / 3.0] * 3,
+        }[case]
+        rho = _random_density(rng, 5, [0.6] + [0.1] * 4)
+        target = _random_density(rng, 5, spectrum)
+        assert np.sum(np.square(spectrum)) == pytest.approx(
+            0.4 if case != "other-purity" else 0.5125, abs=1e-15
+        )
+        calls = record_eigh()
+        rays = evolution._quasi_pure_rays(rho, target)
+        assert (rays is not None) == (case == "one-spectrum")
+        assert calls == ["eigh"] * (1 if case == "other-purity" else 2)
 
     def test_memory_bounded_on_miss(self, record_frobenius):
         rng = np.random.default_rng(71)

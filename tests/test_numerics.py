@@ -295,9 +295,9 @@ class TestScanArrival:
     distance and the judge are both |t - t_star|, which moves at rate 1;
     the gate is 0.05 with no margin, so only the cells next to t_star
     survive. A chunk budget of 16 phase entries makes cells of 6 steps, 51
-    of them (the last holds only the final point 300), one cell a batch,
-    and chunks of 1, 2, 4, then 7 cells: chunk 4 starts at cell 7, point
-    42. The distances are kinked at their minima, so ``slope`` gives their
+    of them (the last holds only the final point 300), one cell a batch, a
+    first chunk of one cell and then chunks of 16 cells: chunk 3 starts at
+    cell 17, point 102. The distances are kinked at their minima, so ``slope`` gives their
     first derivative, the second is 0 and the refinement bisects."""
 
     W = np.array([0.0, 1.0])
@@ -324,10 +324,10 @@ class TestScanArrival:
             (1, 1),  # the first point after the origin
             (5, 1),  # a cell's last point: its right neighbour starts the next cell
             (6, 2),  # a cell's first point: its left neighbour ends the last cell
-            (41, 3),  # the last point of a chunk
-            (42, 4),  # the first point of the next chunk
-            (299, 10),  # the last point of the last full cell
-            (300, 10),  # the final grid point, alone in its cell
+            (101, 2),  # the last point of a chunk
+            (102, 3),  # the first point of the next chunk
+            (299, 5),  # the last point of the last full cell
+            (300, 5),  # the final grid point, alone in its cell
         ],
     )
     def test_lone_minimum_found_once(self, monkeypatch, index, chunks):
@@ -337,8 +337,8 @@ class TestScanArrival:
         )
         assert t == pytest.approx(t_star, abs=1e-9)
         assert (stats["chunks"], stats["refined"]) == (chunks, 1)
-        # Chunks stream 1, 3, 7, 14, 21, ... cells; at most two are live.
-        streamed = min(51, (1, 3, 7)[chunks - 1] if chunks <= 3 else 7 * (chunks - 2))
+        # Chunks stream 1, 17, 33, 49, then all 51 cells; at most two are live.
+        streamed = min(51, 1 + 16 * (chunks - 1))
         assert stats["screened"] >= streamed - 2
 
     @pytest.mark.parametrize("index", [2, 3, 4, 5, 6, 299, 300])
@@ -371,21 +371,24 @@ class TestScanArrival:
 
     def test_factored_phases_match_direct(self, monkeypatch):
         # Batches of 4 cells of 8 steps, offsets -1 to 8; the phases reach
-        # about 50 rad. A distance of 0 at every cell end keeps every cell,
-        # so the batches tile the grid in order; each chunk first reads its
-        # cell ends through a one-row table of ones.
+        # about 54 rad. A distance of 0 at every cell end keeps every cell,
+        # so the batches tile the grid in order. The 500-step grid has 63
+        # cells: a first chunk of 4 (a batch), then one of the other 59.
+        # Each chunk reads its cell ends as the products of two tables, 2 x 3
+        # rows for 5 ends and 8 x 8 for 60; the last chunk reads its final
+        # end, the horizon, once more through a one-row table of ones.
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", 5 * 40)
         monkeypatch.setattr(numerics, "_SCAN_BLOCK", 8)
         w, hbar, horizon = np.array([-4.0, -1.3, 0.2, 2.9, 5.0]), 2.0, 20.0
         ends, batches = [], []
 
         def distance(table, bases):
-            if table.shape[0] == 1:
-                assert np.array_equal(table, np.ones((1, w.size)))
-                ends.append(bases)
-                return np.zeros(len(bases))
-            batches.append(bases[:, None, :] * table[None])
-            return np.full(batches[-1].shape[0] * batches[-1].shape[1], np.inf)
+            phases = bases[:, None, :] * table[None]
+            if table.shape[0] == 10:  # the offset table: a batch of live cells
+                batches.append(phases)
+                return np.full(phases.shape[0] * phases.shape[1], np.inf)
+            ends.append(phases.reshape(-1, w.size))
+            return np.zeros(len(ends[-1]))
 
         _, stats = _scan_arrival(
             distance, None, None, w, hbar, horizon, 0.5, 0.0, 1.0, 0.0, 1e-9
@@ -399,17 +402,15 @@ class TestScanArrival:
                 times = (cell * 8 + np.arange(-1, 9)) * dt
                 assert np.max(np.abs(phases - np.exp(-1j * np.outer(times, w) / hbar))) <= 1e-13
                 cell += 1
-        assert cell == count // 8 + 1 and len(batches) > 1 and stats["chunks"] > 1
+        assert (count, cell, stats["chunks"]) == (500, 63, 2) and len(batches) > 1
         assert stats["screened"] == 0 and stats["evaluated"] == cell * 10
-        # One read of the ends per chunk; a chunk's last end, the horizon at
-        # the last, is read again as the next chunk's first.
-        assert len(ends) == stats["chunks"]
-        first = 0
-        for rows in ends:
-            times = np.minimum((first + np.arange(len(rows))) * 8, count) * dt
+        # Every product of a chunk's tables is the phase row of a cell end
+        # (those past the horizon are read and dropped).
+        assert [len(rows) for rows in ends] == [6, 64, 1]
+        for first, rows in zip((0, 4), ends):
+            times = (first + np.arange(len(rows))) * 8 * dt
             assert np.max(np.abs(rows - np.exp(-1j * np.outer(times, w) / hbar))) <= 1e-13
-            first += len(rows) - 1
-        assert first == cell
+        assert np.max(np.abs(ends[-1] - np.exp(-1j * w * (horizon / hbar)))) <= 1e-13
 
     def test_stationary_start_is_decided_without_a_scan(self):
         def distance(table, bases):
@@ -445,9 +446,8 @@ class TestScanArrival:
         assert arrival is None
         # About 1.8e6 grid points; a whole-grid phase matrix would take 900 MB.
         assert peak < 8e6
-        # The cell screen covered the grid in chunks that doubled from 7 cells
-        # to their full width of 1023 (room for _SCAN_CHUNK phase entries)
-        # and then stayed there.
+        # The cell screen covered the grid in a first chunk of 7 cells (a
+        # batch) and then in chunks of _SCAN_CHUNK cells.
         cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
-        assert scans[0]["chunks"] == 8 + math.ceil((cells - 7 * (2**8 - 1)) / 1023)
+        assert scans[0]["chunks"] == 1 + math.ceil((cells - 7) / numerics._SCAN_CHUNK)
         assert scans[0]["screened"] > 0.9 * cells

@@ -609,13 +609,32 @@ class TestFirstArrival:
         assert scans[0]["grid_points"] == math.ceil(3e4 * delta_e / 0.01) + 1
         assert scans[0]["evaluated"] <= 0.02 * scans[0]["grid_points"]
         assert scans[0]["screened"] > 0
+        # A first chunk of one batch, then chunks of up to _SCAN_CHUNK cells:
+        # chunks doubling from the batch up to _SCAN_CHUNK phase entries took
+        # 15 here.
+        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
+        assert scans[0]["chunks"] <= 1 + math.ceil(cells / numerics._SCAN_CHUNK)
+
+    def test_arrival_in_the_second_chunk(self, record_scans, rng):
+        # At n = 8 the first chunk holds 31 cells of 128 steps; a passage
+        # 5000 steps out is found in the second, as the reference finds it.
+        h = random_hermitian(rng, 8)
+        phi = random_pure_state(rng, 8)
+        t_star = 5000 * 0.01 / energy_uncertainty(h, phi)
+        psi = propagate(h, phi, t_star)
+        scans = record_scans(synthesis)
+        got = first_arrival_time(h, phi, psi, 1.5 * t_star)
+        want = _reference_first_arrival(h, phi, psi, 1.5 * t_star, 1.0)
+        assert abs(got - t_star) <= 1e-9 and abs(got - want) <= 1e-9
+        assert scans[0]["chunks"] == 2
 
     @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
     def test_matches_reference_across_chunk_seams(self, monkeypatch, record_scans, kind):
-        # 48 phase entries at n = 8 make cells of 4 steps, one a batch, in
-        # chunks of 1, 2, 4, then 5 cells; the grids hold 50 to 1300 points,
-        # so every arrival and minimum near the gate lies among many seams.
-        monkeypatch.setattr(numerics, "_SCAN_CHUNK", 8 * 6)
+        # 24 phase entries at n = 8 make cells of one step, one a batch, in
+        # a first chunk of one cell and then chunks of 24; the grids hold 53
+        # to 1304 points, so every arrival and minimum near the gate lies
+        # among many seams.
+        monkeypatch.setattr(numerics, "_SCAN_CHUNK", 8 * 3)
         h, phi, psi, horizon = _arrival_case(kind, 8, 1.0)
         scans = record_scans(synthesis)
         got = first_arrival_time(h, phi, psi, horizon)
