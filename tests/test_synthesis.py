@@ -610,8 +610,8 @@ class TestFirstArrival:
         assert scans[0]["evaluated"] <= 0.02 * scans[0]["grid_points"]
         assert scans[0]["screened"] > 0
         # A first chunk of one batch, then chunks of up to _SCAN_CHUNK cells:
-        # chunks doubling from the batch up to _SCAN_CHUNK phase entries took
-        # 15 here.
+        # 3 for these 50456 cells, where chunks doubling from the batch up to
+        # _SCAN_CHUNK phase entries take 19.
         cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
         assert scans[0]["chunks"] <= 1 + math.ceil(cells / numerics._SCAN_CHUNK)
 
