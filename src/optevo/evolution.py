@@ -27,7 +27,15 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError, FoldExceededError
-from .numerics import SPECTRAL_TOL, _ray_search, _scan_arrival, as_matrix, herm_eig, unitary_exp
+from .numerics import (
+    SPECTRAL_TOL,
+    STRUCTURAL_TOL,
+    _ray_search,
+    _scan_arrival,
+    as_matrix,
+    herm_eig,
+    unitary_exp,
+)
 from .quantum_states import (
     DensityMatrix,
     PureState,
@@ -338,11 +346,12 @@ def _quasi_pure_rays(rho: DensityMatrix, target: DensityMatrix):
 
     Equal spectra w and u have equal purities: |sum w^2 - sum u^2| is at
     most max |w - u| sum |w + u|, and so 2 SPECTRAL_TOL for unit-trace
-    spectra that are nonnegative within SPECTRAL_TOL. The target's purity
-    is read as ``eigh`` reads the matrix, from its lower triangle and real
-    diagonal, in O(n^2); where it differs from rho's by more than that plus
-    8 n^2 eps (the rounding of both sums and ``eigh``'s backward error),
-    the target's ``eigh`` is skipped."""
+    spectra that are nonnegative within SPECTRAL_TOL. ``eigh`` reads the
+    target's lower triangle, a Hermitian matrix within the density gate's
+    defect of the target, so sum u^2 is within STRUCTURAL_TOL ||target||_F^2
+    of ||target||_F^2. Where that O(n^2) purity differs from sum w^2 by
+    more than both terms plus 8 n^2 eps (the rounding of both sums and
+    ``eigh``'s backward error), the target's ``eigh`` is skipped."""
     if rho.n != target.n or rho.n < 2:
         return None
     w, v = np.linalg.eigh(rho.matrix)
@@ -352,9 +361,9 @@ def _quasi_pure_rays(rho: DensityMatrix, target: DensityMatrix):
             break
     else:
         return None
-    lower, diagonal = np.tril(target.matrix, -1), target.matrix.diagonal().real
-    purity = 2.0 * np.vdot(lower, lower).real + diagonal @ diagonal
-    if abs(purity - w @ w) > 2.0 * SPECTRAL_TOL + 8.0 * rho.n**2 * np.finfo(float).eps:
+    purity = np.vdot(target.matrix, target.matrix).real
+    roundoff = 8.0 * rho.n**2 * np.finfo(float).eps
+    if abs(purity - w @ w) > 2.0 * SPECTRAL_TOL + STRUCTURAL_TOL * purity + roundoff:
         return None
     u_w, u = np.linalg.eigh(target.matrix)
     if float(np.max(np.abs(u_w - w))) > SPECTRAL_TOL:

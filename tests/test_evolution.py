@@ -39,6 +39,7 @@ from optevo import (
 )
 from optevo import evolution, numerics, verification
 from optevo.evolution import _density_scan
+from optevo.numerics import STRUCTURAL_TOL
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from optevo.verification import run_suite
 from reference_refinement import refine
@@ -967,27 +968,32 @@ class TestQuasiPureRoute:
         assert density_arrival_time(h, rho, other, 10.0) is None
         assert not record_frobenius
 
-    @pytest.mark.parametrize("case", ["one-spectrum", "other-purity", "same-purity"])
+    @pytest.mark.parametrize(
+        "case", ["one-spectrum", "upper-defect", "other-purity", "same-purity"]
+    )
     def test_target_eigh_only_at_equal_purity(self, case, record_eigh):
         # Against rho of spectrum (0.6, 0.1, 0.1, 0.1, 0.1), purity 0.4, a
-        # target of one spectrum is factorized and routed; one of another
-        # purity is turned away before its eigh; one of purity 0.4 but
-        # another spectrum is factorized and turned away.
+        # target of one spectrum is factorized and routed, also when its
+        # upper triangle, which eigh does not read, carries a Hermiticity
+        # defect of 0.7 STRUCTURAL_TOL |target|_F (its |target|_F^2 then
+        # moves by 1.9e-11); one of another purity is turned away before
+        # its eigh; one of purity 0.4 but another spectrum is factorized and
+        # turned away.
         rng = np.random.default_rng(97)
         p = (1.7 + math.sqrt(1.7**2 + 16 * 0.41)) / 8.0  # 4 p^2 - 1.7 p - 0.41 = 0
         spectrum = {
-            "one-spectrum": [0.6] + [0.1] * 4,
             "other-purity": [0.7] + [0.075] * 4,
             "same-purity": [p, 0.15] + [(0.85 - p) / 3.0] * 3,
-        }[case]
+        }.get(case, [0.6] + [0.1] * 4)
         rho = _random_density(rng, 5, [0.6] + [0.1] * 4)
         target = _random_density(rng, 5, spectrum)
-        assert np.sum(np.square(spectrum)) == pytest.approx(
-            0.4 if case != "other-purity" else 0.5125, abs=1e-15
-        )
+        if case == "upper-defect":
+            upper = np.triu(target.matrix, 1)
+            scale = 0.5 * STRUCTURAL_TOL * np.linalg.norm(target.matrix) / np.linalg.norm(upper)
+            target = DensityMatrix(target.matrix + scale * upper)
         calls = record_eigh()
         rays = evolution._quasi_pure_rays(rho, target)
-        assert (rays is not None) == (case == "one-spectrum")
+        assert (rays is not None) == (case in ("one-spectrum", "upper-defect"))
         assert calls == ["eigh"] * (1 if case == "other-purity" else 2)
 
     def test_memory_bounded_on_miss(self, record_frobenius):
