@@ -401,23 +401,24 @@ def _density_scan(
         ||D||_F^2 = ||S||_F^2 + ||G||_F^2 - 2 Re sum_jk p_j M_jk conj(p_k),
 
     M = S o G^T: one (rows, n) @ (n, n) product per slice of cell ends or
-    of grid points. A slice builds its rows of phases, products of a base
-    row and a table row, for at most ``numerics._SCAN_CHUNK`` phase entries
-    (one base row when its table holds more), so memory stays bounded
-    whatever the horizon. No ``eigvalsh`` is spent on the grid. ||D||_F
-    moves at most at ||[H, rho]||_F / hbar, the commutator's Frobenius
-    norm, so a cell of up to 128 grid steps, of width W, whose end
-    distances a and b give (a + b - ||[H, rho]||_F W / hbar) / 2 above the
-    gate max(100 threshold, 0.05) by the margin s (2 sqrt(d) + sqrt(n) d)
-    is skipped; s^2 = ||S||_F^2 + ||G||_F^2 and d = (64 n^2 + 8 |w|_inf
-    horizon / hbar) eps. The quadratic form sums terms of total size at
-    most 2 s^2 (Cauchy-Schwarz) in inner products of length n, and its
-    phases, whose arguments reach |w|_inf horizon / hbar, are unimodular
-    only to a few eps, so a computed ||D||_F^2 is within d s^2 of exact,
-    and a computed ||D||_F within s sqrt(d): an end value and a grid
-    point's value together take 2 s sqrt(d). A grid point's phases,
-    products of two tables, move its distance by a few eps s more, well
-    within s sqrt(n) d.
+    of grid points. No ``eigvalsh`` is spent on the grid. ||D||_F moves at
+    most at ||[H, rho]||_F / hbar, the commutator's Frobenius norm, so a
+    cell of up to 128 grid steps, of width W, whose end distances a and b
+    give (a + b - ||[H, rho]||_F W / hbar) / 2 above the gate
+    max(100 threshold, 0.05) by the margin s (2 sqrt(d) + sqrt(n) d) is
+    skipped; s^2 = ||S||_F^2 + ||G||_F^2 and
+    d = (64 n^2 + 8 |w|_inf horizon / hbar) eps. The quadratic form sums
+    terms of total size at most 2 s^2 (Cauchy-Schwarz) in inner products of
+    length n, and its phases, whose arguments reach |w|_inf horizon / hbar,
+    are unimodular only to a few eps, so a computed ||D||_F^2 is within
+    d s^2 of exact, and a computed ||D||_F within s sqrt(d): an end value
+    and a grid point's value together take 2 s sqrt(d). A grid point's
+    phases, products of two tables, move its distance by a few eps s more,
+    well within s sqrt(n) d.
+
+    A slice builds its phases, products of a base row and a table row, for
+    at most ``numerics._SCAN_CHUNK`` phase entries (one base row when its
+    table holds more), so memory stays bounded whatever the horizon.
 
     The candidates, local minima of ||D||_F at most the gate, include every
     grid point whose trace distance is at most the gate, since

@@ -318,9 +318,10 @@ def _scan_arrival(
     point.
 
     Gate. A live cell's points are read through ``table``, the K + 2 offset
-    rows for offsets -1 to K, built once a call, from its base row, the
-    product jumps[q] * fine[r] behind its first end; so each cell carries
-    both neighbours of its own points. Points past ``horizon`` read +inf.
+    rows for offsets -1 to K built once a call, from its base row
+    jumps[q] * fine[r], the phase row of its first end; so each cell
+    carries both neighbours of its own points. Points past ``horizon``
+    read +inf.
     The first chunk holds one batch of cells, so an early arrival pays
     only for the cells before it; the rest of the horizon is screened in
     chunks of up to ``_SCAN_CHUNK`` cells, each O(C) in memory for the ray

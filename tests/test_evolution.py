@@ -775,8 +775,8 @@ class TestDensityScreen:
     def test_memory_bounded_on_full_rank_long_miss(self, record_scans):
         # 8e5 grid points, nearly every cell live; after a first chunk of 3
         # cells the second screens the other 6365 at once. Its cell ends read
-        # in one piece took 35 MB; in slices of _SCAN_CHUNK phase entries the
-        # peak is near 2.3 MB.
+        # in one piece traced 14 MB; in slices of _SCAN_CHUNK phase entries
+        # the peak is near 2.5 MB.
         rng = np.random.default_rng(79)
         h = _fixed_spread(rng, 64)
         rho = _random_density(rng, 64, np.arange(1.0, 65.0))
