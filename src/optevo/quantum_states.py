@@ -281,16 +281,22 @@ def energy_uncertainty(h, phi: PureState) -> float:
     sqrt(|H phi|^2 - <phi|H|phi>^2) it does not cancel: the result is exact
     to a few eps |H| even for a state close to an eigenstate.
     """
+    return float(np.linalg.norm(_coupling(h, phi)[2]))
+
+
+def _coupling(h, phi: PureState) -> tuple[np.ndarray, float, np.ndarray]:
+    """H as a checked matrix (square, of phi's dimension, Hermitian), its
+    mean energy m = <phi|H|phi> and coupling x = H phi - m phi, orthogonal to phi."""
     a = as_matrix(h)
     if a.shape[0] != phi.n:
         raise DimensionMismatchError(
             f"operator of dimension {a.shape[0]} against state of dimension {phi.n}"
         )
     if not is_hermitian(a):
-        raise NotHermitianError("observable must be Hermitian")
+        raise NotHermitianError("operator must be Hermitian")
     image = a @ phi.amplitudes
     mean = float(np.vdot(phi.amplitudes, image).real)
-    return float(np.linalg.norm(image - mean * phi.amplitudes))
+    return a, mean, image - mean * phi.amplitudes
 
 
 def energy_uncertainty_max(h) -> tuple[float, PureState]:

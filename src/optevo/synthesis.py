@@ -13,8 +13,11 @@ A the block on that complement. The uncertainty in the state is |x|, and
 the generator is maximal-speed precisely when A x = m x, a condition on
 directions unchanged by scaling and by adding multiples of the identity;
 ``numerics._eigen_residual`` reads it as it reads the structural test.
+The verdict builds no such basis: with x = H phi - m phi in full
+coordinates, L = H - m I - x phi* - phi x* vanishes on phi and acts as
+A - m I on its complement, so |L|_F = |A - m I|_F and L x = (A - m I) x.
 
-This module extracts the block data, issues the verdict, builds
+This module issues the verdict, extracts the block data, builds
 maximal-speed generators between two rays (the canonical anti-Hermitian
 coupling of the start ray with its normalized complement component of the
 target, scaled by the requested uncertainty), samples the wider family
@@ -30,12 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotHermitianError,
-    NotOptimalError,
-    StationaryStateError,
-)
+from .errors import DimensionMismatchError, NotOptimalError, StationaryStateError
 from .lie_flag import SuVector
 from .numerics import (
     SEARCH_TOL,
@@ -47,9 +45,8 @@ from .numerics import (
     as_matrix,
     frobenius,
     herm_eig,
-    is_hermitian,
 )
-from .quantum_states import PureState, Units, energy_uncertainty, fs_distance
+from .quantum_states import PureState, Units, _coupling, energy_uncertainty, fs_distance
 
 __all__ = [
     "Verdict",
@@ -77,7 +74,8 @@ class OptimalityVerdict:
     """Outcome of the maximal-speed test.
 
     ``residual`` is ``numerics._eigen_residual`` of A - m I and x (0 if
-    stationary), optimal exactly when at most SEARCH_TOL. ``delta_e`` is
+    stationary), optimal exactly when at most SEARCH_TOL, with
+    L = H - m I - x phi* - phi x* standing in for A - m I. ``delta_e`` is
     the uncertainty in the tested state and ``delta_e_max`` half the
     spectral spread; the two agree whenever the verdict is optimal.
     """
@@ -144,13 +142,7 @@ def adapted_basis(phi: PureState) -> np.ndarray:
 
 def adapted_blocks(h, phi: PureState) -> HamiltonianBlocks:
     """Express a Hermitian operator in a basis adapted to a state."""
-    a = as_matrix(h)
-    if a.shape[0] != phi.n:
-        raise DimensionMismatchError(
-            f"operator of dimension {a.shape[0]} against state of dimension {phi.n}"
-        )
-    if not is_hermitian(a):
-        raise NotHermitianError("block extraction requires a Hermitian operator")
+    a = _coupling(h, phi)[0]
     basis = adapted_basis(phi)
     hb = basis.conj().T @ a @ basis
     hb = (hb + hb.conj().T) / 2.0
@@ -170,21 +162,25 @@ def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
     exactly when (A - m I) x = 0 holds by direction: the verdict is the
     same for lambda H + c I, save that its roundoff term grows with |H|_F.
     """
-    blocks, kind, residual = _classify(h, phi)
+    kind, residual, delta_e = _classify(h, phi)
     w, _ = herm_eig(h)
-    delta_e = float(np.linalg.norm(blocks.coupling))
     return OptimalityVerdict(kind, residual, delta_e, float(w[-1] - w[0]) / 2.0)
 
 
-def _classify(h, phi: PureState) -> tuple[HamiltonianBlocks, Verdict, float]:
-    """Adapted blocks of H with the verdict's kind and residual."""
-    blocks = adapted_blocks(h, phi)
-    x, scale = blocks.coupling, frobenius(h)
-    if _stationary(float(np.linalg.norm(x)), scale):
-        return blocks, Verdict.STATIONARY, 0.0
-    left = blocks.complement - blocks.mean_energy * np.eye(x.size)
-    residual = _eigen_residual(left, x, scale, x.size + 1)
-    return blocks, Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL, residual
+def _classify(h, phi: PureState) -> tuple[Verdict, float, float]:
+    """Kind, residual and uncertainty |x|, in O(n^2) from x and L (module
+    docstring). The floor reads the |x| ``qsl_time`` reads; the residual
+    reads (H + H*) / 2, as ``herm_eig`` does: H itself if H is Hermitian to
+    the last bit, without an anti-Hermitian part ``is_hermitian`` allows."""
+    a, _, x = _coupling(h, phi)
+    delta_e, scale = float(np.linalg.norm(x)), frobenius(a)
+    if _stationary(delta_e, scale):
+        return Verdict.STATIONARY, 0.0, delta_e
+    a, mean, x = _coupling((a + a.conj().T) / 2.0, phi)
+    p = phi.amplitudes
+    left = a - mean * np.eye(p.size) - np.outer(x, p.conj()) - np.outer(p, x.conj())
+    residual = _eigen_residual(left, x, scale, p.size)
+    return Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL, residual, delta_e
 
 
 def optimal_hamiltonian(phi: PureState, psi: PureState, energy: float) -> np.ndarray:
@@ -354,13 +350,13 @@ def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:
     """Algebra element generating the ray motion, with its base point.
 
     For a maximal-speed generator H and state phi, returns (X, U) where X
-    is -iH with the trace part removed and U is the adapted-basis unitary
-    carrying the first standard basis vector to phi. U* X U is equigeodesic
+    is -iH with the trace part removed and U = ``adapted_basis(phi)``
+    carries the first standard basis vector to phi. U* X U is equigeodesic
     for the partition (1, n-1): the orbit of X through the base point is a
     geodesic for every invariant metric. The structural certificate accepts
     it unless rounding of a large identity part of H tilts a weak coupling.
     """
-    blocks, kind, _ = _classify(h, phi)
+    kind = _classify(h, phi)[0]
     if kind is not Verdict.OPTIMAL:
         raise NotOptimalError(
             f"generator is {kind.value}; only optimal generators correspond "
@@ -370,4 +366,4 @@ def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:
     n = a.shape[0]
     traceless = a - (np.trace(a) / n) * np.eye(n)
     traceless -= (np.trace(traceless) / n) * np.eye(n)  # what rounding left of the trace
-    return SuVector(-1j * traceless), blocks.basis
+    return SuVector(-1j * traceless), adapted_basis(phi)

@@ -374,6 +374,21 @@ class TestVerify:
         assert r.returncode == 2
 
 
+def assert_report_schema(doc, inputs, outputs, extra=()):
+    """The exact keys of a run report, its inputs and its outputs, and its
+    versions object."""
+    top = {"command", "inputs", "outputs", "seed", "wall_time_s", "versions", *extra}
+    assert set(doc) == top
+    assert set(doc["inputs"]) == set(inputs)
+    assert all(set(entry) == {"path", "sha256"} for entry in doc["inputs"].values())
+    assert set(doc["outputs"]) == set(outputs)
+    assert doc["versions"] == {
+        "optevo": optevo.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
 class TestJsonReports:
     def test_synthesize_report(self, tmp_path, qubit_files):
         out = tmp_path / "ham.json"
@@ -396,14 +411,62 @@ class TestJsonReports:
         )
         assert r.returncode == 0, r.stdout + r.stderr
         doc = json.loads(r.stdout)
-        assert set(doc) == {"command", "inputs", "outputs", "seed", "wall_time_s", "versions"}
-        assert set(doc["inputs"]) == {"ham", "state"}
-        assert set(doc["outputs"]) == {"verdict", "delta_e", "delta_e_max", "residual"}
-        assert doc["versions"] == {
-            "optevo": optevo.__version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        }
+        assert_report_schema(
+            doc, {"ham", "state"}, {"verdict", "delta_e", "delta_e_max", "residual"}
+        )
+
+    @pytest.mark.parametrize("family_seed", [None, 9])
+    def test_synthesize_report_schema(self, tmp_path, qubit_files, family_seed):
+        flags = () if family_seed is None else ("--family-seed", family_seed)
+        r = run_cli(
+            "synthesize", "--from", qubit_files["ket0"], "--to", qubit_files["ket1"],
+            "--energy", 1.0, "--out", tmp_path / "ham.json", *flags, "--json",
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
+        doc = json.loads(r.stdout)
+        assert_report_schema(doc, {"from", "to"}, {"s", "delta_e", "T", "out"})
+        assert doc["command"] == "synthesize"
+        assert doc["seed"] == family_seed
+
+    def test_equigeodesic_report_schema(self, tmp_path):
+        vec = write_matrix(tmp_path / "x.json", X_LINE_TRUE, "skew-hermitian")
+        r = run_cli("equigeodesic", "--vector", vec, "--blocks", "1,2", "--json")
+        assert r.returncode == 0, r.stdout + r.stderr
+        doc = json.loads(r.stdout)
+        assert_report_schema(doc, {"vector"}, {"structural", "variational", "max_residual"})
+        assert doc["command"] == "equigeodesic"
+        assert doc["seed"] is None
+
+    @pytest.mark.parametrize(
+        "density, residuals",
+        [(False, {"norm_residual"}), (True, {"trace_residual", "spectrum_residual"})],
+    )
+    def test_evolve_report_schema(self, tmp_path, qubit_files, density, residuals):
+        state = qubit_files["ket0"]
+        if density:
+            state = write_matrix(tmp_path / "rho.json", np.diag([1.0, 0.0]), "density")
+        r = run_cli(
+            "evolve", "--ham", qubit_files["sigma_y"], "--state", state,
+            "--t0", 0.0, "--t1", 1.0, "--steps", 4, "--out", tmp_path / "traj.json",
+            *(("--density",) if density else ()), "--json",
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
+        doc = json.loads(r.stdout)
+        assert_report_schema(doc, {"ham", "state"}, {"samples", "out", *residuals})
+        assert doc["command"] == "evolve"
+        assert doc["seed"] is None
+
+    def test_verify_report_schema(self):
+        r = run_cli("verify", "--suite", "algebra", "--trials", 1, "--seed", 3, "--json")
+        assert r.returncode == 0, r.stdout + r.stderr
+        doc = json.loads(r.stdout)
+        assert_report_schema(doc, set(), {"results", "all_passed"}, extra={"check_wall_s"})
+        assert doc["command"] == "verify"
+        assert doc["seed"] == 3
+        assert all(
+            set(row) == {"name", "suite", "passed", "max_residual", "bound", "trials", "detail"}
+            for row in doc["outputs"]["results"]
+        )
 
     def test_check_report_keeps_exit_code(self, qubit_files):
         r = run_cli(

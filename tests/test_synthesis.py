@@ -39,8 +39,15 @@ from optevo import (
     qsl_time,
 )
 from optevo import numerics, synthesis
-from optevo.numerics import SEARCH_TOL, STRUCTURAL_TOL, herm_eig
-from optevo.sampling import random_hermitian, random_pure_state
+from optevo.numerics import (
+    SEARCH_TOL,
+    STRUCTURAL_TOL,
+    _eigen_residual,
+    _stationary,
+    frobenius,
+    herm_eig,
+)
+from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from reference_refinement import refine
 
 ATOL = 1e-12
@@ -89,6 +96,20 @@ def gram_schmidt_basis(phi):
     return np.column_stack(cols)
 
 
+def _reference_verdict(h, phi):
+    """(kind, residual, delta_e) read from the adapted blocks, as the
+    verdict was before it moved to full coordinates: the coupling and the
+    complement block of the symmetrized B* H B, B = ``adapted_basis``."""
+    blocks = adapted_blocks(h, phi)
+    x, scale = blocks.coupling, frobenius(h)
+    delta_e = float(np.linalg.norm(x))
+    if _stationary(delta_e, scale):
+        return Verdict.STATIONARY, 0.0, delta_e
+    left = blocks.complement - blocks.mean_energy * np.eye(x.size)
+    residual = _eigen_residual(left, x, scale, x.size + 1)
+    return Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL, residual, delta_e
+
+
 def assert_orthonormal_completion(b, phi):
     assert np.array_equal(b[:, 0], phi.amplitudes)
     assert np.linalg.norm(b.conj().T @ b - np.eye(phi.n)) <= 1e-13
@@ -132,7 +153,9 @@ class TestAdaptedBasis:
 
 
 class TestAgainstGramSchmidt:
-    """Every basis-independent output matches the Gram-Schmidt reference.
+    """Every basis-independent output matches the Gram-Schmidt reference,
+    and the verdict, which builds no basis, matches the block-based
+    reference verdict under either basis.
 
     Bounds: 1e-12 relative to the operator's Frobenius norm, about a
     hundred times the roundoff eps * n * |H| at n = 64.
@@ -140,15 +163,15 @@ class TestAgainstGramSchmidt:
 
     @staticmethod
     def outputs(h, phi, psi):
-        v = is_optimal_speed(h, phi)
+        kind, residual, delta_e = _reference_verdict(h, phi)
         blocks = adapted_blocks(h, phi)
         member = optimal_family_sample(phi, psi, 0.9, rng_seed=3)
         _, base = equigeodesic_vector_of(member, phi)
         return {
-            "kind": v.kind,
-            "residual": v.residual,
-            "delta_e": v.delta_e,
-            "delta_e_max": v.delta_e_max,
+            "verdict": is_optimal_speed(h, phi),
+            "kind": kind,
+            "residual": residual,
+            "delta_e": delta_e,
             "coupling": float(np.linalg.norm(blocks.coupling)),
             "spectrum": np.linalg.eigvalsh(blocks.complement),
             "mean_energy": blocks.mean_energy,
@@ -173,15 +196,20 @@ class TestAgainstGramSchmidt:
                 m.setattr(synthesis, "adapted_basis", gram_schmidt_basis)
                 ref = self.outputs(h, phi, psi)
             tol = 1e-12 * max(1.0, float(np.linalg.norm(h)))
-            assert new["kind"] is ref["kind"] is kind
-            for key in ("delta_e", "delta_e_max", "coupling", "mean_energy"):
+            verdict = new["verdict"]
+            # The swap does not reach the verdict at all.
+            assert ref["verdict"] == verdict
+            for key in ("coupling", "mean_energy"):
                 assert abs(new[key] - ref[key]) <= tol, (kind, key)
-            if kind is Verdict.OPTIMAL:
-                # An optimal residual is the basis's own roundoff measured
-                # against the roundoff term, so each basis has its own.
-                assert max(new["residual"], ref["residual"]) <= 0.1 * SEARCH_TOL
-            else:
-                assert abs(new["residual"] - ref["residual"]) <= tol, kind
+            for blocks in (new, ref):
+                assert verdict.kind is blocks["kind"] is kind
+                assert abs(verdict.delta_e - blocks["delta_e"]) <= tol, kind
+                if kind is Verdict.OPTIMAL:
+                    # An optimal residual is roundoff measured against the
+                    # roundoff term, so each route has its own.
+                    assert max(verdict.residual, blocks["residual"]) <= 0.1 * SEARCH_TOL
+                else:
+                    assert abs(verdict.residual - blocks["residual"]) <= tol, kind
             assert np.max(np.abs(new["spectrum"] - ref["spectrum"])) <= tol, kind
             assert new["qsl"] == pytest.approx(ref["qsl"], rel=1e-12), kind
             assert np.array_equal(new["base_column"], ref["base_column"]), kind
@@ -222,6 +250,26 @@ class TestAdaptedBlocks:
         assert np.linalg.norm(blocks.coupling) == pytest.approx(
             energy_uncertainty(h, phi), abs=1e-10
         )
+
+
+@pytest.fixture
+def spy_on_bases(monkeypatch):
+    """Patch ``adapted_basis`` and ``adapted_blocks`` where ``synthesis``
+    looks them up; returns a function that starts recording and gives the
+    list of names called, one per call."""
+
+    def patch():
+        calls = []
+        for name in ("adapted_basis", "adapted_blocks"):
+
+            def recording(*args, _name=name, _f=getattr(synthesis, name)):
+                calls.append(_name)
+                return _f(*args)
+
+            monkeypatch.setattr(synthesis, name, recording)
+        return calls
+
+    return patch
 
 
 def _reference_delta_e_max(h):
@@ -338,6 +386,37 @@ class TestVerdict:
             assert abs(got - float(w[-1] - w[0]) / 2.0) <= bound
             assert abs(got - _reference_delta_e_max(h)) <= bound
 
+    def test_builds_no_adapted_basis(self, rng, spy_on_bases):
+        phi, psi = distinct_pair(rng, 8)
+        last = PureState.basis_state(8, 7)
+        cases = [
+            (optimal_family_sample(phi, psi, 1.0, 4), phi),
+            (random_hermitian(rng, 8), phi),
+            (np.diag(rng.standard_normal(8)).astype(complex), last),
+        ]
+        calls = spy_on_bases()
+        kinds = {is_optimal_speed(h, state).kind for h, state in cases}
+        assert kinds == set(Verdict)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "h, error",
+        [
+            (np.eye(3), DimensionMismatchError),
+            (np.ones((2, 3)), DimensionMismatchError),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianError),
+            (np.array([[1.0, 1.0], [1.0 + 1e-9, 1.0]]), NotHermitianError),
+        ],
+    )
+    def test_one_validation(self, h, error):
+        # energy_uncertainty, the blocks and the verdict share one check.
+        messages = set()
+        for consumer in (energy_uncertainty, adapted_blocks, is_optimal_speed):
+            with pytest.raises(error) as raised:
+                consumer(h, KET0)
+            messages.add(str(raised.value))
+        assert len(messages) == 1
+
     def test_one_eigendecomposition_per_generator(self, rng, record_eigh):
         # Propagation, the verdict, the spectrum and the arrival scan of
         # one generator share one eigh, and no eigenvalues-only solve.
@@ -349,6 +428,55 @@ class TestVerdict:
         herm_eig(h)
         assert first_arrival_time(h, phi, moved, 3.0) == pytest.approx(0.4, abs=ARRIVAL_TOL)
         assert calls == ["eigh"]
+
+
+class TestReferenceVerdict:
+    """The verdict in full coordinates against ``_reference_verdict``, the
+    block-based formula it replaced: the same kind everywhere, and generic
+    (suboptimal) residuals within 1e-12 relative. A shift c |H|_F stores
+    the diagonal to ulp(c), which moves either route's residual by about
+    c n eps relative (9e-11 seen at c = 1e4), so there the bound is
+    1e-12 c."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    def test_same_kinds_and_residuals(self, n):
+        rng = np.random.default_rng([n, 67])
+        last = PureState.basis_state(n, n - 1)
+        for scale in (1e-6, 1.0, 1e6):
+            phi, psi = distinct_pair(rng, n)
+            cases = [
+                (Verdict.SUBOPTIMAL, scale * random_hermitian(rng, n), phi),
+                (Verdict.OPTIMAL, optimal_hamiltonian(phi, psi, scale), phi),
+                (Verdict.OPTIMAL, optimal_family_sample(phi, psi, scale, 11), phi),
+                (Verdict.STATIONARY, scale * np.diag(rng.standard_normal(n)), last),
+            ]
+            for kind, h, state in cases:
+                for shift in (0.0, 1e4):
+                    shifted = h + shift * float(np.linalg.norm(h)) * np.eye(n)
+                    verdict = is_optimal_speed(shifted, state)
+                    ref_kind, ref_residual, _ = _reference_verdict(shifted, state)
+                    assert verdict.kind is ref_kind is kind, (scale, shift, kind)
+                    if kind is Verdict.SUBOPTIMAL:
+                        rel = 1e-12 * max(1.0, shift)
+                        assert verdict.residual == pytest.approx(ref_residual, rel=rel)
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_tolerated_antihermitian_part_is_not_judged(self, n):
+        # H + K with K anti-Hermitian, |H + K - (H + K)*|_F = 0.8e-10 |H|_F,
+        # passes the Hermiticity gate. The verdict reads the Hermitian part,
+        # as the blocks did; K alone would push these residuals past
+        # SEARCH_TOL.
+        rng = np.random.default_rng([n, 71])
+        for shift in (0.0, 1.0, 1e4):
+            phi, psi = distinct_pair(rng, n)
+            h = optimal_family_sample(phi, psi, 1.0, 4)
+            h = h + shift * float(np.linalg.norm(h)) * np.eye(n)
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            k = (g - g.conj().T) / 2.0
+            h = h + k * (0.4e-10 * float(np.linalg.norm(h)) / float(np.linalg.norm(k)))
+            verdict = is_optimal_speed(h, phi)
+            assert verdict.kind is _reference_verdict(h, phi)[0] is Verdict.OPTIMAL, shift
+            assert verdict.residual <= 0.1 * SEARCH_TOL, shift
 
 
 class TestOptimalHamiltonian:
@@ -477,6 +605,36 @@ class TestStationaryFloor:
         assert is_optimal_speed(h, KET0).kind is not Verdict.STATIONARY
         assert qsl_time(KET0, KET1, h) == pytest.approx(np.pi / 2.0 / eps, rel=1e-12)
         assert first_arrival_time(h, KET0, KET0, 1.0) is not None
+
+
+    def test_verdict_and_qsl_time_decide_alike(self):
+        # 1000 couplings within 1e-6 relative of the floor, in a random
+        # unitary frame: the verdict's delta_e is energy_uncertainty's bit
+        # for bit, so both read one stationary decision.
+        rng = np.random.default_rng(73)
+        stationary = 0
+        for k in range(1000):
+            n = (3, 8, 32, 64)[k % 4]
+            framed = np.diag(10.0 ** rng.uniform(-2.0, 4.0) * rng.uniform(-1.0, 1.0, n))
+            floor = STRUCTURAL_TOL * max(1.0, float(np.linalg.norm(framed)))
+            x = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            x *= floor * (1.0 + rng.uniform(-1e-6, 1e-6)) / float(np.linalg.norm(x))
+            framed = framed.astype(complex)
+            framed[1:, 0], framed[0, 1:] = x, x.conj()
+            u = random_unitary(rng, n)
+            h = u @ framed @ u.conj().T
+            h = (h + h.conj().T) / 2.0
+            phi = PureState(u[:, 0])
+            verdict = is_optimal_speed(h, phi)
+            assert verdict.delta_e == energy_uncertainty(h, phi), k
+            try:
+                qsl_time(phi, PureState.basis_state(n, 0), h)
+            except StationaryStateError:
+                assert verdict.kind is Verdict.STATIONARY, k
+                stationary += 1
+            else:
+                assert verdict.kind is not Verdict.STATIONARY, k
+        assert 100 < stationary < 900  # both sides of the floor are drawn
 
 
 ARRIVAL_KINDS = ("optimal-hit", "generic-hit", "miss", "near-gate")
@@ -713,18 +871,12 @@ class TestEquigeodesicVector:
         with pytest.raises(NotOptimalError):
             equigeodesic_vector_of(TILTED, KET0)
 
-    def test_one_adapted_basis_per_call(self, rng, monkeypatch):
-        calls = []
-
-        def counted(phi):
-            calls.append(phi)
-            return adapted_basis(phi)
-
+    def test_one_adapted_basis_per_call(self, rng, spy_on_bases):
         phi, psi = distinct_pair(rng, 6)
         h = optimal_family_sample(phi, psi, 1.0, 4)
-        monkeypatch.setattr(synthesis, "adapted_basis", counted)
+        calls = spy_on_bases()
         _, base = equigeodesic_vector_of(h, phi)
-        assert len(calls) == 1
+        assert calls == ["adapted_basis"]
         assert np.array_equal(base, adapted_basis(phi))
 
     def test_large_identity_part_leaves_a_traceless_vector(self):
