@@ -13,6 +13,8 @@ spectrum-derived quantities and ``SEARCH_TOL`` for criterion residuals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -136,10 +138,7 @@ _remembered: list = [None]
 def _factor(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``herm_eig`` of the n x n complex matrix stored in ``data``."""
     a = np.frombuffer(data, dtype=complex).reshape(n, n)
-    if not is_hermitian(a):
-        defect = float(np.linalg.norm(a - a.conj().T))
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    sym = (a + a.conj().T) / 2.0
+    sym = _hermitian_part(a, "hermiticity defect {:.3e} exceeds tolerance")
     try:
         w, v = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -147,6 +146,18 @@ def _factor(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray]:
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v
+
+
+def _hermitian_part(a: np.ndarray, message: str) -> np.ndarray:
+    """(A + A*) / 2 of a square matrix that passes ``is_hermitian``, from
+    the one adjoint the gate reads; else NotHermitianError, its ``message``
+    formatted with the defect |A - A*|_F. A Hermitian A comes back bit for
+    bit."""
+    adjoint = a.conj().T
+    defect = float(np.linalg.norm(a - adjoint))
+    if not defect <= STRUCTURAL_TOL * float(np.linalg.norm(a)):
+        raise NotHermitianError(message.format(defect))
+    return (a + adjoint) / 2.0
 
 
 def unitary_exp(h, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -234,12 +245,15 @@ def _phase_rows(w, start, step, count, hbar):
     """Tables ``jumps`` and ``fine`` of about sqrt(count) rows each whose
     products jumps[k // size] * fine[k % size], size = len(fine), are the
     rows exp(-i w (start + k step) / hbar) for k < count: 2 sqrt(count) n
-    complex exponentials, each product within a few eps of its direct
-    exponential."""
-    size = int(np.ceil(np.sqrt(count)))
-    fine = np.exp(-1j * np.outer(np.arange(size) * step, w) / hbar)
-    jumps = np.exp(-1j * np.outer(start + np.arange(-(-count // size)) * (size * step), w) / hbar)
-    return jumps, fine
+    complex exponentials from one ``np.exp`` over both tables' times, each
+    product within a few eps of its direct exponential. fine[0] is exactly
+    1."""
+    size = math.ceil(math.sqrt(count))
+    times = np.concatenate(
+        (np.arange(size) * step, start + np.arange(-(-count // size)) * (size * step))
+    )
+    phases = np.exp(-1j * np.outer(times, w) / hbar)
+    return phases[size:], phases[:size]
 
 
 def _ray_search(w, v, phi, psi, hbar, horizon):
@@ -307,8 +321,9 @@ def _scan_arrival(
     about sqrt C rows each, ``fine`` at stride K dt from 0 and ``jumps`` at
     stride len(fine) K dt from the chunk's first end. For the ray overlap
     that is one (sqrt C, n) @ (n, sqrt C) product with no C x n temporary.
-    The last chunk's final end, the horizon, is off that stride and is
-    read once more through a one-row table of ones. On a cell of width W
+    The last chunk's final end, the horizon, is off that stride; it is read
+    in the same product, from one more base row against fine[0], which is
+    exactly 1. On a cell of width W
     with end values a and b, d is at least (a + b - rate W / hbar) / 2
     (Piyavskii-Shubert). When that exceeds ``gate + margin`` the cell is
     skipped without building its phase rows, its points reading as +inf.
@@ -318,9 +333,10 @@ def _scan_arrival(
     point.
 
     Gate. A live cell's points are read through ``table``, the K + 2 offset
-    rows for offsets -1 to K built once a call, from its base row
-    jumps[q] * fine[r], the phase row of its first end; so each cell
-    carries both neighbours of its own points. Points past ``horizon``
+    rows for offsets -1 to K, built when the call's first live cell
+    appears (a scan whose cells are all screened builds none), from its
+    base row jumps[q] * fine[r], the phase row of its first end; so each
+    cell carries both neighbours of its own points. Points past ``horizon``
     read +inf.
     The first chunk holds one batch of cells, so an early arrival pays
     only for the cells before it; the rest of the horizon is screened in
@@ -351,15 +367,13 @@ def _scan_arrival(
         stats["evaluations"] = 1
         return None, stats
     step = 0.01 * hbar / speed
-    count = max(int(np.ceil(horizon / step)), 8)
+    count = max(math.ceil(horizon / step), 8)
     dt = horizon / count
     room = max(3, _SCAN_CHUNK // w.size)
     block = min(_SCAN_BLOCK, room - 2, count + 1)
     batch = max(1, room // (block + 2))
     cells = count // block + 1
-    offsets = np.arange(-1, block + 1)
-    jumps, fine = _phase_rows(w, -dt, dt, block + 2, hbar)
-    table = (jumps[:, None, :] * fine[None]).reshape(-1, w.size)[: block + 2]
+    table = None
     stats.update(grid_points=count + 1, step=step)
 
     first, width = 0, batch
@@ -367,25 +381,37 @@ def _scan_arrival(
         stop = min(first + width, cells)
         width = _SCAN_CHUNK
         stats["chunks"] += 1
-        ends = np.minimum(np.arange(first, stop + 1) * block, count)
-        jumps, fine = _phase_rows(w, first * block * dt, block * dt, ends.size, hbar)
-        d = distance(fine, jumps)[: ends.size]
-        if stop == cells:  # the last end is count, off the cells' stride
-            d[-1] = distance(np.ones((1, w.size)), np.exp(-1j * w * (count * dt / hbar))[None])[0]
-        lower = (d[:-1] + d[1:] - (rate / hbar) * (np.diff(ends) * dt)) / 2.0
+        size = stop - first + 1  # cell ends, at stride K from the chunk's first
+        jumps, fine = _phase_rows(w, first * block * dt, block * dt, size, hbar)
+        if stop < cells:
+            d = distance(fine, jumps)[:size]
+        else:  # the last end is count, off the stride: a base row against fine[0] = 1
+            horizon_row = np.exp(-1j * w * (count * dt / hbar))
+            d = distance(fine, np.concatenate((jumps, horizon_row[None])))
+            d[size - 1] = d[-len(fine)]
+            d = d[:size]
+        lower = (d[:-1] + d[1:] - (rate / hbar) * (block * dt)) / 2.0
+        if stop == cells:  # the last cell is count - (cells - 1) K steps wide
+            tail = (count - (cells - 1) * block) * dt
+            lower[-1] = (d[-2] + d[-1] - (rate / hbar) * tail) / 2.0
         live = first + np.nonzero(~(lower > gate + margin))[0]
         stats["screened"] += stop - first - live.size
+        if live.size and table is None:  # offset rows -1 to K, from the first live cell on
+            coarse, unit = _phase_rows(w, -dt, dt, block + 2, hbar)
+            table = (coarse[:, None, :] * unit[None]).reshape(-1, w.size)[: block + 2]
         for k in range(0, live.size, batch):
             cell = live[k : k + batch]
             q, r = np.divmod(cell - first, len(fine))
             vals = distance(table, jumps[q] * fine[r]).reshape(cell.size, block + 2)
             stats["evaluated"] += vals.size
-            points = cell[:, None] * block + offsets
-            vals[points > count] = np.inf
+            if cell[-1] == cells - 1:  # the last cell's points past count read +inf
+                vals[-1, count - (cells - 1) * block + 2 :] = np.inf
             here = vals[:, 1:-1]
             minima = (here <= vals[:, :-2]) & (here <= vals[:, 2:]) & (here <= gate)
-            minima[cell == 0, 0] = False  # the origin is never an arrival
-            for i in points[:, 1:-1][minima].tolist():
+            if cell[0] == 0:
+                minima[0, 0] = False  # the origin is never an arrival
+            rows, cols = np.nonzero(minima)
+            for i in (cell[rows] * block + cols).tolist():
                 stats["refined"] += 1
                 lo = (i - 1) * dt
                 hi = (i + 1) * dt if i + 1 < count else horizon

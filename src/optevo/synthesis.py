@@ -77,7 +77,9 @@ class OptimalityVerdict:
     stationary), optimal exactly when at most SEARCH_TOL, with
     L = H - m I - x phi* - phi x* standing in for A - m I. ``delta_e`` is
     the uncertainty in the tested state and ``delta_e_max`` half the
-    spectral spread; the two agree whenever the verdict is optimal.
+    spectral spread; the two agree whenever the verdict is optimal. All
+    three read the Hermitian part (H + H*) / 2 of H, which is H itself when
+    H is Hermitian to the last bit.
     """
 
     kind: Verdict
@@ -141,8 +143,12 @@ def adapted_basis(phi: PureState) -> np.ndarray:
 
 
 def adapted_blocks(h, phi: PureState) -> HamiltonianBlocks:
-    """Express a Hermitian operator in a basis adapted to a state."""
-    a = _coupling(h, phi)[0]
+    """Express a Hermitian operator in a basis adapted to a state.
+
+    H is checked as ``energy_uncertainty`` checks it, then conjugated as
+    given and made Hermitian in the adapted basis."""
+    _coupling(h, phi)
+    a = as_matrix(h)
     basis = adapted_basis(phi)
     hb = basis.conj().T @ a @ basis
     hb = (hb + hb.conj().T) / 2.0
@@ -169,14 +175,15 @@ def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
 
 def _classify(h, phi: PureState) -> tuple[Verdict, float, float]:
     """Kind, residual and uncertainty |x|, in O(n^2) from x and L (module
-    docstring). The floor reads the |x| ``qsl_time`` reads; the residual
-    reads (H + H*) / 2, as ``herm_eig`` does: H itself if H is Hermitian to
-    the last bit, without an anti-Hermitian part ``is_hermitian`` allows."""
-    a, _, x = _coupling(h, phi)
-    delta_e, scale = float(np.linalg.norm(x)), frobenius(a)
+    docstring), all read from the Hermitian part (H + H*) / 2 that
+    ``_coupling`` returns, as ``herm_eig`` reads it: H itself if H is
+    Hermitian to the last bit, without an anti-Hermitian part
+    ``is_hermitian`` allows. The floor reads |x| and |H|_F as ``qsl_time``
+    reads them."""
+    a, mean, x = _coupling(h, phi)
+    delta_e, scale = float(np.linalg.norm(x)), frobenius(h)
     if _stationary(delta_e, scale):
         return Verdict.STATIONARY, 0.0, delta_e
-    a, mean, x = _coupling((a + a.conj().T) / 2.0, phi)
     p = phi.amplitudes
     left = a - mean * np.eye(p.size) - np.outer(x, p.conj()) - np.outer(p, x.conj())
     residual = _eigen_residual(left, x, scale, p.size)

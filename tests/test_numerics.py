@@ -144,10 +144,14 @@ class TestHermEig:
         assert np.linalg.norm(recon - SIGMA_X) < RECON_TOL
 
     def test_rejects_nonhermitian(self):
-        # Errors are never remembered: a repeat raises again.
+        # Errors are never remembered: a repeat raises again. The message
+        # names the defect |A - A*|_F, here sqrt 2.
         for _ in range(2):
-            with pytest.raises(NotHermitianError):
+            with pytest.raises(
+                NotHermitianError, match=r"^hermiticity defect 1\.414e\+00 exceeds tolerance$"
+            ):
                 herm_eig([[0.0, 1.0], [0.0, 0.0]])
+
 
     def test_convergence_failure_is_wrapped(self, monkeypatch):
         def boom(_):
@@ -288,6 +292,29 @@ class TestNewtonMin:
         assert abs(t) <= 1e-11 and steps < 100
 
 
+def _two_call_phase_rows(w, start, step, count, hbar):
+    """``_phase_rows`` as two ``np.exp`` calls, one per table: the formula
+    its one call over both tables' times must equal bit for bit."""
+    size = int(np.ceil(np.sqrt(count)))
+    fine = np.exp(-1j * np.outer(np.arange(size) * step, w) / hbar)
+    jumps = np.exp(-1j * np.outer(start + np.arange(-(-count // size)) * (size * step), w) / hbar)
+    return jumps, fine
+
+
+class TestPhaseRows:
+    def test_bit_equal_to_two_calls(self):
+        rng = np.random.default_rng(19)
+        for _ in range(500):
+            n = int(rng.integers(1, 65))
+            w = np.sort(rng.uniform(-50.0, 50.0, n))
+            start, step = float(rng.uniform(-5.0, 300.0)), float(10.0 ** rng.uniform(-3.0, 1.0))
+            count, hbar = int(rng.integers(1, 5000)), float(10.0 ** rng.uniform(-2.0, 2.0))
+            jumps, fine = numerics._phase_rows(w, start, step, count, hbar)
+            ref_jumps, ref_fine = _two_call_phase_rows(w, start, step, count, hbar)
+            assert jumps.tobytes() == ref_jumps.tobytes() and fine.tobytes() == ref_fine.tobytes()
+            assert np.all(fine[0] == 1.0)
+
+
 class TestScanArrival:
     """Seams of the screened, streaming scan. With w = (0, 1), speed 0.5 and
     hbar = 1 the grid step is 0.02 and the second phase column is exp(-i t),
@@ -376,7 +403,8 @@ class TestScanArrival:
         # cells: a first chunk of 4 (a batch), then one of the other 59.
         # Each chunk reads its cell ends as the products of two tables, 2 x 3
         # rows for 5 ends and 8 x 8 for 60; the last chunk reads its final
-        # end, the horizon, once more through a one-row table of ones.
+        # end, the horizon, in the same product, from a ninth base row
+        # against fine[0] = 1.
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", 5 * 40)
         monkeypatch.setattr(numerics, "_SCAN_BLOCK", 8)
         w, hbar, horizon = np.array([-4.0, -1.3, 0.2, 2.9, 5.0]), 2.0, 20.0
@@ -404,13 +432,49 @@ class TestScanArrival:
                 cell += 1
         assert (count, cell, stats["chunks"]) == (500, 63, 2) and len(batches) > 1
         assert stats["screened"] == 0 and stats["evaluated"] == cell * 10
-        # Every product of a chunk's tables is the phase row of a cell end
-        # (those past the horizon are read and dropped).
-        assert [len(rows) for rows in ends] == [6, 64, 1]
-        for first, rows in zip((0, 4), ends):
+        # Every product of a chunk's tables from its cell-end stride is the
+        # phase row of a cell end (those past the horizon are read and
+        # dropped); the horizon row's product with fine[0] is the horizon's.
+        assert [len(rows) for rows in ends] == [6, 72]
+        for first, rows in zip((0, 4), (ends[0], ends[1][:64])):
             times = (first + np.arange(len(rows))) * 8 * dt
             assert np.max(np.abs(rows - np.exp(-1j * np.outer(times, w) / hbar))) <= 1e-13
-        assert np.max(np.abs(ends[-1] - np.exp(-1j * w * (horizon / hbar)))) <= 1e-13
+        assert np.max(np.abs(ends[1][64] - np.exp(-1j * w * (horizon / hbar)))) <= 1e-13
+
+    @staticmethod
+    def record_phase_rows(monkeypatch):
+        """Patch ``_phase_rows`` to record the row count of each call."""
+        calls = []
+        phase_rows = numerics._phase_rows
+
+        def recording(w, start, step, count, hbar):
+            calls.append(count)
+            return phase_rows(w, start, step, count, hbar)
+
+        monkeypatch.setattr(numerics, "_phase_rows", recording)
+        return calls
+
+    def test_screened_miss_builds_no_offset_table(self, monkeypatch):
+        # A distance of 1 everywhere screens every cell: each chunk builds
+        # one pair of phase tables, for its cell ends, and nothing more.
+        calls = self.record_phase_rows(monkeypatch)
+        t, stats = self.scan(monkeypatch, lambda t: np.ones_like(t), np.sign)
+        assert t is None
+        assert (stats["chunks"], stats["screened"], stats["evaluated"]) == (5, 51, 0)
+        assert calls == [2, 17, 17, 17, 3]
+
+    def test_screened_random_miss(self, monkeypatch, record_scans):
+        # The same on a random generator at n = 8, horizon 300: two chunks,
+        # every cell screened, two calls of _phase_rows.
+        calls = self.record_phase_rows(monkeypatch)
+        rng = np.random.default_rng(4)
+        h = random_hermitian(rng, 8)
+        phi, psi = random_pure_state(rng, 8), random_pure_state(rng, 8)
+        scans = record_scans(synthesis)
+        assert first_arrival_time(h, phi, psi, 300.0) is None
+        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
+        assert (scans[0]["chunks"], scans[0]["screened"], scans[0]["evaluated"]) == (2, cells, 0)
+        assert len(calls) == 2 and numerics._SCAN_BLOCK + 2 not in calls
 
     def test_stationary_start_is_decided_without_a_scan(self):
         def distance(table, bases):

@@ -38,7 +38,7 @@ from optevo import (
     propagate,
     qsl_time,
 )
-from optevo import numerics, synthesis
+from optevo import numerics, quantum_states, synthesis
 from optevo.numerics import (
     SEARCH_TOL,
     STRUCTURAL_TOL,
@@ -581,6 +581,78 @@ class TestQslTime:
         # no cancellation against the mean.
         h = np.array([[100.0, 1e-6], [1e-6, 100.0]])
         assert qsl_time(KET0, KET1, h) == pytest.approx(np.pi / 2.0 / 1e-6, rel=1e-12)
+
+
+def _as_given_uncertainty(h, phi):
+    """``energy_uncertainty``'s formula on H as given rather than on its
+    Hermitian part: the reference for its output bits on exactly Hermitian
+    H."""
+    a = np.asarray(h, dtype=complex)
+    image = a @ phi.amplitudes
+    mean = float(np.vdot(phi.amplitudes, image).real)
+    return float(np.linalg.norm(image - mean * phi.amplitudes))
+
+
+def _skewed_member(rng, n):
+    """A family member of uncertainty 1 shifted by 1e4 |H|_F, plus an
+    anti-Hermitian K with |K|_F = 0.4e-10 |H|_F, which the Hermiticity gate
+    accepts; with the start and target rays."""
+    phi, psi = distinct_pair(rng, n)
+    h = optimal_family_sample(phi, psi, 1.0, 4)
+    h = h + 1e4 * float(np.linalg.norm(h)) * np.eye(n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (g - g.conj().T) / 2.0
+    return h + k * (0.4e-10 * float(np.linalg.norm(h)) / float(np.linalg.norm(k))), phi, psi
+
+
+class TestHermitianPart:
+    """``energy_uncertainty``, ``qsl_time`` and the verdict read the
+    Hermitian part (H + H*) / 2, as ``herm_eig`` does."""
+
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_tolerated_antihermitian_part_is_not_read(self, n):
+        h, phi, psi = _skewed_member(np.random.default_rng([n, 79]), n)
+        assert numerics.is_hermitian(h)
+        part = (h + h.conj().T) / 2.0
+        reference = _as_given_uncertainty(part, phi)
+        # Read as given, K moves the uncertainty by about 1e-7 relative.
+        assert abs(_as_given_uncertainty(h, phi) - reference) > 1e-8 * reference
+        verdict = is_optimal_speed(h, phi)
+        assert verdict.kind is Verdict.OPTIMAL
+        assert verdict.delta_e == energy_uncertainty(h, phi)
+        assert verdict.delta_e == pytest.approx(reference, rel=1e-12)
+        assert verdict.delta_e <= verdict.delta_e_max * (1.0 + 1e-12)
+        assert qsl_time(phi, psi, h) == qsl_time(phi, psi, part)
+
+    def test_hermitian_inputs_keep_their_bits(self):
+        # Exactly Hermitian generators are their own Hermitian part; family
+        # members, Hermitian only to roundoff, move by about eps.
+        rng = np.random.default_rng(83)
+        for k in range(200):
+            n = int(rng.integers(2, 65))
+            phi, psi = distinct_pair(rng, n)
+            h = random_hermitian(rng, n)
+            assert energy_uncertainty(h, phi) == _as_given_uncertainty(h, phi), k
+            member = optimal_family_sample(phi, psi, 1.0, k)
+            ref = _as_given_uncertainty(member, phi)
+            assert energy_uncertainty(member, phi) == pytest.approx(ref, rel=1e-15, abs=0.0), k
+
+    def test_one_gate_on_a_remembered_generator(self, rng, monkeypatch):
+        # The verdict of a factorized generator forms its Hermitian part
+        # once and runs no other Hermiticity test.
+        phi, psi = distinct_pair(rng, 8)
+        h = optimal_family_sample(phi, psi, 1.0, 5)
+        herm_eig(h)
+        gates, tests = [], []
+        hermitian_part = numerics._hermitian_part
+        is_hermitian = numerics.is_hermitian
+        monkeypatch.setattr(
+            quantum_states, "_hermitian_part", lambda *a: gates.append(1) or hermitian_part(*a)
+        )
+        monkeypatch.setattr(numerics, "_hermitian_part", quantum_states._hermitian_part)
+        monkeypatch.setattr(numerics, "is_hermitian", lambda m: tests.append(1) or is_hermitian(m))
+        assert is_optimal_speed(h, phi).kind is Verdict.OPTIMAL
+        assert (len(gates), len(tests)) == (1, 0)
 
 
 class TestStationaryFloor:
