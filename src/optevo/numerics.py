@@ -373,6 +373,7 @@ def _scan_arrival(
     block = min(_SCAN_BLOCK, room - 2, count + 1)
     batch = max(1, room // (block + 2))
     cells = count // block + 1
+    last = count - (cells - 1) * block  # steps in the last cell, 0 to K - 1
     table = None
     stats.update(grid_points=count + 1, step=step)
 
@@ -391,9 +392,8 @@ def _scan_arrival(
             d[size - 1] = d[-len(fine)]
             d = d[:size]
         lower = (d[:-1] + d[1:] - (rate / hbar) * (block * dt)) / 2.0
-        if stop == cells:  # the last cell is count - (cells - 1) K steps wide
-            tail = (count - (cells - 1) * block) * dt
-            lower[-1] = (d[-2] + d[-1] - (rate / hbar) * tail) / 2.0
+        if stop == cells:
+            lower[-1] = (d[-2] + d[-1] - (rate / hbar) * (last * dt)) / 2.0
         live = first + np.nonzero(~(lower > gate + margin))[0]
         stats["screened"] += stop - first - live.size
         if live.size and table is None:  # offset rows -1 to K, from the first live cell on
@@ -405,7 +405,7 @@ def _scan_arrival(
             vals = distance(table, jumps[q] * fine[r]).reshape(cell.size, block + 2)
             stats["evaluated"] += vals.size
             if cell[-1] == cells - 1:  # the last cell's points past count read +inf
-                vals[-1, count - (cells - 1) * block + 2 :] = np.inf
+                vals[-1, last + 2 :] = np.inf
             here = vals[:, 1:-1]
             minima = (here <= vals[:, :-2]) & (here <= vals[:, 2:]) & (here <= gate)
             if cell[0] == 0:
