@@ -593,25 +593,21 @@ def _as_given_uncertainty(h, phi):
     return float(np.linalg.norm(image - mean * phi.amplitudes))
 
 
-def _skewed_member(rng, n):
-    """A family member of uncertainty 1 shifted by 1e4 |H|_F, plus an
-    anti-Hermitian K with |K|_F = 0.4e-10 |H|_F, which the Hermiticity gate
-    accepts; with the start and target rays."""
-    phi, psi = distinct_pair(rng, n)
-    h = optimal_family_sample(phi, psi, 1.0, 4)
-    h = h + 1e4 * float(np.linalg.norm(h)) * np.eye(n)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    k = (g - g.conj().T) / 2.0
-    return h + k * (0.4e-10 * float(np.linalg.norm(h)) / float(np.linalg.norm(k))), phi, psi
-
-
 class TestHermitianPart:
     """``energy_uncertainty``, ``qsl_time`` and the verdict read the
     Hermitian part (H + H*) / 2, as ``herm_eig`` does."""
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_tolerated_antihermitian_part_is_not_read(self, n):
-        h, phi, psi = _skewed_member(np.random.default_rng([n, 79]), n)
+        # A family member of uncertainty 1 shifted by 1e4 |H|_F, plus K
+        # anti-Hermitian with |K|_F = 0.4e-10 |H|_F, which the gate accepts.
+        rng = np.random.default_rng([n, 79])
+        phi, psi = distinct_pair(rng, n)
+        h = optimal_family_sample(phi, psi, 1.0, 4)
+        h = h + 1e4 * float(np.linalg.norm(h)) * np.eye(n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        k = (g - g.conj().T) / 2.0
+        h = h + k * (0.4e-10 * float(np.linalg.norm(h)) / float(np.linalg.norm(k)))
         assert numerics.is_hermitian(h)
         part = (h + h.conj().T) / 2.0
         reference = _as_given_uncertainty(part, phi)
