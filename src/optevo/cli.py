@@ -132,10 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", required=True, metavar="SKEW.json")
     p.add_argument("--blocks", required=True, type=_block_list, metavar="1,2",
                    help="block sizes of the isotropy partition")
-    p.add_argument("--samples", type=_positive_int, default=16,
-                   help="deprecated and ignored: the variational test is exact")
-    p.add_argument("--seed", type=int, default=0,
-                   help="deprecated and ignored: the variational test is exact")
     p.add_argument("--json", action="store_true", help="emit a run report only")
     p.set_defaults(func=cmd_equigeodesic)
 

@@ -30,8 +30,8 @@ from .errors import DimensionMismatchError, FoldExceededError
 from .numerics import (
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
-    _ray_search,
-    _scan_arrival,
+    _generator_factors,
+    _ray_arrival,
     as_matrix,
     herm_eig,
     unitary_exp,
@@ -290,23 +290,18 @@ def density_arrival_time(
     target, StationaryStateError if it is within it.
 
     Two quasi-pure densities of one spectrum, p2 I + (p1 - p2) |phi><phi|
-    and p2 I + (p1 - p2) |psi><psi| (p1 above or below 1/n), scan their
-    distinguished rays: with theta(t) the angle between phi(t) and psi,
+    and p2 I + (p1 - p2) |psi><psi| (p1 above or below 1/n), take the ray
+    search of the pure-state arrival on their distinguished rays,
+    ``numerics._ray_arrival``, which derives its screen's margin. With
+    theta(t) the angle between phi(t) and psi,
     ||D||_F = sqrt 2 |p1 - p2| sin theta, ||D||_1 = 2 |p1 - p2| sin theta,
-    and the speed is |p1 - p2| delta_e(phi). Grid, gate and threshold keep
-    their meaning; a grid point costs n, not n^2, and no ``eigvalsh`` is
-    taken. The pair is recognized by one ``eigh`` of each density, not
-    ``herm_eig``, whose one entry keeps H: spectra equal within
-    SPECTRAL_TOL, one simple eigenvalue and one (n - 1)-fold one. The grid
-    reads sin theta as sqrt(1 - c^2) from the overlap modulus c
-    (``numerics._ray_search``), Newton refines the ray's infidelity, and
-    the judge is the stable sine 2 |p1 - p2| |psi - <phi(t)|psi> phi(t)|,
-    exact to a few eps at zero distance. With c within d of exact, 1 - c^2
-    is within r = 3 d, so sin theta is within sqrt r, and within r / s_g at
-    the gate s_g in sin theta: the screen's margin is
-    sqrt 2 |p1 - p2| (2 sqrt r + 2 r / s_g). A small |p1 - p2| shrinks the
-    margin with the distance; once sqrt 2 |p1 - p2| is under the gate,
-    every local minimum is a candidate, as on the Frobenius scan.
+    and the speed is |p1 - p2| delta_e(phi). So the weight is |p1 - p2|,
+    which keeps the grid; the gate on sin theta is max(100 threshold, 0.05)
+    over sqrt 2 |p1 - p2|; and the threshold on the stable sine is
+    ``threshold`` over 2 |p1 - p2|. A grid point costs n, not n^2, and no
+    ``eigvalsh`` is taken. The pair is recognized by one ``eigh`` of each
+    density, not ``herm_eig``, whose one entry keeps H: spectra equal
+    within SPECTRAL_TOL, one simple eigenvalue and one (n - 1)-fold one.
 
     Every other pair takes the Frobenius scan, ``_density_scan``.
     """
@@ -314,28 +309,11 @@ def density_arrival_time(
     if rays is None:
         return _density_scan(h, rho, target, horizon, units, threshold)
     gap, phi, psi = rays
-    w, v = _generator_factors(h, rho, target, horizon)
-    hbar = units.hbar
-    start, goal, delta_e, slack, overlaps, derivatives = _ray_search(
-        w, v, phi, psi, hbar, horizon
+    w, v = _generator_factors(h, horizon, rho.n, target.n)
+    return _ray_arrival(
+        w, v, phi, psi, units.hbar, horizon, gap,
+        max(100.0 * threshold, 5e-2) / (math.sqrt(2.0) * gap), threshold / (2.0 * gap), 0.0,
     )
-    scale = math.sqrt(2.0) * gap
-    gate = max(100.0 * threshold, 5e-2)
-    roundoff = 3.0 * slack
-    margin = scale * (2.0 * math.sqrt(roundoff) + 2.0 * scale * roundoff / gate)
-
-    def distance(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        c = overlaps(table, bases)
-        return scale * np.sqrt(np.maximum(0.0, 1.0 - c * c))
-
-    def trace_norm(t: float) -> float:
-        moved = start * np.exp(-1j * w * (t / hbar))
-        return 2.0 * gap * float(np.linalg.norm(goal - np.vdot(moved, goal) * moved))
-
-    return _scan_arrival(
-        distance, trace_norm, derivatives, w, hbar, horizon, gap * delta_e, scale * delta_e,
-        gate, margin, threshold,
-    )[0]
 
 
 def _quasi_pure_rays(rho: DensityMatrix, target: DensityMatrix):
@@ -369,16 +347,6 @@ def _quasi_pure_rays(rho: DensityMatrix, target: DensityMatrix):
     if float(np.max(np.abs(u_w - w))) > SPECTRAL_TOL:
         return None
     return float(w[-1] - w[0]), v[:, k], u[:, k]
-
-
-def _generator_factors(h, rho: DensityMatrix, target: DensityMatrix, horizon: float):
-    """``herm_eig(h)`` once the horizon and the dimensions pass."""
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    w, v = herm_eig(h)
-    if rho.n != w.size or target.n != w.size:
-        raise DimensionMismatchError("generator and densities must share one dimension")
-    return w, v
 
 
 def _density_scan(
@@ -431,7 +399,7 @@ def _density_scan(
     60 full-rank targets off the orbit by |E|_1 < 1e-8 moved it by under
     |E|_1 hbar / ||[H, rho]||_1, deciding alike.
     """
-    w, v = _generator_factors(h, rho, target, horizon)
+    w, v = _generator_factors(h, horizon, rho.n, target.n)
     hbar = units.hbar
     start = v.conj().T @ rho.matrix @ v
     goal = v.conj().T @ target.matrix @ v
@@ -469,7 +437,7 @@ def _density_scan(
         phases = np.exp(-1j * (w - w.mean()) * (t / hbar))
         return tuple(((forms @ phases.conj()) @ phases).real)
 
-    return _scan_arrival(
+    return numerics._scan_arrival(
         distance, trace_norm, derivatives, w, hbar, horizon, speed,
         float(np.linalg.norm(commutator)), max(100.0 * threshold, 5e-2), margin, threshold,
     )[0]

@@ -256,20 +256,46 @@ def _phase_rows(w, start, step, count, hbar):
     return phases[size:], phases[:size]
 
 
-def _ray_search(w, v, phi, psi, hbar, horizon):
-    """Set-up of a ``_scan_arrival`` along the orbit of ``phi`` for the ray
-    of ``psi``, under the generator of eigenpairs (w, v).
+def _generator_factors(h, horizon, *dims):
+    """``herm_eig(h)`` of an arrival search over (0, horizon], once the
+    horizon is positive and each state dimension in ``dims`` is the
+    generator's."""
+    if not horizon > 0.0:
+        raise ValueError("horizon must be positive")
+    w, v = herm_eig(h)
+    if any(n != w.size for n in dims):
+        raise DimensionMismatchError("the generator and the states must share one dimension")
+    return w, v
 
-    Returns the start and the target in the eigenbasis; delta_e, the
-    generator's uncertainty in the start, conserved along the orbit; the
-    slack d = (2 n + 16 + 2 |w|_inf horizon / hbar) eps, within which a
-    computed overlap modulus is exact (n terms of total modulus at most
-    one, with phases built from a few rounded factors whose arguments reach
-    |w|_inf horizon / hbar); ``overlaps(table, bases)``, the moduli
-    |<psi|phi(t)>| at phase rows, in the form a scan's distance takes; and
-    ``derivatives(t)``, the first two time derivatives of the infidelity
-    1 - |<psi|phi(t)>|^2, from phases centred on the mean energy so that a
-    shift H + c I stays out of their roundoff.
+
+def _ray_arrival(w, v, phi, psi, hbar, horizon, weight, gate, threshold, xtol):
+    """First time in (0, horizon] at which the orbit of ``phi`` under the
+    generator of eigenpairs (w, v) meets the ray of ``psi``, or None: the
+    ``_scan_arrival`` of the ray angle theta(t) = arccos |<psi|phi(t)>|.
+
+    Grid. theta moves at most at delta_e / hbar (Anandan & Aharonov, PRL
+    65, 1697, 1990), delta_e being the generator's uncertainty in phi,
+    conserved along the orbit. The grid speed is ``weight`` delta_e, so the
+    step is 0.01 hbar / (weight delta_e): a caller that judges ``weight``
+    times sin theta sees it move by at most 0.01 a step.
+
+    Screen. The overlap modulus c = |<psi|phi(t)>| is computed within
+    d = (2 n + 16 + 2 |w|_inf horizon / hbar) eps of exact: n terms of
+    total modulus at most one, with phases built from a few rounded factors
+    whose arguments reach |w|_inf horizon / hbar. That moves an end angle
+    by at most arccos(1 - d) < 2 sqrt(d), and a grid point's angle at the
+    gate arcsin s, s = min(1, ``gate``), by at most d / s + O(d^2) <
+    (1 + 1 / s) d. So a cell whose Lipschitz lower bound clears the gate by
+    the margin 2 sqrt(d) + (1 + 1 / s) d holds no point whose computed
+    angle is at most the gate; the candidates, the local minima of theta at
+    most arcsin s, are those of a scan that evaluates every grid point.
+
+    Refine and judge. Newton refines each candidate on the time derivatives
+    of the infidelity sin^2 theta = 1 - c^2, which has the same minima,
+    from phases centred on the mean energy so that a shift H + c I stays
+    out of their roundoff; ``xtol`` bounds its last step. The judge is the
+    stable sine sin theta = |psi - <phi(t)|psi> phi(t)|, exact to a few
+    eps at zero distance, against ``threshold``.
     """
     start = v.conj().T @ phi
     target = v.conj().T @ psi
@@ -281,16 +307,24 @@ def _ray_search(w, v, phi, psi, hbar, horizon):
     powers = np.array([np.ones_like(rates), rates, rates * rates])
     reach = float(np.max(np.abs(w))) * horizon / hbar
     slack = (2 * w.size + 16 + 2 * reach) * np.finfo(float).eps
+    s = min(1.0, gate)
 
-    def overlaps(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        return np.abs((bases * weights) @ table.T).ravel()
+    def angles(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        return np.arccos(np.minimum(1.0, np.abs((bases * weights) @ table.T).ravel()))
+
+    def sine(t: float) -> float:
+        moved = start * np.exp(-1j * w * (t / hbar))
+        return float(np.linalg.norm(target - np.vdot(moved, target) * moved))
 
     def derivatives(t: float) -> tuple[float, float]:
         ov, slope, curve = powers @ (np.exp(rates * t) * weights)
         ov = ov.conjugate()
         return -2.0 * (ov * slope).real, -2.0 * (abs(slope) ** 2 + (ov * curve).real)
 
-    return start, target, delta_e, slack, overlaps, derivatives
+    return _scan_arrival(
+        angles, sine, derivatives, w, hbar, horizon, weight * delta_e, delta_e, math.asin(s),
+        2.0 * math.sqrt(slack) + (1.0 + 1.0 / s) * slack, threshold, xtol,
+    )[0]
 
 
 def _scan_arrival(

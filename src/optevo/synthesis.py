@@ -39,8 +39,8 @@ from .numerics import (
     SEARCH_TOL,
     SPECTRAL_TOL,
     _eigen_residual,
-    _ray_search,
-    _scan_arrival,
+    _generator_factors,
+    _ray_arrival,
     _stationary,
     as_matrix,
     frobenius,
@@ -297,30 +297,16 @@ def first_arrival_time(
     """Earliest time in (0, horizon] at which the evolving ray meets the
     target ray, or None if it never does.
 
-    The search screens, gates and refines one distance, the ray angle
-    theta(t) = arccos |<psi|phi(t)>|, then judges once
-    (``numerics._scan_arrival``). The angle moves at most at
-    delta_e / hbar (Anandan & Aharonov, PRL 65, 1697, 1990), delta_e being
-    the uncertainty of ``h`` in ``phi``, conserved along the orbit; the
-    uniform grid of step 0.01 hbar / delta_e is streamed in chunks with no
-    cap on its length. Cells of up to 128 grid steps whose Lipschitz lower
-    bound (a + b - delta_e W / hbar) / 2, from the end angles a and b of a
-    cell of width W, clears the gate arcsin(0.01) by the margin
-    2 sqrt(d) + 101 d are skipped. Here d bounds the roundoff of a computed
-    overlap modulus (``numerics._ray_search``, which sets up the search).
-    That moves an end angle by at most 2 sqrt(d), and a grid point's angle
-    at the gate by at most d / sin(arcsin 0.01) + O(d^2) < 101 d. The
-    candidates are those of a scan that evaluates every grid point; a miss
-    far from the target costs about n complex products per cell, one
-    (sqrt C, n) @ (n, sqrt C) product for a chunk of C cells. A grid
-    point next to an arrival sits within 0.005 rad of the target, so the
-    gate drops only minima that cannot reach it.
-
-    Each candidate, a local minimum of the angle at most the gate, is
-    refined by Newton steps on the time derivatives of the infidelity
-    sin^2 theta = 1 - |<psi|phi(t)>|^2, which has the same minima. The
-    first refined minimizer whose angle is at most arcsin(sqrt 1e-9) is
-    returned, located far more tightly than 1e-7.
+    The search is ``numerics._ray_arrival``, which derives its screen's
+    margin, with weight 1, gate 0.01 on sin theta, threshold sqrt 1e-9 on
+    the stable sine |psi - <phi(t)|psi> phi(t)| and Newton steps down to
+    max(1e-12, 1e-10 horizon). The ray angle theta is gridded at a step of
+    0.01 hbar / delta_e, delta_e being the uncertainty of ``h`` in ``phi``,
+    and the grid is streamed in chunks with no cap on its length. A miss
+    far from the target skips most cells of 128 grid steps, at about n
+    complex products a cell; a grid point next to an arrival sits within
+    0.005 rad of the target, so the gate drops only minima that cannot
+    reach it.
 
     A stationary start (delta_e at most the floor ``qsl_time`` applies)
     is decided at t = 0 without a scan: None if the rays differ there.
@@ -330,27 +316,11 @@ def first_arrival_time(
     StationaryStateError
         If the start is stationary and already on the target ray.
     """
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    w, v = herm_eig(h)
-    hbar = units.hbar
-    if phi.n != w.size or psi.n != w.size:
-        raise DimensionMismatchError("generator and states must share one dimension")
-    _, _, delta_e, slack, overlaps, derivatives = _ray_search(
-        w, v, phi.amplitudes, psi.amplitudes, hbar, horizon
+    w, v = _generator_factors(h, horizon, phi.n, psi.n)
+    return _ray_arrival(
+        w, v, phi.amplitudes, psi.amplitudes, units.hbar, horizon, 1.0, 0.01, math.sqrt(1e-9),
+        max(1e-12, 1e-10 * horizon),
     )
-
-    def distance(table: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        return np.arccos(np.minimum(1.0, overlaps(table, bases)))
-
-    def angle(t: float) -> float:
-        return float(distance(np.ones((1, w.size)), np.exp(-1j * w * (t / hbar))[None])[0])
-
-    xtol = max(1e-12, 1e-10 * horizon)
-    return _scan_arrival(
-        distance, angle, derivatives, w, hbar, horizon, delta_e, delta_e, math.asin(0.01),
-        2.0 * math.sqrt(slack) + 101.0 * slack, math.asin(math.sqrt(1e-9)), xtol,
-    )[0]
 
 
 def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:

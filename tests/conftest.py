@@ -39,21 +39,19 @@ def record_eigh(monkeypatch):
 
 @pytest.fixture
 def record_scans(monkeypatch):
-    """Patch a module's arrival scan to record the counters of each call;
-    returns the list they are appended to."""
+    """Patch the arrival scan, ``numerics._scan_arrival``, which the ray
+    and Frobenius scans share, to record the counters of each call; returns
+    the list they are appended to."""
+    stats = []
+    scan_arrival = numerics._scan_arrival
 
-    def patch(module):
-        stats = []
+    def recording(*args, **kwargs):
+        arrival, scan = scan_arrival(*args, **kwargs)
+        stats.append(scan)
+        return arrival, scan
 
-        def recording(*args, **kwargs):
-            arrival, scan = numerics._scan_arrival(*args, **kwargs)
-            stats.append(scan)
-            return arrival, scan
-
-        monkeypatch.setattr(module, "_scan_arrival", recording)
-        return stats
-
-    return patch
+    monkeypatch.setattr(numerics, "_scan_arrival", recording)
+    return stats
 
 
 @pytest.fixture

@@ -217,17 +217,12 @@ class TestEquigeodesic:
         assert r.returncode == 1
         assert float(parse_lines(r.stdout)["max_residual"]) > 1e-3
 
-    def test_sampling_flags_are_ignored(self, tmp_path):
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_sampling_flags_are_rejected(self, tmp_path, flag):
         vec = write_matrix(tmp_path / "x.json", X_LINE_FALSE, "skew-hermitian")
-        plain = run_cli("equigeodesic", "--vector", vec, "--blocks", "1,2", "--json")
-        flagged = run_cli(
-            "equigeodesic", "--vector", vec, "--blocks", "1,2",
-            "--samples", 3, "--seed", 9, "--json",
-        )
-        assert flagged.returncode == plain.returncode == 1
-        doc = json.loads(flagged.stdout)
-        assert doc["seed"] is None
-        assert doc["outputs"] == json.loads(plain.stdout)["outputs"]
+        r = run_cli("equigeodesic", "--vector", vec, "--blocks", "1,2", flag, 3, "--json")
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr
 
     def test_blocks_sum_mismatch(self, tmp_path):
         vec = write_matrix(tmp_path / "x.json", X_LINE_TRUE, "skew-hermitian")

@@ -428,7 +428,7 @@ class TestDensityArrival:
         # [H, rho] = 0: the density never moves, so t = 0 decides it.
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         target = DensityMatrix(np.diag([0.3, 0.7]))
-        scans = record_scans(evolution)
+        scans = record_scans
         assert density_arrival_time(SIGMA_Z, rho, target, 50.0) is None
         assert (scans[0]["grid_points"], scans[0]["chunks"]) == (0, 0)
         assert scans[0]["evaluations"] == 1
@@ -442,7 +442,7 @@ class TestDensityArrival:
     def test_early_arrival_stops_after_one_chunk(self, record_scans):
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         target = DensityMatrix(np.diag([0.3, 0.7]))
-        scans = record_scans(evolution)
+        scans = record_scans
         assert density_arrival_time(SIGMA_Y, rho, target, 1e4) == pytest.approx(
             np.pi / 2.0, abs=1e-9
         )
@@ -604,7 +604,7 @@ class TestAgainstReferenceScan:
     def test_newton_steps_per_minimum(self, record_scans, record_newton, hbar):
         # Newton on the squared Frobenius distance lands within tolerance in
         # three steps; the trace norm is taken once per refined minimum.
-        scans = record_scans(evolution)
+        scans = record_scans
         for kind in DENSITY_KINDS:
             for n in (2, 3, 4, 8, 16, 32):
                 h, rho, target, horizon = _density_case(kind, n, hbar)
@@ -679,7 +679,7 @@ class TestDensityScreen:
         # grid.
         h, rho, target, horizon, hbar = COVER_CASES[name]
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
-        scans = record_scans(evolution)
+        scans = record_scans
         got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
         _density_scan(h, rho, target, horizon, Units(hbar=hbar))
         scan, frobenius = scans
@@ -721,7 +721,7 @@ class TestDensityScreen:
         a, b = frame[:, 0], frame[:, 3]
         c = 0.475 * 5e-2
         target = DensityMatrix(moved + c * (np.outer(a, a.conj()) - np.outer(b, b.conj())))
-        scans = record_scans(evolution)
+        scans = record_scans
         got = density_arrival_time(h, rho, target, 10.0)
         want, refined, lowest = _reference_density_arrival(
             h, rho, target, 10.0, step=scans[0]["step"]
@@ -751,7 +751,7 @@ class TestDensityScreen:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        scans = record_scans(evolution)
+        scans = record_scans
         arrival = _density_scan(h, rho, target, horizon)
         assert (arrival is None) == kind.endswith(("miss", "gate"))
         assert shapes == [(n, n)] * (1 + scans[0]["evaluations"])
@@ -782,7 +782,7 @@ class TestDensityScreen:
         rho = _random_density(rng, 64, np.arange(1.0, 65.0))
         target = _random_density(rng, 64, np.arange(1.0, 65.0) ** 2)
         numerics.herm_eig(h)
-        scans = record_scans(evolution)
+        scans = record_scans
         tracemalloc.start()
         try:
             arrival = density_arrival_time(h, rho, target, 3000.0)
@@ -808,7 +808,7 @@ class TestDensityScreen:
         commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
         t_star = 5000 * 0.02 / np.sum(np.abs(np.linalg.eigvalsh(commutator)))
         target = propagate_density(h, rho, t_star)
-        scans = record_scans(evolution)
+        scans = record_scans
         got = density_arrival_time(h, rho, target, 1.5 * t_star)
         frobenius = _density_scan(h, rho, target, 1.5 * t_star)
         want, _, _ = _reference_density_arrival(
@@ -825,6 +825,25 @@ def _one_spectrum_pair(rng, n, gap, above):
     p2 = (1.0 - gap) / n if above else (1.0 + gap) / n
     p1 = p2 + gap if above else p2 - gap
     frames = random_unitary(rng, n), random_unitary(rng, n)
+    return [
+        quasi_pure(QuasiPureSpec(p1, p2, tuple(PureState(f[:, j]) for j in range(n))))
+        for f in frames
+    ]
+
+
+def _quasi_pure_pair(rng, n):
+    """Two quasi-pure densities of one spectrum on random frames, as the
+    arrival-scan benchmark draws them: distinguished rays 0.15 to 1.45 rad
+    apart, p1 in (0.05, 0.95) at least 0.05 from 1/n."""
+    while True:
+        frames = random_unitary(rng, n), random_unitary(rng, n)
+        if 0.15 <= fs_distance(*(PureState(f[:, 0]) for f in frames)) <= 1.45:
+            break
+    while True:
+        p1 = float(rng.uniform(0.05, 0.95))
+        if abs(p1 - 1.0 / n) >= 0.05:
+            break
+    p2 = (1.0 - p1) / (n - 1)
     return [
         quasi_pure(QuasiPureSpec(p1, p2, tuple(PureState(f[:, j]) for j in range(n))))
         for f in frames
@@ -871,7 +890,7 @@ class TestQuasiPureRoute:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        scans = record_scans(evolution)
+        scans = record_scans
         for k, (hbar, kind) in enumerate([(1.0, "hit"), (2.0, "hit"), (1.0, "miss"), (2.0, "miss")]):
             rng = np.random.default_rng([n, k, int(above), round(-math.log10(gap))])
             rho, other = _one_spectrum_pair(rng, n, gap, above)
@@ -901,6 +920,20 @@ class TestQuasiPureRoute:
                 # eps / |p1 - p2| relative (8e-10 seen at 1e-6, n <= 64).
                 assert routed["grid_points"] == frobenius["grid_points"]
                 assert routed["step"] == pytest.approx(frobenius["step"], rel=1e-13 / gap)
+
+    def test_angle_screen_skips_cells_on_misses(self, record_scans):
+        # Ten misses at n = 8, horizon 300, under generators of half-spread
+        # 2 sqrt(n): screened on the ray angle, they evaluate 34 % of their
+        # grid points; screened on sqrt 2 |p1 - p2| sin theta in Frobenius
+        # units, where a cell spans 1.8, they evaluated 57 %.
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            rho, target = _quasi_pure_pair(rng, 8)
+            assert density_arrival_time(_fixed_spread(rng, 8), rho, target, 300.0) is None
+        assert len(record_scans) == 10
+        evaluated = sum(scan["evaluated"] for scan in record_scans)
+        assert evaluated < 0.5 * sum(scan["grid_points"] for scan in record_scans)
+        assert sum(scan["screened"] for scan in record_scans) > 0
 
     @pytest.mark.parametrize("case", ["spectra-differ", "full-rank", "split"])
     def test_other_pairs_take_the_frobenius_scan(self, case, record_frobenius):

@@ -29,7 +29,7 @@ from optevo import (
     unitary_exp,
 )
 import optevo
-from optevo import DensityMatrix, PureState, SuVector, numerics, synthesis
+from optevo import DensityMatrix, PureState, SuVector, numerics
 from optevo.numerics import _newton_min, _scan_arrival, as_matrix
 from optevo.sampling import random_pure_state
 
@@ -470,7 +470,7 @@ class TestScanArrival:
         rng = np.random.default_rng(4)
         h = random_hermitian(rng, 8)
         phi, psi = random_pure_state(rng, 8), random_pure_state(rng, 8)
-        scans = record_scans(synthesis)
+        scans = record_scans
         assert first_arrival_time(h, phi, psi, 300.0) is None
         cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
         assert (scans[0]["chunks"], scans[0]["screened"], scans[0]["evaluated"]) == (2, cells, 0)
@@ -500,7 +500,7 @@ class TestScanArrival:
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 32)
         phi, psi = random_pure_state(rng, 32), random_pure_state(rng, 32)
-        scans = record_scans(synthesis)
+        scans = record_scans
         tracemalloc.start()
         try:
             arrival = first_arrival_time(h, phi, psi, 3000.0)

@@ -783,7 +783,7 @@ class TestFirstArrival:
         assert t == pytest.approx(np.pi, abs=ARRIVAL_TOL)
 
     def test_stationary_never_arrives(self, record_scans):
-        scans = record_scans(synthesis)
+        scans = record_scans
         assert first_arrival_time(SIGMA_Z, KET0, KET1, 1000.0) is None
         assert (scans[0]["grid_points"], scans[0]["chunks"]) == (0, 0)
 
@@ -809,7 +809,7 @@ class TestFirstArrival:
     def test_long_horizon_keeps_the_step(self, record_scans):
         # A 2e7-point grid; capping it coarsened the step to 0.1 rad, so the
         # gate skipped the first three arrivals and returned 7 pi / 2.
-        scans = record_scans(synthesis)
+        scans = record_scans
         t = first_arrival_time(SIGMA_Y, KET0, KET1, 2e5)
         assert t == pytest.approx(np.pi / 2.0, abs=1e-9)
         assert scans[0]["chunks"] == 1
@@ -818,7 +818,7 @@ class TestFirstArrival:
     def test_miss_scans_every_grid_point(self, record_scans, rng, hbar):
         h = random_hermitian(rng, 6)
         phi, psi = random_pure_state(rng, 6), random_pure_state(rng, 6)
-        scans = record_scans(synthesis)
+        scans = record_scans
         assert first_arrival_time(h, phi, psi, 20.0, Units(hbar=hbar)) is None
         delta_e = energy_uncertainty(h, phi)
         assert scans[0]["grid_points"] == math.ceil(20.0 * delta_e / (0.01 * hbar)) + 1
@@ -829,7 +829,7 @@ class TestFirstArrival:
         # every cell of the 4e6-point grid.
         h = random_hermitian(rng, 8)
         phi, psi = random_pure_state(rng, 8), random_pure_state(rng, 8)
-        scans = record_scans(synthesis)
+        scans = record_scans
         assert first_arrival_time(h, phi, psi, 3e4) is None
         delta_e = energy_uncertainty(h, phi)
         assert scans[0]["grid_points"] == math.ceil(3e4 * delta_e / 0.01) + 1
@@ -848,7 +848,7 @@ class TestFirstArrival:
         phi = random_pure_state(rng, 8)
         t_star = 5000 * 0.01 / energy_uncertainty(h, phi)
         psi = propagate(h, phi, t_star)
-        scans = record_scans(synthesis)
+        scans = record_scans
         got = first_arrival_time(h, phi, psi, 1.5 * t_star)
         want = _reference_first_arrival(h, phi, psi, 1.5 * t_star, 1.0)
         assert abs(got - t_star) <= 1e-9 and abs(got - want) <= 1e-9
@@ -862,7 +862,7 @@ class TestFirstArrival:
         # among many seams.
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", 8 * 3)
         h, phi, psi, horizon = _arrival_case(kind, 8, 1.0)
-        scans = record_scans(synthesis)
+        scans = record_scans
         got = first_arrival_time(h, phi, psi, horizon)
         want = _reference_first_arrival(h, phi, psi, horizon, 1.0)
         assert (got is None) == (want is None)
@@ -874,7 +874,7 @@ class TestFirstArrival:
     @pytest.mark.parametrize("kind, n", ARRIVAL_CASES)
     def test_matches_reference_scan(self, record_scans, kind, n, hbar):
         h, phi, psi, horizon = _arrival_case(kind, n, hbar)
-        scans = record_scans(synthesis)
+        scans = record_scans
         got = first_arrival_time(h, phi, psi, horizon, Units(hbar=hbar))
         want = _reference_first_arrival(h, phi, psi, horizon, hbar)
         assert (got is None) == (want is None) == kind.endswith(("miss", "gate"))
@@ -887,7 +887,7 @@ class TestFirstArrival:
     def test_newton_steps_per_minimum(self, record_scans, record_newton, hbar):
         # From a grid point within half a step of a smooth minimum, Newton on
         # the infidelity's derivative lands within tolerance in three steps.
-        scans = record_scans(synthesis)
+        scans = record_scans
         for kind, n in ARRIVAL_CASES:
             h, phi, psi, horizon = _arrival_case(kind, n, hbar)
             first_arrival_time(h, phi, psi, horizon, Units(hbar=hbar))
