@@ -287,7 +287,10 @@ def density_arrival_time(
     max(100 threshold, 0.05) on ||D||_F <= ||D||_1. A stationary density
     (speed at most the floor ``qsl_time`` applies) is decided at t = 0
     without a scan: None if it is farther than ``threshold`` from the
-    target, StationaryStateError if it is within it.
+    target, StationaryStateError if it is within it. A pair whose distance
+    floor, a lower bound over all t from the two densities' entries in the
+    generator's eigenbasis, clears the gate by the scan's roundoff margin
+    is a miss, decided before any grid is built, whatever the horizon.
 
     Two quasi-pure densities of one spectrum, p2 I + (p1 - p2) |phi><phi|
     and p2 I + (p1 - p2) |psi><psi| (p1 above or below 1/n), take the ray
@@ -298,10 +301,13 @@ def density_arrival_time(
     and the speed is |p1 - p2| delta_e(phi). So the weight is |p1 - p2|,
     which keeps the grid; the gate on sin theta is max(100 threshold, 0.05)
     over sqrt 2 |p1 - p2|; and the threshold on the stable sine is
-    ``threshold`` over 2 |p1 - p2|. A grid point costs n, not n^2, and no
-    ``eigvalsh`` is taken. The pair is recognized by one ``eigh`` of each
-    density, not ``herm_eig``, whose one entry keeps H: spectra equal
-    within SPECTRAL_TOL, one simple eigenvalue and one (n - 1)-fold one.
+    ``threshold`` over 2 |p1 - p2|. Its floor arccos B, B = sum_j |c_j|
+    over the rays' eigenbasis products, is the Frobenius scan's floor
+    sqrt 2 |p1 - p2| sqrt(1 - B^2) on the same gate. A grid point costs n,
+    not n^2, and no ``eigvalsh`` is taken. The pair is recognized by one
+    ``eigh`` of each density, not ``herm_eig``, whose one entry keeps H:
+    spectra equal within SPECTRAL_TOL, one simple eigenvalue and one
+    (n - 1)-fold one.
 
     Every other pair takes the Frobenius scan, ``_density_scan``.
     """
@@ -384,6 +390,15 @@ def _density_scan(
     phases, products of two tables, move its distance by a few eps s more,
     well within s sqrt(n) d.
 
+    Floor. Every phase has modulus 1, so the form is at most
+    sum_jk |M_jk| and ||D||_F is at least
+    sqrt(max(0, s^2 - 2 sum_jk |M_jk|)) at every t: the floor. As
+    sum_jk |M_jk| <= ||S||_F ||G||_F <= s^2 / 2, its computed sum and the
+    difference are within (n^2 + 2) eps s^2 <= d s^2 / 2 of exact, so a
+    computed ||D||_F^2 is at least floor^2 - 3 d s^2 / 2, and a computed
+    ||D||_F at least floor - s sqrt(3 d / 2) > floor - 2 s sqrt(d), the
+    margin's first term.
+
     A slice builds its phases, products of a base row and a table row, for
     at most ``numerics._SCAN_CHUNK`` phase entries (one base row when its
     table holds more), so memory stays bounded whatever the horizon.
@@ -437,7 +452,9 @@ def _density_scan(
         phases = np.exp(-1j * (w - w.mean()) * (t / hbar))
         return tuple(((forms @ phases.conj()) @ phases).real)
 
+    floor = math.sqrt(max(0.0, squares - 2.0 * float(np.abs(cross).sum())))
     return numerics._scan_arrival(
         distance, trace_norm, derivatives, w, hbar, horizon, speed,
-        float(np.linalg.norm(commutator)), max(100.0 * threshold, 5e-2), margin, threshold,
+        float(np.linalg.norm(commutator)), floor, max(100.0 * threshold, 5e-2), margin,
+        threshold,
     )[0]

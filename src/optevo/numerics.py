@@ -157,7 +157,7 @@ def _hermitian_part(a: np.ndarray, message: str) -> np.ndarray:
     defect = float(np.linalg.norm(a - adjoint))
     if not defect <= STRUCTURAL_TOL * float(np.linalg.norm(a)):
         raise NotHermitianError(message.format(defect))
-    return (a + adjoint) / 2.0
+    return (a + adjoint) * 0.5
 
 
 def unitary_exp(h, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -290,6 +290,14 @@ def _ray_arrival(w, v, phi, psi, hbar, horizon, weight, gate, threshold, xtol):
     angle is at most the gate; the candidates, the local minima of theta at
     most arcsin s, are those of a scan that evaluates every grid point.
 
+    Floor. With c_j the weights conj(v* psi)_j (v* phi)_j, the overlap is
+    |sum_j c_j exp(-i w_j t / hbar)| <= B = sum_j |c_j| at every t
+    (triangle inequality), so arccos B is the floor. The computed B is
+    within (n + 2) eps <= d / 2 of the computed weights' exact sum, at most
+    about 1, so a computed c is at most B + 3 d / 2 and its angle at least
+    arccos B - arccos(1 - 3 d / 2) > arccos B - 2 sqrt(d), the margin's
+    first term: arccos drops fastest at 1.
+
     Refine and judge. Newton refines each candidate on the time derivatives
     of the infidelity sin^2 theta = 1 - c^2, which has the same minima,
     from phases centred on the mean energy so that a shift H + c I stays
@@ -322,14 +330,15 @@ def _ray_arrival(w, v, phi, psi, hbar, horizon, weight, gate, threshold, xtol):
         return -2.0 * (ov * slope).real, -2.0 * (abs(slope) ** 2 + (ov * curve).real)
 
     return _scan_arrival(
-        angles, sine, derivatives, w, hbar, horizon, weight * delta_e, delta_e, math.asin(s),
+        angles, sine, derivatives, w, hbar, horizon, weight * delta_e, delta_e,
+        math.acos(min(1.0, float(np.abs(weights).sum()))), math.asin(s),
         2.0 * math.sqrt(slack) + (1.0 + 1.0 / s) * slack, threshold, xtol,
     )[0]
 
 
 def _scan_arrival(
-    distance, objective, derivatives, w, hbar, horizon, speed, rate, gate, margin, threshold,
-    xtol=0.0,
+    distance, objective, derivatives, w, hbar, horizon, speed, rate, floor, gate, margin,
+    threshold, xtol=0.0,
 ):
     """First refined local minimum in (0, horizon] at most ``threshold``.
 
@@ -346,6 +355,14 @@ def _scan_arrival(
     |w|_2, which is |H|_F) never moves, so it is decided from
     ``objective(0.0)`` with no scan: None if that exceeds ``threshold``,
     else StationaryStateError, since no finite travel time exists.
+
+    Floor. ``floor`` bounds d from below over all t. Its caller computes it
+    from data it holds and shows that a computed grid value is above
+    ``floor - margin``, with room left for the last roundings. So when
+    ``floor > gate + margin`` no grid point reads at most ``gate``: there
+    is no candidate, and the scan returns None, as the full scan would,
+    before it builds any phase row. Such a call counts no chunk and no
+    evaluated value, and every cell as screened.
 
     Screen. The grid is cut into cells of K = ``_SCAN_BLOCK`` steps (fewer
     when the grid or the chunk budget is small): cell j spans points jK to
@@ -387,13 +404,13 @@ def _scan_arrival(
     derivatives of d or of a smooth quantity with the same local minima.
     ``objective`` is then evaluated once, at the refined time. Returns the
     first refined time with value at most ``threshold``, or None, and a
-    dict of counters: the fine grid's points, its step, chunks, cells
-    screened out, fine values evaluated (K + 2 per live cell), refined
-    minima, objective and derivative evaluations.
+    dict of counters: the fine grid's points, its step, the floor, chunks,
+    cells screened out, fine values evaluated (K + 2 per live cell),
+    refined minima, objective and derivative evaluations.
     """
     stats = dict(
-        grid_points=0, step=np.inf, chunks=0, screened=0, evaluated=0, refined=0, evaluations=0,
-        newton_steps=0,
+        grid_points=0, step=np.inf, floor=floor, chunks=0, screened=0, evaluated=0, refined=0,
+        evaluations=0, newton_steps=0,
     )
     if _stationary(speed, float(np.linalg.norm(w))):
         if objective(0.0) <= threshold:
@@ -410,6 +427,9 @@ def _scan_arrival(
     last = count - (cells - 1) * block  # steps in the last cell, 0 to K - 1
     table = None
     stats.update(grid_points=count + 1, step=step)
+    if floor > gate + margin:  # no grid point can read at most the gate
+        stats["screened"] = cells
+        return None, stats
 
     first, width = 0, batch
     while first < cells:

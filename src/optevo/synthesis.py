@@ -298,15 +298,19 @@ def first_arrival_time(
     target ray, or None if it never does.
 
     The search is ``numerics._ray_arrival``, which derives its screen's
-    margin, with weight 1, gate 0.01 on sin theta, threshold sqrt 1e-9 on
-    the stable sine |psi - <phi(t)|psi> phi(t)| and Newton steps down to
-    max(1e-12, 1e-10 horizon). The ray angle theta is gridded at a step of
-    0.01 hbar / delta_e, delta_e being the uncertainty of ``h`` in ``phi``,
-    and the grid is streamed in chunks with no cap on its length. A miss
-    far from the target skips most cells of 128 grid steps, at about n
-    complex products a cell; a grid point next to an arrival sits within
-    0.005 rad of the target, so the gate drops only minima that cannot
-    reach it.
+    margin and its floor, with weight 1, gate 0.01 on sin theta, threshold
+    sqrt 1e-9 on the stable sine |psi - <phi(t)|psi> phi(t)| and Newton
+    steps down to max(1e-12, 1e-10 horizon). The ray angle theta is
+    gridded at a step of 0.01 hbar / delta_e, delta_e being the
+    uncertainty of ``h`` in ``phi``, and the grid is streamed in chunks
+    with no cap on its length. theta never drops below its floor
+    arccos sum_j |c_j|, c_j being the products of the two rays' amplitudes
+    in the eigenbasis of ``h``: a pair whose floor clears the gate by the
+    margin is a miss, decided before any grid is built, whatever the
+    horizon. Otherwise a cell of 128 grid steps that stays far from the
+    target is skipped at about n complex products; a grid point next to
+    an arrival sits within 0.005 rad of the target, so the gate drops only
+    minima that cannot reach it.
 
     A stationary start (delta_e at most the floor ``qsl_time`` applies)
     is decided at t = 0 without a scan: None if the rays differ there.

@@ -41,7 +41,9 @@ def record_eigh(monkeypatch):
 def record_scans(monkeypatch):
     """Patch the arrival scan, ``numerics._scan_arrival``, which the ray
     and Frobenius scans share, to record the counters of each call; returns
-    the list they are appended to."""
+    the list they are appended to. A call its floor decides counts its
+    grid's points and step, no chunk and no evaluated value, and every cell
+    as screened."""
     stats = []
     scan_arrival = numerics._scan_arrival
 

@@ -43,6 +43,7 @@ from optevo.numerics import STRUCTURAL_TOL
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from optevo.verification import run_suite
 from reference_refinement import refine
+from torus import torus_unitary
 
 ATOL = 1e-12
 FLAT_TOL = 1e-6
@@ -655,7 +656,17 @@ class TestAgainstReferenceScan:
             assert abs(got - want) <= 2.0 * size * hbar / speed + 1e-11, k
 
 
-# The screen's cases, and each kind of density search at two sizes.
+def _torus_twin(case, seed):
+    """A case's generator, start and horizon, with the start turned on the
+    generator's torus as the target: its floor is 0, so the scan streams
+    the whole grid."""
+    h, rho, _, horizon, hbar = case
+    u = torus_unitary(np.random.default_rng(seed), h)
+    return h, rho, DensityMatrix(u @ rho.matrix @ u.conj().T), horizon, hbar
+
+
+# The screen's cases, and each kind of density search at two sizes; each
+# miss has a torus twin.
 COVER_CASES = {
     **SCREEN_CASES,
     **{
@@ -664,6 +675,13 @@ COVER_CASES = {
         for n in (3, 8)
     },
 }
+COVER_CASES.update(
+    {
+        name.replace("miss", "torus"): _torus_twin(case, k)
+        for k, (name, case) in enumerate(sorted(COVER_CASES.items()))
+        if "miss" in name
+    }
+)
 
 
 class TestDensityScreen:
@@ -676,7 +694,9 @@ class TestDensityScreen:
         # search decides alike. A quasi-pure pair of one spectrum scans its
         # rays, where the distance is ||D||_F itself. The Frobenius scan's
         # step is 0.02 hbar / ||[H, rho]||_1, and the ray search takes its
-        # grid.
+        # grid. A target of another spectrum, or a random ray, sits above
+        # the gate at every t: its floor decides it before any phase row.
+        # Its torus twin has floor 0 and streams every chunk.
         h, rho, target, horizon, hbar = COVER_CASES[name]
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
         scans = record_scans
@@ -690,7 +710,13 @@ class TestDensityScreen:
         if got is not None:
             assert abs(got - want) <= 1e-9
         assert scan["refined"] >= refined
-        assert scan["chunks"] > (1 if chunk == 64 else 0)
+        if "miss" in name:
+            assert (scan["chunks"], scan["evaluated"], scan["refined"]) == (0, 0, 0)
+            assert scan["screened"] > 0
+        else:
+            assert scan["chunks"] > (1 if chunk == 64 else 0)
+        if "torus" in name:
+            assert scan["floor"] < 1e-6
         commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
         assert frobenius["step"] == pytest.approx(
             0.02 * hbar / np.sum(np.abs(np.linalg.eigvalsh(commutator))), rel=1e-12
@@ -731,15 +757,21 @@ class TestDensityScreen:
         assert scans[0]["refined"] == refined > 0
 
     @pytest.mark.parametrize(
-        "kind, n", [("long-miss", 6)] + [(k, n) for k in DENSITY_KINDS for n in (3, 8)]
+        "kind, n",
+        [("long-miss", 6), ("long-torus", 6)] + [(k, n) for k in DENSITY_KINDS for n in (3, 8)],
     )
     def test_scan_diagonalizes_no_grid_row(self, monkeypatch, record_scans, kind, n):
         # The only eigvalsh calls are on single n x n matrices: the
         # commutator's trace norm, then the judge's, once per refined minimum.
-        if kind == "long-miss":
+        # The long miss is decided by its floor; its torus twin evaluates
+        # grid values.
+        if kind.startswith("long"):
             rng = np.random.default_rng(47)
             h = _fixed_spread(rng, n)
             rho, target = _quasi_pure_density(rng, n), _quasi_pure_density(rng, n)
+            if kind == "long-torus":
+                u = torus_unitary(rng, h)
+                target = DensityMatrix(u @ rho.matrix @ u.conj().T)
             horizon = 200.0
         else:
             h, rho, target, horizon = _density_case(kind, n, 1.0)
@@ -753,35 +785,61 @@ class TestDensityScreen:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         scans = record_scans
         arrival = _density_scan(h, rho, target, horizon)
-        assert (arrival is None) == kind.endswith(("miss", "gate"))
+        assert (arrival is None) == kind.endswith(("miss", "gate", "torus"))
         assert shapes == [(n, n)] * (1 + scans[0]["evaluations"])
-        if kind == "long-miss":
+        if kind.startswith("long"):
             assert scans[0]["grid_points"] > 10_000
+            assert (scans[0]["evaluated"] > 0) == (kind == "long-torus")
 
-    def test_memory_bounded_on_miss(self):
+    def test_memory_bounded_on_miss(self, record_scans):
+        # Two quasi-pure densities of two spectra (the floor decides), and the
+        # start with a target on its torus, scanned by the Frobenius scan.
         rng = np.random.default_rng(53)
         h = _fixed_spread(rng, 32)
         rho, target = _quasi_pure_density(rng, 32), _quasi_pure_density(rng, 32)
-        tracemalloc.start()
-        try:
-            arrival = density_arrival_time(h, rho, target, 30.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert arrival is None
-        # Chunks of (rows, n, n) matrices peaked near 35 MB at n = 32.
-        assert peak < 8e6
+        u = torus_unitary(rng, h)
+        for goal in (target, DensityMatrix(u @ rho.matrix @ u.conj().T)):
+            tracemalloc.start()
+            try:
+                arrival = _density_scan(h, rho, goal, 30.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert arrival is None
+            # Chunks of (rows, n, n) matrices peaked near 35 MB at n = 32.
+            assert peak < 8e6
+        assert [scan["chunks"] for scan in record_scans] == [0, 2]
 
-    def test_memory_bounded_on_full_rank_long_miss(self, record_scans):
-        # 8e5 grid points, nearly every cell live; after a first chunk of 3
-        # cells the second screens the other 6365 at once. Its cell ends read
-        # in one piece traced 14 MB; in slices of _SCAN_CHUNK phase entries
-        # the peak is near 2.5 MB.
+    @staticmethod
+    def full_rank_long_miss():
+        """An n = 64 full-rank pair of two spectra, horizon 3000: 8e5 grid
+        points, the Frobenius distance between 0.129 and 0.135 throughout."""
         rng = np.random.default_rng(79)
         h = _fixed_spread(rng, 64)
         rho = _random_density(rng, 64, np.arange(1.0, 65.0))
         target = _random_density(rng, 64, np.arange(1.0, 65.0) ** 2)
         numerics.herm_eig(h)
+        return rng, h, rho, target
+
+    def test_floor_decides_full_rank_long_miss(self, record_scans):
+        # sqrt(||S||^2 + ||G||^2 - 2 sum |M_jk|) = 0.072 clears the gate
+        # 0.05: no phase row is built.
+        _, h, rho, target = self.full_rank_long_miss()
+        scans = record_scans
+        assert density_arrival_time(h, rho, target, 3000.0) is None
+        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
+        assert scans[0]["grid_points"] > 500_000 and 0.07 < scans[0]["floor"] < 0.129
+        assert (scans[0]["chunks"], scans[0]["evaluated"], scans[0]["screened"]) == (0, 0, cells)
+
+    def test_memory_bounded_on_full_rank_long_miss(self, record_scans):
+        # The same start and a target on its torus: floor 0, and nearly
+        # every cell live; after a first chunk of 3 cells the second
+        # screens the other 6365 at once. Its cell ends read in one piece
+        # traced 14 MB; in slices of _SCAN_CHUNK phase entries the peak is
+        # near 2.5 MB.
+        rng, h, rho, _ = self.full_rank_long_miss()
+        u = torus_unitary(rng, h)
+        target = DensityMatrix(u @ rho.matrix @ u.conj().T)
         scans = record_scans
         tracemalloc.start()
         try:
@@ -790,7 +848,8 @@ class TestDensityScreen:
         finally:
             tracemalloc.stop()
         assert arrival is None and scans[0]["chunks"] == 2
-        assert scans[0]["grid_points"] > 500_000
+        assert scans[0]["grid_points"] > 500_000 and scans[0]["floor"] == 0.0
+        assert scans[0]["evaluated"] > 0.99 * scans[0]["grid_points"]
         assert peak < 8e6
 
     @pytest.mark.parametrize("kind", ["quasi-pure", "full-rank"])
@@ -923,17 +982,26 @@ class TestQuasiPureRoute:
 
     def test_angle_screen_skips_cells_on_misses(self, record_scans):
         # Ten misses at n = 8, horizon 300, under generators of half-spread
-        # 2 sqrt(n): screened on the ray angle, they evaluate 34 % of their
-        # grid points; screened on sqrt 2 |p1 - p2| sin theta in Frobenius
-        # units, where a cell spans 1.8, they evaluated 57 %.
-        rng = np.random.default_rng(20)
-        for _ in range(10):
-            rho, target = _quasi_pure_pair(rng, 8)
-            assert density_arrival_time(_fixed_spread(rng, 8), rho, target, 300.0) is None
-        assert len(record_scans) == 10
-        evaluated = sum(scan["evaluated"] for scan in record_scans)
-        assert evaluated < 0.5 * sum(scan["grid_points"] for scan in record_scans)
-        assert sum(scan["screened"] for scan in record_scans) > 0
+        # 2 sqrt(n). Random targets: the floor decides nine, and the ten
+        # evaluate 1.5 % of their grid points. Targets on the start's torus
+        # (floor 0): screened on the ray angle, they evaluate 43 %. Screened
+        # on sqrt 2 |p1 - p2| sin theta in Frobenius units, where a cell
+        # spans 1.8, the random misses evaluated 57 %.
+        for torus in (False, True):
+            rng = np.random.default_rng(20)
+            record_scans.clear()
+            for _ in range(10):
+                rho, target = _quasi_pure_pair(rng, 8)
+                h = _fixed_spread(rng, 8)
+                if torus:
+                    u = torus_unitary(rng, h)
+                    target = DensityMatrix(u @ rho.matrix @ u.conj().T)
+                assert density_arrival_time(h, rho, target, 300.0) is None
+            assert len(record_scans) == 10
+            evaluated = sum(scan["evaluated"] for scan in record_scans)
+            assert evaluated < 0.5 * sum(scan["grid_points"] for scan in record_scans)
+            assert sum(scan["screened"] for scan in record_scans) > 0
+            assert sum(scan["chunks"] == 0 for scan in record_scans) == (0 if torus else 9)
 
     @pytest.mark.parametrize("case", ["spectra-differ", "full-rank", "split"])
     def test_other_pairs_take_the_frobenius_scan(self, case, record_frobenius):
@@ -1029,17 +1097,179 @@ class TestQuasiPureRoute:
         assert (rays is not None) == (case in ("one-spectrum", "upper-defect"))
         assert calls == ["eigh"] * (1 if case == "other-purity" else 2)
 
-    def test_memory_bounded_on_miss(self, record_frobenius):
+    def test_memory_bounded_on_miss(self, record_frobenius, record_scans):
+        # A random target (the floor decides it) and one on the start's
+        # torus (floor 0: two chunks stream).
         rng = np.random.default_rng(71)
         rho, target = _one_spectrum_pair(rng, 64, 0.5, True)
         h = _fixed_spread(rng, 64)
         numerics.herm_eig(h)
-        tracemalloc.start()
-        try:
-            arrival = density_arrival_time(h, rho, target, 30.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert arrival is None and not record_frobenius
-        # One chunk of phase rows, 2^15 complex entries, peaked near 0.55 MB.
-        assert peak < 2e6
+        u = torus_unitary(rng, h)
+        for goal in (target, DensityMatrix(u @ rho.matrix @ u.conj().T)):
+            tracemalloc.start()
+            try:
+                arrival = density_arrival_time(h, rho, goal, 30.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert arrival is None and not record_frobenius
+            # One chunk of phase rows, 2^15 complex entries, peaked near 0.55 MB.
+            assert peak < 2e6
+        assert [scan["chunks"] for scan in record_scans] == [0, 2]
+
+
+def _grid_angles(h, phi, psi, horizon, count, hbar=1.0):
+    """The angle between phi(t) and psi at the times i horizon / count,
+    from the propagated vectors by the stable atan2 formula."""
+    w, v = np.linalg.eigh(h)
+    times = np.arange(count + 1) * (horizon / count)
+    states = (np.exp(-1j * np.outer(times, w) / hbar) * (v.conj().T @ phi)) @ v.T
+    overlaps = states.conj() @ psi
+    sines = np.linalg.norm(psi[None] - overlaps[:, None] * states, axis=1)
+    return np.arctan2(sines, np.abs(overlaps))
+
+
+def _grid_frobenius(h, rho, target, horizon, count, hbar=1.0):
+    """||rho(t) - target||_F at the times i horizon / count, from the
+    conjugated matrices."""
+    w, v = np.linalg.eigh(h)
+    times = np.arange(count + 1) * (horizon / count)
+    phases = np.exp(-1j * np.outer(times, w) / hbar)
+    start = v.conj().T @ rho @ v
+    moved = v @ (start * (phases[:, :, None] * phases.conj()[:, None, :])) @ v.conj().T
+    return np.linalg.norm(moved - target, axis=(1, 2))
+
+
+def _off_orbit(rng, moved, angle):
+    """A unit vector ``angle`` rad from the unit vector ``moved``."""
+    off = random_pure_state(rng, moved.size).amplitudes
+    off = off - moved * np.vdot(moved, off)
+    return math.cos(angle) * moved + math.sin(angle) * off / np.linalg.norm(off)
+
+
+class TestFloor:
+    """The scans' floors, arccos sum_j |c_j| for a ray and
+    sqrt(||S||^2 + ||G||^2 - 2 sum_jk |M_jk|) for the Frobenius distance,
+    against the distance at every point of the scan's grid, computed
+    directly from the moved states: a floor above the smallest grid value
+    would let the scan drop a candidate. Targets are random, or 1e-3 to
+    1e-1 off the orbit; routed pairs have |p1 - p2| from 0.03 to 0.3, so
+    the gate on sin theta, 0.05 / (sqrt 2 |p1 - p2|), spans 1 at 0.035.
+    Roundoff of the floor near zero distance is about sqrt(n eps)."""
+
+    TOL = 1e-7
+
+    @staticmethod
+    def horizon(rng, n):
+        return float(rng.uniform(2.0, 10.0)) / (2.0 * math.sqrt(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_ray_floor_below_every_grid_angle(self, n, record_scans):
+        decided = 0
+        for k in range(24):
+            rng = np.random.default_rng([101, n, k])
+            h = _fixed_spread(rng, n)
+            phi = random_pure_state(rng, n)
+            horizon = self.horizon(rng, n)
+            if k % 2:
+                t_star = float(rng.uniform(0.1, 1.0)) * horizon
+                psi = PureState(
+                    _off_orbit(rng, propagate(h, phi, t_star).amplitudes, 10.0 ** rng.uniform(-3, -1))
+                )
+            else:
+                psi = random_pure_state(rng, n)
+            record_scans.clear()
+            arrival = first_arrival_time(h, phi, psi, horizon)
+            scan = record_scans[0]
+            angles = _grid_angles(h, phi.amplitudes, psi.amplitudes, horizon, scan["grid_points"] - 1)
+            assert scan["floor"] <= angles.min() + self.TOL, k
+            if scan["chunks"] == 0:
+                decided += 1
+                assert arrival is None and angles.min() > math.asin(0.01), k
+        assert decided > 0
+
+    @pytest.mark.parametrize("gap", [0.03, 0.035, 0.036, 0.04, 0.3])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_routed_floor_below_every_grid_angle(self, n, gap, record_scans):
+        decided = 0
+        for k in range(16):
+            rng = np.random.default_rng([103, n, k, round(1000 * gap)])
+            h = _fixed_spread(rng, n)
+            phi = random_pure_state(rng, n).amplitudes
+            horizon = self.horizon(rng, n) / gap
+            if k % 2:
+                t_star = float(rng.uniform(0.1, 1.0)) * horizon
+                psi = _off_orbit(rng, propagate(h, PureState(phi), t_star).amplitudes, 10.0 ** rng.uniform(-3, -1))
+            else:
+                psi = random_pure_state(rng, n).amplitudes
+            p2 = (1.0 - gap) / n
+            rho, target = (
+                quasi_pure(QuasiPureSpec(p2 + gap, p2, (PureState(a), *_completion(rng, a))))
+                for a in (phi, psi)
+            )
+            record_scans.clear()
+            arrival = density_arrival_time(h, rho, target, horizon)
+            scan = record_scans[0]
+            angles = _grid_angles(h, phi, psi, horizon, scan["grid_points"] - 1)
+            assert scan["floor"] <= angles.min() + self.TOL, k
+            gate = math.asin(min(1.0, 5e-2 / (math.sqrt(2.0) * gap)))
+            if scan["chunks"] == 0:
+                decided += 1
+                assert arrival is None and angles.min() > gate, k
+        # Below |p1 - p2| = 0.05 / sqrt 2 the gate is pi / 2, which no floor
+        # clears; just above it the gate is still near pi / 2.
+        if gap < 0.05 / math.sqrt(2.0):
+            assert decided == 0
+        elif gap > 0.1:
+            assert decided > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_frobenius_floor_below_every_grid_distance(self, n, record_scans):
+        decided = 0
+        for k in range(24):
+            rng = np.random.default_rng([107, n, k])
+            h = _fixed_spread(rng, n)
+            rho = _random_density(rng, n, np.arange(1.0, n + 1.0))
+            other = _random_density(rng, n, np.arange(1.0, n + 1.0) ** 2)
+            horizon = self.horizon(rng, n)
+            if k % 2:
+                t_star = float(rng.uniform(0.1, 1.0)) * horizon
+                mix = 10.0 ** rng.uniform(-3, -1)
+                moved = propagate_density(h, rho, t_star).matrix
+                target = DensityMatrix((1.0 - mix) * moved + mix * other.matrix)
+            else:
+                target = other
+            record_scans.clear()
+            arrival = _density_scan(h, rho, target, horizon)
+            scan = record_scans[0]
+            norms = _grid_frobenius(h, rho.matrix, target.matrix, horizon, scan["grid_points"] - 1)
+            assert scan["floor"] <= norms.min() + self.TOL, k
+            if scan["chunks"] == 0:
+                decided += 1
+                assert arrival is None and norms.min() > 5e-2, k
+        assert decided > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
+    def test_family_hits_are_never_decided(self, n, record_scans):
+        # A maximal-speed family member carries phi to psi at T = theta / E;
+        # its floor is roundoff, so the scan streams and arrives at T, as do
+        # two quasi-pure densities on those rays.
+        for seed in range(6):
+            rng = np.random.default_rng([109, n, seed])
+            phi, psi = random_pure_state(rng, n), random_pure_state(rng, n)
+            h = optimal_family_sample(phi, psi, 1.0, seed)
+            t = fs_distance(phi, psi)
+            gap = 0.3 if n > 2 else 0.5
+            p2 = (1.0 - gap) / n
+            rho, target = (
+                quasi_pure(QuasiPureSpec(p2 + gap, p2, (a, *_completion(rng, a.amplitudes))))
+                for a in (phi, psi)
+            )
+            record_scans.clear()
+            arrivals = [
+                first_arrival_time(h, phi, psi, 1.3 * t),
+                density_arrival_time(h, rho, target, 1.3 * t),
+            ]
+            for arrival, scan in zip(arrivals, record_scans):
+                assert arrival == pytest.approx(t, abs=1e-6), seed
+                assert scan["chunks"] > 0 and scan["floor"] < self.TOL, seed

@@ -32,6 +32,7 @@ import optevo
 from optevo import DensityMatrix, PureState, SuVector, numerics
 from optevo.numerics import _newton_min, _scan_arrival, as_matrix
 from optevo.sampling import random_pure_state
+from torus import torus_unitary
 
 ATOL = 1e-12
 RECON_TOL = 1e-10
@@ -320,11 +321,11 @@ class TestScanArrival:
     hbar = 1 the grid step is 0.02 and the second phase column is exp(-i t),
     which gives the grid times back on a horizon shorter than 2 pi. The
     distance and the judge are both |t - t_star|, which moves at rate 1;
-    the gate is 0.05 with no margin, so only the cells next to t_star
-    survive. A chunk budget of 16 phase entries makes cells of 6 steps, 51
-    of them (the last holds only the final point 300), one cell a batch, a
-    first chunk of one cell and then chunks of 16 cells: chunk 3 starts at
-    cell 17, point 102. The distances are kinked at their minima, so ``slope`` gives their
+    the gate is 0.05 with no margin and the floor 0, so only the cells next
+    to t_star survive. A chunk budget of 16 phase entries makes cells of 6
+    steps, 51 of them (the last holds only the final point 300), one cell a
+    batch, a first chunk of one cell and then chunks of 16 cells: chunk 3
+    starts at cell 17, point 102. The distances are kinked at their minima, so ``slope`` gives their
     first derivative, the second is 0 and the refinement bisects."""
 
     W = np.array([0.0, 1.0])
@@ -342,7 +343,7 @@ class TestScanArrival:
 
         return _scan_arrival(
             distance, lambda t: float(objective(np.float64(t))), lambda t: (slope(t), 0.0),
-            self.W, 1.0, self.HORIZON, 0.5, 1.0, 0.05, 0.0, 1e-9,
+            self.W, 1.0, self.HORIZON, 0.5, 1.0, 0.0, 0.05, 0.0, 1e-9,
         )
 
     @pytest.mark.parametrize(
@@ -419,7 +420,7 @@ class TestScanArrival:
             return np.zeros(len(ends[-1]))
 
         _, stats = _scan_arrival(
-            distance, None, None, w, hbar, horizon, 0.5, 0.0, 1.0, 0.0, 1e-9
+            distance, None, None, w, hbar, horizon, 0.5, 0.0, 0.0, 1.0, 0.0, 1e-9
         )
         count = stats["grid_points"] - 1
         dt = horizon / count
@@ -464,8 +465,10 @@ class TestScanArrival:
         assert calls == [2, 17, 17, 17, 3]
 
     def test_screened_random_miss(self, monkeypatch, record_scans):
-        # The same on a random generator at n = 8, horizon 300: two chunks,
-        # every cell screened, two calls of _phase_rows.
+        # The same on a random generator at n = 8, horizon 300, for a target
+        # on the start's torus (floor 0): two chunks, every cell screened,
+        # two calls of _phase_rows. A random target's floor clears the gate,
+        # so its scan calls _phase_rows not at all.
         calls = self.record_phase_rows(monkeypatch)
         rng = np.random.default_rng(4)
         h = random_hermitian(rng, 8)
@@ -473,15 +476,42 @@ class TestScanArrival:
         scans = record_scans
         assert first_arrival_time(h, phi, psi, 300.0) is None
         cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
-        assert (scans[0]["chunks"], scans[0]["screened"], scans[0]["evaluated"]) == (2, cells, 0)
+        assert (scans[0]["chunks"], scans[0]["screened"], scans[0]["evaluated"]) == (0, cells, 0)
+        assert calls == [] and scans[0]["floor"] > math.asin(0.01)
+        torus = PureState(torus_unitary(rng, h) @ phi.amplitudes)
+        assert first_arrival_time(h, phi, torus, 300.0) is None
+        assert (scans[1]["chunks"], scans[1]["screened"], scans[1]["evaluated"]) == (2, cells, 0)
         assert len(calls) == 2 and numerics._SCAN_BLOCK + 2 not in calls
+
+    def test_floor_above_the_gate_decides_without_a_grid(self, monkeypatch):
+        # A floor above gate + margin returns None before any phase row,
+        # counting the grid and its 3 cells of 128 steps as screened. A floor
+        # at gate + margin streams the grid, one chunk whose cells the
+        # distance, 1 everywhere, screens.
+        calls = self.record_phase_rows(monkeypatch)
+        reads = []
+
+        def distance(table, bases):
+            reads.append(len(bases))
+            return np.ones(len(bases) * len(table))
+
+        scan = (distance, None, None, self.W, 1.0, self.HORIZON, 0.5, 0.0)
+        arrival, stats = _scan_arrival(*scan, 0.0625 + 2**-20, 0.05, 0.0125, 1e-9)
+        assert arrival is None and calls == [] and reads == []
+        assert stats == dict(
+            grid_points=301, step=0.02, floor=0.0625 + 2**-20, chunks=0, screened=3,
+            evaluated=0, refined=0, evaluations=0, newton_steps=0,
+        )
+        arrival, stats = _scan_arrival(*scan, 0.0625, 0.05, 0.0125, 1e-9)
+        assert arrival is None and calls == [4] and len(reads) == 1
+        assert (stats["chunks"], stats["screened"], stats["evaluated"]) == (1, 3, 0)
 
     def test_stationary_start_is_decided_without_a_scan(self):
         def distance(table, bases):
             raise AssertionError("a stationary start needs no grid")
 
         scan = (
-            distance, lambda t: 0.5, None, self.W, 1.0, 6.0, 1e-11, 0.0, 1.0, 0.0, 1e-9
+            distance, lambda t: 0.5, None, self.W, 1.0, 6.0, 1e-11, 0.0, 0.0, 1.0, 0.0, 1e-9
         )
         arrival, stats = _scan_arrival(*scan)
         assert arrival is None
@@ -497,9 +527,11 @@ class TestScanArrival:
         assert stats["refined"] == 0
 
     def test_memory_bounded_on_long_miss(self, record_scans):
+        # A target on the start's torus has floor 0, so the whole grid streams.
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 32)
-        phi, psi = random_pure_state(rng, 32), random_pure_state(rng, 32)
+        phi = random_pure_state(rng, 32)
+        psi = PureState(torus_unitary(rng, h) @ phi.amplitudes)
         scans = record_scans
         tracemalloc.start()
         try:
@@ -507,7 +539,7 @@ class TestScanArrival:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert arrival is None
+        assert arrival is None and scans[0]["floor"] < 1e-6
         # About 1.8e6 grid points; a whole-grid phase matrix would take 900 MB.
         assert peak < 8e6
         # The cell screen covered the grid in a first chunk of 7 cells (a

@@ -49,6 +49,7 @@ from optevo.numerics import (
 )
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from reference_refinement import refine
+from torus import torus_unitary
 
 ATOL = 1e-12
 ARRIVAL_TOL = 1e-7
@@ -825,21 +826,16 @@ class TestFirstArrival:
         assert scans[0]["step"] == pytest.approx(0.01 * hbar / delta_e, rel=1e-12)
 
     def test_long_miss_evaluates_few_points(self, record_scans, rng):
-        # The ray stays far from the target, so the cell screen skips nearly
-        # every cell of the 4e6-point grid.
+        # The ray stays far from the target: arccos sum_j |c_j| clears the
+        # gate, so the 4e6-point grid is decided with no chunk and no value.
         h = random_hermitian(rng, 8)
         phi, psi = random_pure_state(rng, 8), random_pure_state(rng, 8)
         scans = record_scans
         assert first_arrival_time(h, phi, psi, 3e4) is None
         delta_e = energy_uncertainty(h, phi)
         assert scans[0]["grid_points"] == math.ceil(3e4 * delta_e / 0.01) + 1
-        assert scans[0]["evaluated"] <= 0.02 * scans[0]["grid_points"]
-        assert scans[0]["screened"] > 0
-        # A first chunk of one batch, then chunks of up to _SCAN_CHUNK cells:
-        # 3 for these 50456 cells, where chunks doubling from the batch up to
-        # _SCAN_CHUNK phase entries take 19.
         cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
-        assert scans[0]["chunks"] <= 1 + math.ceil(cells / numerics._SCAN_CHUNK)
+        assert (scans[0]["chunks"], scans[0]["evaluated"], scans[0]["screened"]) == (0, 0, cells)
 
     def test_arrival_in_the_second_chunk(self, record_scans, rng):
         # At n = 8 the first chunk holds 31 cells of 128 steps; a passage
@@ -854,21 +850,29 @@ class TestFirstArrival:
         assert abs(got - t_star) <= 1e-9 and abs(got - want) <= 1e-9
         assert scans[0]["chunks"] == 2
 
-    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS + ("torus-miss",))
     def test_matches_reference_across_chunk_seams(self, monkeypatch, record_scans, kind):
         # 24 phase entries at n = 8 make cells of one step, one a batch, in
         # a first chunk of one cell and then chunks of 24; the grids hold 53
         # to 1304 points, so every arrival and minimum near the gate lies
-        # among many seams.
+        # among many seams. The random miss's floor clears the gate, so it
+        # builds no chunk; the miss's start with a target on its torus
+        # (floor 0) streams them all.
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", 8 * 3)
-        h, phi, psi, horizon = _arrival_case(kind, 8, 1.0)
+        h, phi, psi, horizon = _arrival_case(kind.replace("torus-", ""), 8, 1.0)
+        if kind == "torus-miss":
+            psi = PureState(torus_unitary(np.random.default_rng(8), h) @ phi.amplitudes)
         scans = record_scans
         got = first_arrival_time(h, phi, psi, horizon)
         want = _reference_first_arrival(h, phi, psi, horizon, 1.0)
-        assert (got is None) == (want is None)
+        assert (got is None) == (want is None) == kind.endswith(("miss", "gate"))
         if got is not None:
             assert abs(got - want) <= 1e-9
-        assert scans[0]["chunks"] > 2
+        if kind == "miss":
+            assert (scans[0]["chunks"], scans[0]["evaluated"], scans[0]["refined"]) == (0, 0, 0)
+            assert scans[0]["screened"] == scans[0]["grid_points"]
+        else:
+            assert scans[0]["chunks"] > 2
 
     @pytest.mark.parametrize("hbar", [1.0, 2.0])
     @pytest.mark.parametrize("kind, n", ARRIVAL_CASES)
