@@ -1172,16 +1172,15 @@ class TestFloor:
             phi = random_pure_state(rng, n)
             horizon = self.horizon(rng, n)
             if k % 2:
-                t_star = float(rng.uniform(0.1, 1.0)) * horizon
-                psi = PureState(
-                    _off_orbit(rng, propagate(h, phi, t_star).amplitudes, 10.0 ** rng.uniform(-3, -1))
-                )
+                moved = propagate(h, phi, float(rng.uniform(0.1, 1.0)) * horizon).amplitudes
+                psi = PureState(_off_orbit(rng, moved, 10.0 ** rng.uniform(-3, -1)))
             else:
                 psi = random_pure_state(rng, n)
             record_scans.clear()
             arrival = first_arrival_time(h, phi, psi, horizon)
             scan = record_scans[0]
-            angles = _grid_angles(h, phi.amplitudes, psi.amplitudes, horizon, scan["grid_points"] - 1)
+            count = scan["grid_points"] - 1
+            angles = _grid_angles(h, phi.amplitudes, psi.amplitudes, horizon, count)
             assert scan["floor"] <= angles.min() + self.TOL, k
             if scan["chunks"] == 0:
                 decided += 1
@@ -1198,8 +1197,8 @@ class TestFloor:
             phi = random_pure_state(rng, n).amplitudes
             horizon = self.horizon(rng, n) / gap
             if k % 2:
-                t_star = float(rng.uniform(0.1, 1.0)) * horizon
-                psi = _off_orbit(rng, propagate(h, PureState(phi), t_star).amplitudes, 10.0 ** rng.uniform(-3, -1))
+                moved = propagate(h, PureState(phi), float(rng.uniform(0.1, 1.0)) * horizon)
+                psi = _off_orbit(rng, moved.amplitudes, 10.0 ** rng.uniform(-3, -1))
             else:
                 psi = random_pure_state(rng, n).amplitudes
             p2 = (1.0 - gap) / n
