@@ -42,7 +42,6 @@ from .numerics import (
     _generator_factors,
     _ray_arrival,
     _stationary,
-    as_matrix,
     frobenius,
     herm_eig,
 )
@@ -145,10 +144,10 @@ def adapted_basis(phi: PureState) -> np.ndarray:
 def adapted_blocks(h, phi: PureState) -> HamiltonianBlocks:
     """Express a Hermitian operator in a basis adapted to a state.
 
-    H is checked as ``energy_uncertainty`` checks it, then conjugated as
-    given and made Hermitian in the adapted basis."""
-    _coupling(h, phi)
-    a = as_matrix(h)
+    H is checked as ``energy_uncertainty`` checks it, and its Hermitian
+    part (H + H*) / 2, which is H itself when H is exactly Hermitian, is
+    conjugated into the adapted basis and made Hermitian there."""
+    a = _coupling(h, phi)[0]
     basis = adapted_basis(phi)
     hb = basis.conj().T @ a @ basis
     hb = (hb + hb.conj().T) / 2.0
@@ -168,26 +167,27 @@ def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
     exactly when (A - m I) x = 0 holds by direction: the verdict is the
     same for lambda H + c I, save that its roundoff term grows with |H|_F.
     """
-    kind, residual, delta_e = _classify(h, phi)
+    kind, residual, delta_e, _ = _classify(h, phi)
     w, _ = herm_eig(h)
     return OptimalityVerdict(kind, residual, delta_e, float(w[-1] - w[0]) / 2.0)
 
 
-def _classify(h, phi: PureState) -> tuple[Verdict, float, float]:
+def _classify(h, phi: PureState) -> tuple[Verdict, float, float, np.ndarray]:
     """Kind, residual and uncertainty |x|, in O(n^2) from x and L (module
     docstring), all read from the Hermitian part (H + H*) / 2 that
     ``_coupling`` returns, as ``herm_eig`` reads it: H itself if H is
     Hermitian to the last bit, without an anti-Hermitian part
-    ``is_hermitian`` allows. The floor reads |x| and |H|_F as ``qsl_time``
-    reads them."""
+    ``is_hermitian`` allows. That part comes back last. The floor reads |x|
+    and |H|_F as ``qsl_time`` reads them."""
     a, mean, x = _coupling(h, phi)
     delta_e, scale = float(np.linalg.norm(x)), frobenius(h)
     if _stationary(delta_e, scale):
-        return Verdict.STATIONARY, 0.0, delta_e
+        return Verdict.STATIONARY, 0.0, delta_e, a
     p = phi.amplitudes
     left = a - mean * np.eye(p.size) - np.outer(x, p.conj()) - np.outer(p, x.conj())
     residual = _eigen_residual(left, x, scale, p.size)
-    return Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL, residual, delta_e
+    kind = Verdict.OPTIMAL if residual <= SEARCH_TOL else Verdict.SUBOPTIMAL
+    return kind, residual, delta_e, a
 
 
 def optimal_hamiltonian(phi: PureState, psi: PureState, energy: float) -> np.ndarray:
@@ -225,32 +225,33 @@ def optimal_hamiltonian(phi: PureState, psi: PureState, energy: float) -> np.nda
 def _family_member(core, phi: PureState, mean_energy: float, perp_levels) -> np.ndarray:
     """Extend the canonical generator by admissible diagonal data.
 
-    The complement block keeps the coupling direction as an eigenvector at
-    ``mean_energy`` and assigns ``perp_levels`` to an orthonormal
-    completion of that direction. The extension never touches the driven
+    In full coordinates, as the verdict reads it: with x the coupling of
+    the core in phi, x^ = x / |x| and Q the ``adapted_basis`` completion of
+    x^ inside that of phi (n - 2 orthonormal columns orthogonal to phi and
+    x), the member is M + M* with
+
+        M = x phi* + (mean_energy (phi phi* + x^ x^*) + Q diag(perp_levels) Q*) / 2,
+
+    two general products, and exactly Hermitian. The complement block
+    keeps the coupling direction as an eigenvector at ``mean_energy`` and
+    assigns ``perp_levels`` to Q. The extension never touches the driven
     ray; keeping every completion level inside
     [mean_energy - E, mean_energy + E] also leaves the spectral spread at
     2E, so no uncertainty headroom is wasted.
     """
-    blocks = adapted_blocks(core, phi)
-    coupling = blocks.coupling
-    norm = float(np.linalg.norm(coupling))
+    a, _, x = _coupling(core, phi)
+    norm = float(np.linalg.norm(x))
     if norm == 0.0:
-        return as_matrix(core).copy()
-    xhat = coupling / norm
-    m = coupling.size
+        return a
     levels = np.asarray(perp_levels, dtype=float).reshape(-1)
-    if levels.size != m - 1:
-        raise DimensionMismatchError(
-            f"need {m - 1} completion levels, got {levels.size}"
-        )
-    complement = mean_energy * np.outer(xhat, xhat.conj())
-    if m > 1:
-        completion = adapted_basis(PureState(xhat))[:, 1:]
-        complement = complement + (completion * levels) @ completion.conj().T
-    return HamiltonianBlocks(
-        mean_energy, coupling, (complement + complement.conj().T) / 2.0, blocks.basis
-    ).reassemble()
+    if levels.size != phi.n - 2:
+        raise DimensionMismatchError(f"need {phi.n - 2} completion levels, got {levels.size}")
+    p, xhat = phi.amplitudes, x / norm
+    rest = adapted_basis(phi)[:, 1:]
+    q = rest @ adapted_basis(PureState(rest.conj().T @ xhat))[:, 1:]
+    diagonal = mean_energy * (np.outer(p, p.conj()) + np.outer(xhat, xhat.conj()))
+    half = np.outer(x, p.conj()) + 0.5 * (diagonal + (q * levels) @ q.conj().T)
+    return half + half.conj().T
 
 
 def optimal_family_sample(
@@ -261,8 +262,9 @@ def optimal_family_sample(
     All members share the canonical generator's coupling, hence its
     uncertainty E in the start state and the same projector trajectory;
     they differ by a mean energy and by Hermitian structure orthogonal to
-    the coupling direction. Coincident rays return the zero matrix as in
-    :func:`optimal_hamiltonian`.
+    the coupling direction. A member is built in full coordinates, with no
+    conjugation into the adapted basis, and is exactly Hermitian.
+    Coincident rays return the zero matrix as in :func:`optimal_hamiltonian`.
     """
     core = optimal_hamiltonian(phi, psi, energy)
     if not core.any():
@@ -337,13 +339,12 @@ def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:
     geodesic for every invariant metric. The structural certificate accepts
     it unless rounding of a large identity part of H tilts a weak coupling.
     """
-    kind = _classify(h, phi)[0]
+    kind, _, _, a = _classify(h, phi)
     if kind is not Verdict.OPTIMAL:
         raise NotOptimalError(
             f"generator is {kind.value}; only optimal generators correspond "
             "to equigeodesic directions"
         )
-    a = as_matrix(h)
     n = a.shape[0]
     traceless = a - (np.trace(a) / n) * np.eye(n)
     traceless -= (np.trace(traceless) / n) * np.eye(n)  # what rounding left of the trace

@@ -524,7 +524,54 @@ class TestOptimalHamiltonian:
             optimal_hamiltonian(KET0, PureState.basis_state(3, 1), 1.0)
 
 
+def _reference_family_member(core, phi, mean_energy, perp_levels):
+    """The family member as it was built before it moved to full
+    coordinates: the core's blocks in ``adapted_basis(phi)``, the
+    complement block set there, and the round trip back through
+    ``HamiltonianBlocks.reassemble``."""
+    blocks = adapted_blocks(core, phi)
+    xhat = blocks.coupling / float(np.linalg.norm(blocks.coupling))
+    complement = mean_energy * np.outer(xhat, xhat.conj())
+    if phi.n > 2:
+        completion = adapted_basis(PureState(xhat))[:, 1:]
+        complement = complement + (completion * perp_levels) @ completion.conj().T
+    complement = (complement + complement.conj().T) / 2.0
+    return synthesis.HamiltonianBlocks(mean_energy, blocks.coupling, complement, blocks.basis).reassemble()
+
+
 class TestOptimalFamily:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 32, 64, 128])
+    def test_matches_the_adapted_basis_round_trip(self, n):
+        # Energies, mean energies and completion levels over twelve decades.
+        rng = np.random.default_rng([n, 89])
+        for _ in range(12):
+            phi, psi = distinct_pair(rng, n)
+            energy = 10.0 ** rng.uniform(-6.0, 6.0)
+            core = optimal_hamiltonian(phi, psi, energy)
+            mean_energy = float(rng.standard_normal()) * energy
+            levels = energy * rng.choice([-1.0, 1.0], n - 2) * 10.0 ** rng.uniform(-6.0, 6.0, n - 2)
+            h = synthesis._family_member(core, phi, mean_energy, levels)
+            ref = _reference_family_member(core, phi, mean_energy, levels)
+            assert np.linalg.norm(h - ref) <= 1e-14 * np.linalg.norm(ref), energy
+            assert np.array_equal(h, h.conj().T)
+
+    def test_members_are_exactly_hermitian(self):
+        rng = np.random.default_rng(97)
+        for k in range(100):
+            phi, psi = distinct_pair(rng, int(rng.integers(2, 65)))
+            h = optimal_family_sample(phi, psi, 10.0 ** rng.uniform(-3.0, 3.0), k)
+            assert np.array_equal(h, h.conj().T), k
+            assert np.array_equal(numerics._hermitian_part(h, "{}"), h), k
+
+    def test_builds_no_blocks(self, rng, spy_on_bases, monkeypatch):
+        # Two completions, of phi and of the coupling inside it; no
+        # conjugation into the adapted basis and no way back.
+        phi, psi = distinct_pair(rng, 8)
+        calls = spy_on_bases()
+        monkeypatch.setattr(synthesis.HamiltonianBlocks, "reassemble", None)
+        optimal_family_sample(phi, psi, 1.0, 4)
+        assert calls == ["adapted_basis", "adapted_basis"]
+
     def test_member_is_optimal_with_same_uncertainty(self, rng):
         phi, psi = distinct_pair(rng, 5)
         h = optimal_family_sample(phi, psi, 0.9, rng_seed=7)
@@ -595,8 +642,9 @@ def _as_given_uncertainty(h, phi):
 
 
 class TestHermitianPart:
-    """``energy_uncertainty``, ``qsl_time`` and the verdict read the
-    Hermitian part (H + H*) / 2, as ``herm_eig`` does."""
+    """``energy_uncertainty``, ``qsl_time``, the verdict,
+    ``equigeodesic_vector_of`` and ``adapted_blocks`` read the Hermitian
+    part (H + H*) / 2, as ``herm_eig`` does."""
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_tolerated_antihermitian_part_is_not_read(self, n):
@@ -620,10 +668,17 @@ class TestHermitianPart:
         assert verdict.delta_e == pytest.approx(reference, rel=1e-12)
         assert verdict.delta_e <= verdict.delta_e_max * (1.0 + 1e-12)
         assert qsl_time(phi, psi, h) == qsl_time(phi, psi, part)
+        # Read as given, K fails the skew-Hermiticity check of X.
+        assert np.array_equal(
+            equigeodesic_vector_of(h, phi)[0].matrix, equigeodesic_vector_of(part, phi)[0].matrix
+        )
+        blocks, ref = adapted_blocks(h, phi), adapted_blocks(part, phi)
+        assert np.array_equal(blocks.coupling, ref.coupling)
+        assert np.array_equal(blocks.complement, ref.complement)
 
     def test_hermitian_inputs_keep_their_bits(self):
-        # Exactly Hermitian generators are their own Hermitian part; family
-        # members, Hermitian only to roundoff, move by about eps.
+        # Exactly Hermitian generators are their own Hermitian part, and
+        # family members are built exactly Hermitian.
         rng = np.random.default_rng(83)
         for k in range(200):
             n = int(rng.integers(2, 65))
@@ -631,8 +686,7 @@ class TestHermitianPart:
             h = random_hermitian(rng, n)
             assert energy_uncertainty(h, phi) == _as_given_uncertainty(h, phi), k
             member = optimal_family_sample(phi, psi, 1.0, k)
-            ref = _as_given_uncertainty(member, phi)
-            assert energy_uncertainty(member, phi) == pytest.approx(ref, rel=1e-15, abs=0.0), k
+            assert energy_uncertainty(member, phi) == _as_given_uncertainty(member, phi), k
 
     def test_one_gate_on_a_remembered_generator(self, rng, monkeypatch):
         # The verdict of a factorized generator forms its Hermitian part
