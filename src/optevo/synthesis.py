@@ -144,9 +144,8 @@ def adapted_basis(phi: PureState) -> np.ndarray:
 def adapted_blocks(h, phi: PureState) -> HamiltonianBlocks:
     """Express a Hermitian operator in a basis adapted to a state.
 
-    H is checked as ``energy_uncertainty`` checks it, and its Hermitian
-    part (H + H*) / 2, which is H itself when H is exactly Hermitian, is
-    conjugated into the adapted basis and made Hermitian there."""
+    H is checked and its Hermitian part taken as ``energy_uncertainty``
+    does, then conjugated and made Hermitian in the adapted basis."""
     a = _coupling(h, phi)[0]
     basis = adapted_basis(phi)
     hb = basis.conj().T @ a @ basis
@@ -173,12 +172,12 @@ def is_optimal_speed(h, phi: PureState) -> OptimalityVerdict:
 
 
 def _classify(h, phi: PureState) -> tuple[Verdict, float, float, np.ndarray]:
-    """Kind, residual and uncertainty |x|, in O(n^2) from x and L (module
-    docstring), all read from the Hermitian part (H + H*) / 2 that
-    ``_coupling`` returns, as ``herm_eig`` reads it: H itself if H is
-    Hermitian to the last bit, without an anti-Hermitian part
-    ``is_hermitian`` allows. That part comes back last. The floor reads |x|
-    and |H|_F as ``qsl_time`` reads them."""
+    """Kind, residual, uncertainty |x| and the Hermitian part (H + H*) / 2
+    that ``_coupling`` returns and all three read, in O(n^2) from x and L
+    (module docstring). That part is what ``herm_eig`` reads: H itself if H
+    is Hermitian to the last bit, without an anti-Hermitian part
+    ``is_hermitian`` allows. The floor reads |x| and |H|_F as ``qsl_time``
+    reads them."""
     a, mean, x = _coupling(h, phi)
     delta_e, scale = float(np.linalg.norm(x)), frobenius(h)
     if _stationary(delta_e, scale):
@@ -225,19 +224,14 @@ def optimal_hamiltonian(phi: PureState, psi: PureState, energy: float) -> np.nda
 def _family_member(core, phi: PureState, mean_energy: float, perp_levels) -> np.ndarray:
     """Extend the canonical generator by admissible diagonal data.
 
-    In full coordinates, as the verdict reads it: with x the coupling of
-    the core in phi, x^ = x / |x| and Q the ``adapted_basis`` completion of
-    x^ inside that of phi (n - 2 orthonormal columns orthogonal to phi and
-    x), the member is M + M* with
-
-        M = x phi* + (mean_energy (phi phi* + x^ x^*) + Q diag(perp_levels) Q*) / 2,
-
-    two general products, and exactly Hermitian. The complement block
-    keeps the coupling direction as an eigenvector at ``mean_energy`` and
-    assigns ``perp_levels`` to Q. The extension never touches the driven
-    ray; keeping every completion level inside
-    [mean_energy - E, mean_energy + E] also leaves the spectral spread at
-    2E, so no uncertainty headroom is wasted.
+    In full coordinates, as the verdict reads it, the member is M + M* with
+    M = x phi* + (mean_energy (phi phi* + x^ x^*) + Q diag(perp_levels) Q*) / 2:
+    x is the core's coupling, x^ = x / |x| and Q the ``adapted_basis``
+    completion of x^ inside that of phi. Two general products, and exactly
+    Hermitian. The coupling direction stays an eigenvector of the
+    complement block at ``mean_energy``, so the driven ray moves as under
+    the core; completion levels inside [mean_energy - E, mean_energy + E]
+    also keep the spectral spread at 2E, wasting no uncertainty headroom.
     """
     a, _, x = _coupling(core, phi)
     norm = float(np.linalg.norm(x))
@@ -249,8 +243,8 @@ def _family_member(core, phi: PureState, mean_energy: float, perp_levels) -> np.
     p, xhat = phi.amplitudes, x / norm
     rest = adapted_basis(phi)[:, 1:]
     q = rest @ adapted_basis(PureState(rest.conj().T @ xhat))[:, 1:]
-    diagonal = mean_energy * (np.outer(p, p.conj()) + np.outer(xhat, xhat.conj()))
-    half = np.outer(x, p.conj()) + 0.5 * (diagonal + (q * levels) @ q.conj().T)
+    mean_part = mean_energy * (np.outer(p, p.conj()) + np.outer(xhat, xhat.conj()))
+    half = np.outer(x, p.conj()) + 0.5 * (mean_part + (q * levels) @ q.conj().T)
     return half + half.conj().T
 
 
@@ -262,9 +256,8 @@ def optimal_family_sample(
     All members share the canonical generator's coupling, hence its
     uncertainty E in the start state and the same projector trajectory;
     they differ by a mean energy and by Hermitian structure orthogonal to
-    the coupling direction. A member is built in full coordinates, with no
-    conjugation into the adapted basis, and is exactly Hermitian.
-    Coincident rays return the zero matrix as in :func:`optimal_hamiltonian`.
+    the coupling direction; members are exactly Hermitian. Coincident rays
+    return the zero matrix as in :func:`optimal_hamiltonian`.
     """
     core = optimal_hamiltonian(phi, psi, energy)
     if not core.any():
@@ -333,7 +326,7 @@ def equigeodesic_vector_of(h, phi: PureState) -> tuple[SuVector, np.ndarray]:
     """Algebra element generating the ray motion, with its base point.
 
     For a maximal-speed generator H and state phi, returns (X, U) where X
-    is -iH with the trace part removed and U = ``adapted_basis(phi)``
+    is -i (H + H*) / 2 less its trace part and U = ``adapted_basis(phi)``
     carries the first standard basis vector to phi. U* X U is equigeodesic
     for the partition (1, n-1): the orbit of X through the base point is a
     geodesic for every invariant metric. The structural certificate accepts
