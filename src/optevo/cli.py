@@ -15,6 +15,9 @@ Exit codes, shared across subcommands:
 * 4  synthesize: the two rays coincide, nothing to synthesize
 * 5  check: the state is stationary for the generator
 
+A closed stdout changes no exit code: the report is cut short and the
+command finishes.
+
 With ``--json`` the only stdout is a run report object carrying the same
 facts machine-readably, plus input digests, wall time and the optevo,
 numpy and Python versions.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -184,6 +188,7 @@ class _Report:
         }
         self.as_json = as_json
         self.start = time.perf_counter()
+        self.stdout_closed = False
 
     def input_file(self, flag: str, path: str) -> None:
         self.doc["inputs"][flag] = {"path": path, "sha256": file_digest(path)}
@@ -192,18 +197,30 @@ class _Report:
         self.doc["outputs"][key] = value
         if not self.as_json:
             shown = _fmt(value) if isinstance(value, float) else value
-            print(f"{key}={shown}")
+            self._emit(f"{key}={shown}")
 
     def plain(self, text: str) -> None:
         if not self.as_json:
-            print(text)
+            self._emit(text)
 
     def finish(self, code: int) -> int:
         self.doc["wall_time_s"] = time.perf_counter() - self.start
         if self.as_json:
-            json.dump(self.doc, sys.stdout, allow_nan=False, separators=(",", ":"))
-            print()
+            self._emit(json.dumps(self.doc, allow_nan=False, separators=(",", ":")))
         return code
+
+    def _emit(self, text: str) -> None:
+        """Print one line. Once stdout's reader has gone, the rest of the
+        report is dropped and the command runs on, so its files are written
+        and it exits with its own code; stdout is pointed at the null
+        device, so the interpreter's last flush raises nothing either."""
+        if self.stdout_closed:
+            return
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            self.stdout_closed = True
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_state(path: str):

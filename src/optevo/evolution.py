@@ -309,8 +309,11 @@ def density_arrival_time(
     spectra equal within SPECTRAL_TOL, one simple eigenvalue and one
     (n - 1)-fold one.
 
-    Every other pair takes the Frobenius scan, ``_density_scan``.
+    Every other pair takes the Frobenius scan, ``_density_scan``. A
+    ``threshold`` that is not positive and finite raises ValueError.
     """
+    if not 0.0 < threshold < math.inf:
+        raise ValueError("threshold must be positive and finite")
     rays = _quasi_pure_rays(rho, target)
     if rays is None:
         return _density_scan(h, rho, target, horizon, units, threshold)

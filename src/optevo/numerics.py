@@ -258,10 +258,10 @@ def _phase_rows(w, start, step, count, hbar):
 
 def _generator_factors(h, horizon, *dims):
     """``herm_eig(h)`` of an arrival search over (0, horizon], once the
-    horizon is positive and each state dimension in ``dims`` is the
-    generator's."""
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
+    horizon is positive and finite and each state dimension in ``dims`` is
+    the generator's."""
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     w, v = herm_eig(h)
     if any(n != w.size for n in dims):
         raise DimensionMismatchError("the generator and the states must share one dimension")

@@ -314,6 +314,8 @@ def first_arrival_time(
     ------
     StationaryStateError
         If the start is stationary and already on the target ray.
+    ValueError
+        If the horizon is not positive and finite.
     """
     w, v = _generator_factors(h, horizon, phi.n, psi.n)
     return _ray_arrival(

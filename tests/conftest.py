@@ -40,16 +40,16 @@ def record_eigh(monkeypatch):
 @pytest.fixture
 def record_scans(monkeypatch):
     """Patch the arrival scan, ``numerics._scan_arrival``, which the ray
-    and Frobenius scans share, to record the counters of each call; returns
-    the list they are appended to. A call its floor decides counts its
-    grid's points and step, no chunk and no evaluated value, and every cell
-    as screened."""
+    and Frobenius scans share, to record the counters of each call, with
+    the gate and the margin it was given; returns the list they are
+    appended to. A call its floor decides counts its grid's points and
+    step, no chunk and no evaluated value, and every cell as screened."""
     stats = []
     scan_arrival = numerics._scan_arrival
 
-    def recording(*args, **kwargs):
-        arrival, scan = scan_arrival(*args, **kwargs)
-        stats.append(scan)
+    def recording(*args):
+        arrival, scan = scan_arrival(*args)
+        stats.append(dict(scan, gate=args[9], margin=args[10]))
         return arrival, scan
 
     monkeypatch.setattr(numerics, "_scan_arrival", recording)

@@ -6,6 +6,7 @@ and file side effects are exercised exactly as a shell user sees them.
 
 import json
 import math
+import os
 import platform
 import subprocess
 import sys
@@ -145,6 +146,28 @@ class TestSynthesize:
     def test_missing_flag(self, qubit_files):
         r = run_cli("synthesize", "--from", qubit_files["ket0"], "--energy", 1.0)
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("report", [[], ["--json"]])
+    @pytest.mark.parametrize("target, code", [([1.0, 1.0, 1.0], 0), ([1.0, 0.0, 0.0], 4)])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, target, code, report):
+        # stdout is a pipe whose read end is closed before the process
+        # starts, so its first write fails: the command still writes its
+        # file and exits with its own code, with nothing on stderr.
+        phi = write_state(tmp_path / "phi.json", [1.0, 0.0, 0.0])
+        psi = write_state(tmp_path / "psi.json", target)
+        out = tmp_path / "ham.json"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "optevo.cli", "synthesize", "--from", phi, "--to", psi,
+                 "--energy", "1.3", "--family-seed", "7", "--out", str(out), *report],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert (r.returncode, r.stderr) == (code, "")
+        assert out.exists() == (code == 0)
 
 
 class TestCheck:

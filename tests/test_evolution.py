@@ -7,7 +7,6 @@ maximal-speed qubit transfer.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,8 +41,9 @@ from optevo.evolution import _density_scan
 from optevo.numerics import STRUCTURAL_TOL
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from optevo.verification import run_suite
-from reference_refinement import refine
-from torus import torus_unitary
+from scans import TABLE, Case, build, search, torus_unitary
+from scans import _fixed_spread, _quasi_pure, _quasi_pure_pair
+from scans import _random_density, _reference_density_arrival
 
 ATOL = 1e-12
 FLAT_TOL = 1e-6
@@ -364,6 +364,15 @@ def _reference_diagnostics(samples, dt, phi, psi):
     return profile, defect, leak
 
 
+def _quasi_pure_density(rng, n):
+    frame = random_unitary(rng, n)
+    p1 = float(rng.uniform(0.3, 0.95))
+    spec = QuasiPureSpec(
+        p1, (1.0 - p1) / (n - 1), tuple(PureState(frame[:, j]) for j in range(n))
+    )
+    return quasi_pure(spec)
+
+
 class TestBatchedAgainstReference:
     """The batched sampler and the array diagnostics against the per-sample
     forms they replaced, on the trajectory benchmark's kinds of input."""
@@ -469,165 +478,13 @@ class TestDensityArrival:
         assert calls == ["eigh"] * 3
         assert density_t == pytest.approx(pure_t, abs=1e-7)
 
-    def test_rejects_bad_horizon(self):
-        rho = DensityMatrix(np.eye(2) / 2.0)
-        with pytest.raises(ValueError):
-            density_arrival_time(SIGMA_Y, rho, rho, -1.0)
-
     def test_rejects_dimension_mismatch(self):
         rho = DensityMatrix(np.eye(2) / 2.0)
         with pytest.raises(DimensionMismatchError):
             density_arrival_time(np.eye(3), rho, rho, 1.0)
 
 
-def _reference_density_arrival(h, rho, target, horizon, hbar=1.0, threshold=1e-8, step=None):
-    """The density search without its Frobenius screen: the trace norm at
-    every point of a grid of the given step, by default 0.01 hbar /
-    delta_e_max as before the step followed ||[H, rho]||_1, the same gated
-    local-minimum test, and the former refinement: golden section and a
-    parabolic polish of the trace norm itself. Its phases come straight
-    from the grid times, so its grid values match the streamed scan's to
-    rounding. Returns the time, the minima refined and the smallest grid
-    value."""
-    w, v = numerics.herm_eig(h)
-    start = v.conj().T @ rho.matrix @ v
-    goal = v.conj().T @ target.matrix @ v
-
-    def norms(phases):
-        rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
-        return np.sum(np.abs(np.linalg.eigvalsh(rotated - goal)), axis=1)
-
-    def distance(t):
-        return float(norms(np.exp(-1j * w * (t / hbar))[None, :])[0])
-
-    if step is None:
-        step = 0.01 * hbar / (float(w[-1] - w[0]) / 2.0)
-    count = max(math.ceil(horizon / step), 8)
-    dt = horizon / count
-    times = np.arange(count + 1) * dt
-    rows = [np.exp(-1j * np.outer(times[i : i + 256], w) / hbar) for i in range(0, count + 1, 256)]
-    vals = np.append(np.concatenate([norms(phases) for phases in rows]), np.inf)
-    gate = max(100.0 * threshold, 5e-2)
-    refined = 0
-    for i in range(1, count + 1):
-        if not vals[i] <= min(vals[i - 1], vals[i + 1], gate):
-            continue
-        refined += 1
-        lo, hi = (i - 1) * dt, (i + 1) * dt if i + 1 < count else horizon
-        tol = max(1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
-        t_min, f_min = refine(distance, lo, hi, tol, step)
-        if f_min <= threshold and t_min > 0.0:
-            return min(t_min, horizon), refined, float(vals.min())
-    return None, refined, float(vals.min())
-
-
-def _random_density(rng, n, spectrum):
-    u = random_unitary(rng, n)
-    return DensityMatrix((u * (np.asarray(spectrum) / np.sum(spectrum))) @ u.conj().T)
-
-
-def _quasi_pure_density(rng, n):
-    frame = random_unitary(rng, n)
-    p1 = float(rng.uniform(0.3, 0.95))
-    spec = QuasiPureSpec(
-        p1, (1.0 - p1) / (n - 1), tuple(PureState(frame[:, j]) for j in range(n))
-    )
-    return quasi_pure(spec)
-
-
-def _fixed_spread(rng, n):
-    h = random_hermitian(rng, n)
-    w = np.linalg.eigvalsh(h)
-    return h * (2.0 * math.sqrt(n) / (float(w[-1] - w[0]) / 2.0))
-
-
-def _screen_cases():
-    rng = np.random.default_rng(41)
-    cases = {}
-    h = _fixed_spread(rng, 4)
-    rho = _random_density(rng, 4, [0.5, 0.3, 0.15, 0.05])
-    other = _random_density(rng, 4, [0.1, 0.2, 0.3, 0.4])
-    cases["full-rank-hit"] = (h, rho, propagate_density(h, rho, 7.3), 20.0, 1.0)
-    # Two percent of another density mixed into rho at t = 4.1: the distance
-    # dips below the gate there but not to the threshold.
-    near = 0.98 * propagate_density(h, rho, 4.1).matrix + 0.02 * other.matrix
-    cases["full-rank-near"] = (h, rho, DensityMatrix(near), 20.0, 1.0)
-    cases["full-rank-miss"] = (h, rho, other, 20.0, 1.0)
-    a, b = _quasi_pure_density(rng, 6), _quasi_pure_density(rng, 6)
-    cases["quasi-pure-miss"] = (_fixed_spread(rng, 6), a, b, 30.0, 1.0)
-    h6 = _fixed_spread(rng, 6)
-    arrived = propagate_density(h6, a, 9.0, Units(hbar=2.0))
-    cases["quasi-pure-hit-hbar2"] = (h6, a, arrived, 30.0, 2.0)
-    return cases
-
-
-SCREEN_CASES = _screen_cases()
-DENSITY_KINDS = ("full-rank-hit", "quasi-pure-hit", "miss", "near-gate")
-
-
-def _density_case(kind, n, hbar):
-    """Seeded generator, densities and horizon of one kind of density
-    search: a full-rank and a quasi-pure passage, a target of another
-    spectrum (never reached), and the 2 % mix of one into a passage, whose
-    distance minimum sits between the threshold and the gate."""
-    rng = np.random.default_rng([n, int(hbar), DENSITY_KINDS.index(kind)])
-    h = _fixed_spread(rng, n)
-    scale = hbar / (2.0 * math.sqrt(n))  # hbar / delta_e_max
-    if kind == "quasi-pure-hit":
-        rho = _quasi_pure_density(rng, n)
-    else:
-        rho = _random_density(rng, n, np.arange(1.0, n + 1.0))
-    other = _random_density(rng, n, np.arange(1.0, n + 1.0) ** 2)
-    if kind == "miss":
-        return h, rho, other, 10.0 * scale
-    t_star = float(rng.uniform(1.0, 3.0)) * scale
-    moved = propagate_density(h, rho, t_star, Units(hbar=hbar))
-    if kind == "near-gate":
-        moved = DensityMatrix(0.98 * moved.matrix + 0.02 * other.matrix)
-    return h, rho, moved, 1.3 * t_star + 0.5 * scale
-
-
 class TestAgainstReferenceScan:
-    @pytest.mark.parametrize("hbar", [1.0, 2.0])
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
-    @pytest.mark.parametrize("kind", DENSITY_KINDS)
-    def test_matches_reference_scan(self, kind, n, hbar):
-        h, rho, target, horizon = _density_case(kind, n, hbar)
-        got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
-        want, refined, _ = _reference_density_arrival(h, rho, target, horizon, hbar)
-        assert (got is None) == (want is None) == kind.endswith(("miss", "gate"))
-        if got is not None:
-            assert abs(got - want) <= 1e-9
-        if kind == "near-gate":
-            assert refined > 0
-
-    @pytest.mark.parametrize("hbar", [1.0, 2.0])
-    def test_newton_steps_per_minimum(self, record_scans, record_newton, hbar):
-        # Newton on the squared Frobenius distance lands within tolerance in
-        # three steps; the trace norm is taken once per refined minimum.
-        scans = record_scans
-        for kind in DENSITY_KINDS:
-            for n in (2, 3, 4, 8, 16, 32):
-                h, rho, target, horizon = _density_case(kind, n, hbar)
-                _density_scan(h, rho, target, horizon, Units(hbar=hbar))
-        assert len(record_newton) == sum(s["refined"] for s in scans) >= 18
-        assert sum(record_newton) == sum(s["newton_steps"] for s in scans)
-        assert max(record_newton) == 3
-        assert all(s["evaluations"] == s["refined"] for s in scans)
-
-    @pytest.mark.parametrize("hbar", [1.0, 2.0])
-    def test_shifted_generator_keeps_the_arrival(self, hbar):
-        for kind in DENSITY_KINDS:
-            for n in (2, 3, 8, 32):
-                h, rho, target, horizon = _density_case(kind, n, hbar)
-                units = Units(hbar=hbar)
-                want = density_arrival_time(h, rho, target, horizon, units)
-                shifted = h + 1e4 * float(np.linalg.norm(h)) * np.eye(n)
-                got = density_arrival_time(shifted, rho, target, horizon, units)
-                assert (got is None) == (want is None), (kind, n)
-                if got is not None:
-                    assert abs(got - want) <= 1e-9, (kind, n)
-
     def test_near_miss_targets_decide_as_the_reference(self):
         # A passage of a full-rank density pushed off the orbit by a random
         # traceless E with |E|_1 below the threshold 1e-8. The refinement
@@ -656,84 +513,7 @@ class TestAgainstReferenceScan:
             assert abs(got - want) <= 2.0 * size * hbar / speed + 1e-11, k
 
 
-def _torus_twin(case, seed):
-    """A case's generator, start and horizon, with the start turned on the
-    generator's torus as the target: its floor is 0, so the scan streams
-    the whole grid."""
-    h, rho, _, horizon, hbar = case
-    u = torus_unitary(np.random.default_rng(seed), h)
-    return h, rho, DensityMatrix(u @ rho.matrix @ u.conj().T), horizon, hbar
-
-
-# The screen's cases, and each kind of density search at two sizes; each
-# miss has a torus twin.
-COVER_CASES = {
-    **SCREEN_CASES,
-    **{
-        f"{kind}-n{n}": (*_density_case(kind, n, 1.0), 1.0)
-        for kind in DENSITY_KINDS
-        for n in (3, 8)
-    },
-}
-COVER_CASES.update(
-    {
-        name.replace("miss", "torus"): _torus_twin(case, k)
-        for k, (name, case) in enumerate(sorted(COVER_CASES.items()))
-        if "miss" in name
-    }
-)
-
-
 class TestDensityScreen:
-    @pytest.mark.parametrize("chunk", [1 << 15, 64])
-    @pytest.mark.parametrize("name", sorted(COVER_CASES))
-    def test_candidates_cover_the_trace_norm_scan(self, name, chunk, monkeypatch, record_scans):
-        # The scan's candidates are the Frobenius distance's minima at most
-        # the gate. Since ||D||_F <= ||D||_1 they are at least as many as
-        # the trace-norm minima at most the gate on the same grid, and the
-        # search decides alike. A quasi-pure pair of one spectrum scans its
-        # rays, where the distance is ||D||_F itself. The Frobenius scan's
-        # step is 0.02 hbar / ||[H, rho]||_1, and the ray search takes its
-        # grid. A target of another spectrum, or a random ray, sits above
-        # the gate at every t: its floor decides it before any phase row.
-        # Its torus twin has floor 0 and streams every chunk.
-        h, rho, target, horizon, hbar = COVER_CASES[name]
-        monkeypatch.setattr(numerics, "_SCAN_CHUNK", chunk)
-        scans = record_scans
-        got = density_arrival_time(h, rho, target, horizon, Units(hbar=hbar))
-        _density_scan(h, rho, target, horizon, Units(hbar=hbar))
-        scan, frobenius = scans
-        want, refined, _ = _reference_density_arrival(
-            h, rho, target, horizon, hbar, step=scan["step"]
-        )
-        assert (got is None) == (want is None) == ("hit" not in name)
-        if got is not None:
-            assert abs(got - want) <= 1e-9
-        assert scan["refined"] >= refined
-        if "miss" in name:
-            assert (scan["chunks"], scan["evaluated"], scan["refined"]) == (0, 0, 0)
-            assert scan["screened"] > 0
-        else:
-            assert scan["chunks"] > (1 if chunk == 64 else 0)
-        if "torus" in name:
-            assert scan["floor"] < 1e-6
-        commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
-        assert frobenius["step"] == pytest.approx(
-            0.02 * hbar / np.sum(np.abs(np.linalg.eigvalsh(commutator))), rel=1e-12
-        )
-        assert scan["grid_points"] == frobenius["grid_points"]
-        assert scan["step"] == pytest.approx(frobenius["step"], rel=1e-12)
-
-    def test_cases_cover_each_outcome(self):
-        outcomes = {
-            name: _reference_density_arrival(h, rho, target, horizon, hbar)
-            for name, (h, rho, target, horizon, hbar) in SCREEN_CASES.items()
-        }
-        assert outcomes["full-rank-hit"][0] is not None
-        assert outcomes["quasi-pure-hit-hbar2"][0] is not None
-        assert outcomes["full-rank-near"][0] is None and outcomes["full-rank-near"][1] > 0
-        assert all(outcomes[k][1] == 0 for k in ("full-rank-miss", "quasi-pure-miss"))
-
     def test_minimum_just_below_gate(self, record_scans):
         # At t0 the difference is c (|a><a| - |b><b|): rank two, so its
         # Frobenius norm is as large as a trace-norm gap allows, 1/sqrt(2) of
@@ -757,24 +537,17 @@ class TestDensityScreen:
         assert scans[0]["refined"] == refined > 0
 
     @pytest.mark.parametrize(
-        "kind, n",
-        [("long-miss", 6), ("long-torus", 6)] + [(k, n) for k in DENSITY_KINDS for n in (3, 8)],
+        "case",
+        [Case("full-rank", target, 6, horizon=200.0) for target in ("miss", "torus")]
+        + [c for c in TABLE if c == Case("full-rank", c.target, c.n) and c.n in (3, 8)],
+        ids=str,
     )
-    def test_scan_diagonalizes_no_grid_row(self, monkeypatch, record_scans, kind, n):
+    def test_scan_diagonalizes_no_grid_row(self, monkeypatch, record_scans, case):
         # The only eigvalsh calls are on single n x n matrices: the
         # commutator's trace norm, then the judge's, once per refined minimum.
         # The long miss is decided by its floor; its torus twin evaluates
         # grid values.
-        if kind.startswith("long"):
-            rng = np.random.default_rng(47)
-            h = _fixed_spread(rng, n)
-            rho, target = _quasi_pure_density(rng, n), _quasi_pure_density(rng, n)
-            if kind == "long-torus":
-                u = torus_unitary(rng, h)
-                target = DensityMatrix(u @ rho.matrix @ u.conj().T)
-            horizon = 200.0
-        else:
-            h, rho, target, horizon = _density_case(kind, n, 1.0)
+        built = build(case)
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -784,136 +557,11 @@ class TestDensityScreen:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         scans = record_scans
-        arrival = _density_scan(h, rho, target, horizon)
-        assert (arrival is None) == kind.endswith(("miss", "gate", "torus"))
-        assert shapes == [(n, n)] * (1 + scans[0]["evaluations"])
-        if kind.startswith("long"):
+        assert (search(case, built) is None) == (case.target != "hit")
+        assert shapes == [(case.n, case.n)] * (1 + scans[0]["evaluations"])
+        if case.horizon is not None:
             assert scans[0]["grid_points"] > 10_000
-            assert (scans[0]["evaluated"] > 0) == (kind == "long-torus")
-
-    def test_memory_bounded_on_miss(self, record_scans):
-        # Two quasi-pure densities of two spectra (the floor decides), and the
-        # start with a target on its torus, scanned by the Frobenius scan.
-        rng = np.random.default_rng(53)
-        h = _fixed_spread(rng, 32)
-        rho, target = _quasi_pure_density(rng, 32), _quasi_pure_density(rng, 32)
-        u = torus_unitary(rng, h)
-        for goal in (target, DensityMatrix(u @ rho.matrix @ u.conj().T)):
-            tracemalloc.start()
-            try:
-                arrival = _density_scan(h, rho, goal, 30.0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert arrival is None
-            # Chunks of (rows, n, n) matrices peaked near 35 MB at n = 32.
-            assert peak < 8e6
-        assert [scan["chunks"] for scan in record_scans] == [0, 2]
-
-    @staticmethod
-    def full_rank_long_miss():
-        """An n = 64 full-rank pair of two spectra, horizon 3000: 8e5 grid
-        points, the Frobenius distance between 0.129 and 0.135 throughout."""
-        rng = np.random.default_rng(79)
-        h = _fixed_spread(rng, 64)
-        rho = _random_density(rng, 64, np.arange(1.0, 65.0))
-        target = _random_density(rng, 64, np.arange(1.0, 65.0) ** 2)
-        numerics.herm_eig(h)
-        return rng, h, rho, target
-
-    def test_floor_decides_full_rank_long_miss(self, record_scans):
-        # sqrt(||S||^2 + ||G||^2 - 2 sum |M_jk|) = 0.072 clears the gate
-        # 0.05: no phase row is built.
-        _, h, rho, target = self.full_rank_long_miss()
-        scans = record_scans
-        assert density_arrival_time(h, rho, target, 3000.0) is None
-        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
-        assert scans[0]["grid_points"] > 500_000 and 0.07 < scans[0]["floor"] < 0.129
-        assert (scans[0]["chunks"], scans[0]["evaluated"], scans[0]["screened"]) == (0, 0, cells)
-
-    def test_memory_bounded_on_full_rank_long_miss(self, record_scans):
-        # The same start and a target on its torus: floor 0, and nearly
-        # every cell live; after a first chunk of 3 cells the second
-        # screens the other 6365 at once. Its cell ends read in one piece
-        # traced 14 MB; in slices of _SCAN_CHUNK phase entries the peak is
-        # near 2.5 MB.
-        rng, h, rho, _ = self.full_rank_long_miss()
-        u = torus_unitary(rng, h)
-        target = DensityMatrix(u @ rho.matrix @ u.conj().T)
-        scans = record_scans
-        tracemalloc.start()
-        try:
-            arrival = density_arrival_time(h, rho, target, 3000.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert arrival is None and scans[0]["chunks"] == 2
-        assert scans[0]["grid_points"] > 500_000 and scans[0]["floor"] == 0.0
-        assert scans[0]["evaluated"] > 0.99 * scans[0]["grid_points"]
-        assert peak < 8e6
-
-    @pytest.mark.parametrize("kind", ["quasi-pure", "full-rank"])
-    def test_arrival_in_the_second_chunk(self, kind, record_scans):
-        # At n = 8 the first chunk holds 31 cells of 128 steps; a passage
-        # 5000 steps out is found in the second, as the trace-norm reference
-        # finds it, by the ray search (a quasi-pure pair of one spectrum) and
-        # by the Frobenius scan.
-        rng = np.random.default_rng([89, kind == "full-rank"])
-        h = _fixed_spread(rng, 8)
-        if kind == "quasi-pure":
-            rho = _one_spectrum_pair(rng, 8, 0.5, True)[0]
-        else:
-            rho = _random_density(rng, 8, np.arange(1.0, 9.0))
-        commutator = 1j * (h @ rho.matrix - rho.matrix @ h)
-        t_star = 5000 * 0.02 / np.sum(np.abs(np.linalg.eigvalsh(commutator)))
-        target = propagate_density(h, rho, t_star)
-        scans = record_scans
-        got = density_arrival_time(h, rho, target, 1.5 * t_star)
-        frobenius = _density_scan(h, rho, target, 1.5 * t_star)
-        want, _, _ = _reference_density_arrival(
-            h, rho, target, 1.5 * t_star, step=scans[1]["step"]
-        )
-        assert abs(want - t_star) <= 1e-9
-        assert abs(got - want) <= 1e-9 and abs(frobenius - want) <= 1e-9
-        assert [scan["chunks"] for scan in scans] == [2, 2]
-
-
-def _one_spectrum_pair(rng, n, gap, above):
-    """Two quasi-pure densities of one spectrum, |p1 - p2| = gap, with p1
-    above 1/n or below it, on random frames."""
-    p2 = (1.0 - gap) / n if above else (1.0 + gap) / n
-    p1 = p2 + gap if above else p2 - gap
-    frames = random_unitary(rng, n), random_unitary(rng, n)
-    return [
-        quasi_pure(QuasiPureSpec(p1, p2, tuple(PureState(f[:, j]) for j in range(n))))
-        for f in frames
-    ]
-
-
-def _quasi_pure_pair(rng, n):
-    """Two quasi-pure densities of one spectrum on random frames, as the
-    arrival-scan benchmark draws them: distinguished rays 0.15 to 1.45 rad
-    apart, p1 in (0.05, 0.95) at least 0.05 from 1/n."""
-    while True:
-        frames = random_unitary(rng, n), random_unitary(rng, n)
-        if 0.15 <= fs_distance(*(PureState(f[:, 0]) for f in frames)) <= 1.45:
-            break
-    while True:
-        p1 = float(rng.uniform(0.05, 0.95))
-        if abs(p1 - 1.0 / n) >= 0.05:
-            break
-    p2 = (1.0 - p1) / (n - 1)
-    return [
-        quasi_pure(QuasiPureSpec(p1, p2, tuple(PureState(f[:, j]) for j in range(n))))
-        for f in frames
-    ]
-
-
-def _completion(rng, a):
-    """n - 1 orthonormal states orthogonal to the unit vector a."""
-    n = a.size
-    q, _ = np.linalg.qr(np.column_stack([a, random_unitary(rng, n)[:, 1:]]))
-    return [PureState(q[:, j]) for j in range(1, n)]
+            assert (scans[0]["evaluated"] > 0) == (case.target == "torus")
 
 
 @pytest.fixture
@@ -952,7 +600,10 @@ class TestQuasiPureRoute:
         scans = record_scans
         for k, (hbar, kind) in enumerate([(1.0, "hit"), (2.0, "hit"), (1.0, "miss"), (2.0, "miss")]):
             rng = np.random.default_rng([n, k, int(above), round(-math.log10(gap))])
-            rho, other = _one_spectrum_pair(rng, n, gap, above)
+            rho, other = (
+                _quasi_pure(random_pure_state(rng, n).amplitudes, gap if above else -gap)
+                for _ in range(2)
+            )
             h = _fixed_spread(rng, n)
             units, scale = Units(hbar=hbar), hbar / (2.0 * math.sqrt(n))
             t_star = float(rng.uniform(1.0, 3.0)) * scale
@@ -1042,11 +693,7 @@ class TestQuasiPureRoute:
         alpha = math.asin(closest / (2.0 * gap))
         psi = math.cos(alpha) * propagate(h, PureState(phi), t0).amplitudes
         psi += math.sin(alpha) * v[:, -1]
-        p2 = (1.0 - gap) / n
-        rho, target = (
-            quasi_pure(QuasiPureSpec(p2 + gap, p2, (PureState(a), *_completion(rng, a))))
-            for a in (phi, psi)
-        )
+        rho, target = _quasi_pure(phi, gap), _quasi_pure(psi, gap)
         for factor, arrives in ((1.05, True), (0.95, False)):
             got = density_arrival_time(h, rho, target, 2.0, threshold=factor * closest)
             want = _density_scan(h, rho, target, 2.0, threshold=factor * closest)
@@ -1096,179 +743,3 @@ class TestQuasiPureRoute:
         rays = evolution._quasi_pure_rays(rho, target)
         assert (rays is not None) == (case in ("one-spectrum", "upper-defect"))
         assert calls == ["eigh"] * (1 if case == "other-purity" else 2)
-
-    def test_memory_bounded_on_miss(self, record_frobenius, record_scans):
-        # A random target (the floor decides it) and one on the start's
-        # torus (floor 0: two chunks stream).
-        rng = np.random.default_rng(71)
-        rho, target = _one_spectrum_pair(rng, 64, 0.5, True)
-        h = _fixed_spread(rng, 64)
-        numerics.herm_eig(h)
-        u = torus_unitary(rng, h)
-        for goal in (target, DensityMatrix(u @ rho.matrix @ u.conj().T)):
-            tracemalloc.start()
-            try:
-                arrival = density_arrival_time(h, rho, goal, 30.0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert arrival is None and not record_frobenius
-            # One chunk of phase rows, 2^15 complex entries, peaked near 0.55 MB.
-            assert peak < 2e6
-        assert [scan["chunks"] for scan in record_scans] == [0, 2]
-
-
-def _grid_angles(h, phi, psi, horizon, count, hbar=1.0):
-    """The angle between phi(t) and psi at the times i horizon / count,
-    from the propagated vectors by the stable atan2 formula."""
-    w, v = np.linalg.eigh(h)
-    times = np.arange(count + 1) * (horizon / count)
-    states = (np.exp(-1j * np.outer(times, w) / hbar) * (v.conj().T @ phi)) @ v.T
-    overlaps = states.conj() @ psi
-    sines = np.linalg.norm(psi[None] - overlaps[:, None] * states, axis=1)
-    return np.arctan2(sines, np.abs(overlaps))
-
-
-def _grid_frobenius(h, rho, target, horizon, count, hbar=1.0):
-    """||rho(t) - target||_F at the times i horizon / count, from the
-    conjugated matrices."""
-    w, v = np.linalg.eigh(h)
-    times = np.arange(count + 1) * (horizon / count)
-    phases = np.exp(-1j * np.outer(times, w) / hbar)
-    start = v.conj().T @ rho @ v
-    moved = v @ (start * (phases[:, :, None] * phases.conj()[:, None, :])) @ v.conj().T
-    return np.linalg.norm(moved - target, axis=(1, 2))
-
-
-def _off_orbit(rng, moved, angle):
-    """A unit vector ``angle`` rad from the unit vector ``moved``."""
-    off = random_pure_state(rng, moved.size).amplitudes
-    off = off - moved * np.vdot(moved, off)
-    return math.cos(angle) * moved + math.sin(angle) * off / np.linalg.norm(off)
-
-
-class TestFloor:
-    """The scans' floors, arccos sum_j |c_j| for a ray and
-    sqrt(||S||^2 + ||G||^2 - 2 sum_jk |M_jk|) for the Frobenius distance,
-    against the distance at every point of the scan's grid, computed
-    directly from the moved states: a floor above the smallest grid value
-    would let the scan drop a candidate. Targets are random, or 1e-3 to
-    1e-1 off the orbit; routed pairs have |p1 - p2| from 0.03 to 0.3, so
-    the gate on sin theta, 0.05 / (sqrt 2 |p1 - p2|), spans 1 at 0.035.
-    Roundoff of the floor near zero distance is about sqrt(n eps)."""
-
-    TOL = 1e-7
-
-    @staticmethod
-    def horizon(rng, n):
-        return float(rng.uniform(2.0, 10.0)) / (2.0 * math.sqrt(n))
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-    def test_ray_floor_below_every_grid_angle(self, n, record_scans):
-        decided = 0
-        for k in range(24):
-            rng = np.random.default_rng([101, n, k])
-            h = _fixed_spread(rng, n)
-            phi = random_pure_state(rng, n)
-            horizon = self.horizon(rng, n)
-            if k % 2:
-                moved = propagate(h, phi, float(rng.uniform(0.1, 1.0)) * horizon).amplitudes
-                psi = PureState(_off_orbit(rng, moved, 10.0 ** rng.uniform(-3, -1)))
-            else:
-                psi = random_pure_state(rng, n)
-            record_scans.clear()
-            arrival = first_arrival_time(h, phi, psi, horizon)
-            scan = record_scans[0]
-            count = scan["grid_points"] - 1
-            angles = _grid_angles(h, phi.amplitudes, psi.amplitudes, horizon, count)
-            assert scan["floor"] <= angles.min() + self.TOL, k
-            if scan["chunks"] == 0:
-                decided += 1
-                assert arrival is None and angles.min() > math.asin(0.01), k
-        assert decided > 0
-
-    @pytest.mark.parametrize("gap", [0.03, 0.035, 0.036, 0.04, 0.3])
-    @pytest.mark.parametrize("n", [3, 8])
-    def test_routed_floor_below_every_grid_angle(self, n, gap, record_scans):
-        decided = 0
-        for k in range(16):
-            rng = np.random.default_rng([103, n, k, round(1000 * gap)])
-            h = _fixed_spread(rng, n)
-            phi = random_pure_state(rng, n).amplitudes
-            horizon = self.horizon(rng, n) / gap
-            if k % 2:
-                moved = propagate(h, PureState(phi), float(rng.uniform(0.1, 1.0)) * horizon)
-                psi = _off_orbit(rng, moved.amplitudes, 10.0 ** rng.uniform(-3, -1))
-            else:
-                psi = random_pure_state(rng, n).amplitudes
-            p2 = (1.0 - gap) / n
-            rho, target = (
-                quasi_pure(QuasiPureSpec(p2 + gap, p2, (PureState(a), *_completion(rng, a))))
-                for a in (phi, psi)
-            )
-            record_scans.clear()
-            arrival = density_arrival_time(h, rho, target, horizon)
-            scan = record_scans[0]
-            angles = _grid_angles(h, phi, psi, horizon, scan["grid_points"] - 1)
-            assert scan["floor"] <= angles.min() + self.TOL, k
-            gate = math.asin(min(1.0, 5e-2 / (math.sqrt(2.0) * gap)))
-            if scan["chunks"] == 0:
-                decided += 1
-                assert arrival is None and angles.min() > gate, k
-        # Below |p1 - p2| = 0.05 / sqrt 2 the gate is pi / 2, which no floor
-        # clears; just above it the gate is still near pi / 2.
-        if gap < 0.05 / math.sqrt(2.0):
-            assert decided == 0
-        elif gap > 0.1:
-            assert decided > 0
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    def test_frobenius_floor_below_every_grid_distance(self, n, record_scans):
-        decided = 0
-        for k in range(24):
-            rng = np.random.default_rng([107, n, k])
-            h = _fixed_spread(rng, n)
-            rho = _random_density(rng, n, np.arange(1.0, n + 1.0))
-            other = _random_density(rng, n, np.arange(1.0, n + 1.0) ** 2)
-            horizon = self.horizon(rng, n)
-            if k % 2:
-                t_star = float(rng.uniform(0.1, 1.0)) * horizon
-                mix = 10.0 ** rng.uniform(-3, -1)
-                moved = propagate_density(h, rho, t_star).matrix
-                target = DensityMatrix((1.0 - mix) * moved + mix * other.matrix)
-            else:
-                target = other
-            record_scans.clear()
-            arrival = _density_scan(h, rho, target, horizon)
-            scan = record_scans[0]
-            norms = _grid_frobenius(h, rho.matrix, target.matrix, horizon, scan["grid_points"] - 1)
-            assert scan["floor"] <= norms.min() + self.TOL, k
-            if scan["chunks"] == 0:
-                decided += 1
-                assert arrival is None and norms.min() > 5e-2, k
-        assert decided > 0
-
-    @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
-    def test_family_hits_are_never_decided(self, n, record_scans):
-        # A maximal-speed family member carries phi to psi at T = theta / E;
-        # its floor is roundoff, so the scan streams and arrives at T, as do
-        # two quasi-pure densities on those rays.
-        for seed in range(6):
-            rng = np.random.default_rng([109, n, seed])
-            phi, psi = random_pure_state(rng, n), random_pure_state(rng, n)
-            h = optimal_family_sample(phi, psi, 1.0, seed)
-            t = fs_distance(phi, psi)
-            gap = 0.3 if n > 2 else 0.5
-            p2 = (1.0 - gap) / n
-            rho, target = (
-                quasi_pure(QuasiPureSpec(p2 + gap, p2, (a, *_completion(rng, a.amplitudes))))
-                for a in (phi, psi)
-            )
-            record_scans.clear()
-            arrivals = [
-                first_arrival_time(h, phi, psi, 1.3 * t),
-                density_arrival_time(h, rho, target, 1.3 * t),
-            ]
-            for arrival, scan in zip(arrivals, record_scans):
-                assert arrival == pytest.approx(t, abs=1e-6), seed
-                assert scan["chunks"] > 0 and scan["floor"] < self.TOL, seed

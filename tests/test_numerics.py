@@ -8,7 +8,6 @@ eigenvalues of diagonal matrices by inspection.
 import dataclasses
 import inspect
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from optevo import (
     EigenConvergenceError,
     NotHermitianError,
     StationaryStateError,
-    first_arrival_time,
     frobenius,
     herm_eig,
     is_hermitian,
@@ -31,8 +29,6 @@ from optevo import (
 import optevo
 from optevo import DensityMatrix, PureState, SuVector, numerics
 from optevo.numerics import _newton_min, _scan_arrival, as_matrix
-from optevo.sampling import random_pure_state
-from torus import torus_unitary
 
 ATOL = 1e-12
 RECON_TOL = 1e-10
@@ -464,25 +460,6 @@ class TestScanArrival:
         assert (stats["chunks"], stats["screened"], stats["evaluated"]) == (5, 51, 0)
         assert calls == [2, 17, 17, 17, 3]
 
-    def test_screened_random_miss(self, monkeypatch, record_scans):
-        # The same on a random generator at n = 8, horizon 300, for a target
-        # on the start's torus (floor 0): two chunks, every cell screened,
-        # two calls of _phase_rows. A random target's floor clears the gate,
-        # so its scan calls _phase_rows not at all.
-        calls = self.record_phase_rows(monkeypatch)
-        rng = np.random.default_rng(4)
-        h = random_hermitian(rng, 8)
-        phi, psi = random_pure_state(rng, 8), random_pure_state(rng, 8)
-        scans = record_scans
-        assert first_arrival_time(h, phi, psi, 300.0) is None
-        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
-        assert (scans[0]["chunks"], scans[0]["screened"], scans[0]["evaluated"]) == (0, cells, 0)
-        assert calls == [] and scans[0]["floor"] > math.asin(0.01)
-        torus = PureState(torus_unitary(rng, h) @ phi.amplitudes)
-        assert first_arrival_time(h, phi, torus, 300.0) is None
-        assert (scans[1]["chunks"], scans[1]["screened"], scans[1]["evaluated"]) == (2, cells, 0)
-        assert len(calls) == 2 and numerics._SCAN_BLOCK + 2 not in calls
-
     def test_floor_above_the_gate_decides_without_a_grid(self, monkeypatch):
         # A floor above gate + margin returns None before any phase row,
         # counting the grid and its 3 cells of 128 steps as screened. A floor
@@ -525,25 +502,3 @@ class TestScanArrival:
         assert t is None
         assert stats["grid_points"] == 301
         assert stats["refined"] == 0
-
-    def test_memory_bounded_on_long_miss(self, record_scans):
-        # A target on the start's torus has floor 0, so the whole grid streams.
-        rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 32)
-        phi = random_pure_state(rng, 32)
-        psi = PureState(torus_unitary(rng, h) @ phi.amplitudes)
-        scans = record_scans
-        tracemalloc.start()
-        try:
-            arrival = first_arrival_time(h, phi, psi, 3000.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert arrival is None and scans[0]["floor"] < 1e-6
-        # About 1.8e6 grid points; a whole-grid phase matrix would take 900 MB.
-        assert peak < 8e6
-        # The cell screen covered the grid in a first chunk of 7 cells (a
-        # batch) and then in chunks of _SCAN_CHUNK cells.
-        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
-        assert scans[0]["chunks"] == 1 + math.ceil((cells - 7) / numerics._SCAN_CHUNK)
-        assert scans[0]["screened"] > 0.9 * cells

@@ -48,8 +48,6 @@ from optevo.numerics import (
     herm_eig,
 )
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
-from reference_refinement import refine
-from torus import torus_unitary
 
 ATOL = 1e-12
 ARRIVAL_TOL = 1e-7
@@ -754,74 +752,6 @@ class TestStationaryFloor:
         assert 100 < stationary < 900  # both sides of the floor are drawn
 
 
-ARRIVAL_KINDS = ("optimal-hit", "generic-hit", "miss", "near-gate")
-# A qubit has no direction off both the orbit and its tangent.
-ARRIVAL_CASES = [
-    (kind, n)
-    for kind in ARRIVAL_KINDS
-    for n in (2, 3, 5, 8, 16, 32)
-    if n > 2 or kind != "near-gate"
-]
-
-
-def _arrival_case(kind, n, hbar):
-    """Seeded generator, states and horizon of one kind of arrival search:
-    a maximal-speed transfer, a generic generator's passage, a miss, and a
-    target 0.007 rad off the orbit, whose infidelity minimum sits between
-    the arrival threshold and the gate."""
-    rng = np.random.default_rng([n, int(hbar), ARRIVAL_KINDS.index(kind)])
-    units = Units(hbar=hbar)
-    phi, psi = random_pure_state(rng, n), random_pure_state(rng, n)
-    if kind == "optimal-hit":
-        energy = float(rng.uniform(0.5, 2.0))
-        h = optimal_hamiltonian(phi, psi, energy)
-        t_star = float(rng.uniform(0.3, 0.95)) * hbar * fs_distance(phi, psi) / energy
-        return h, phi, propagate(h, phi, t_star, units), 1.3 * t_star + 0.2
-    h = random_hermitian(rng, n)
-    w = np.linalg.eigvalsh(h)
-    scale = hbar / (float(w[-1] - w[0]) / 2.0)
-    if kind == "miss":
-        return h, phi, psi, 20.0 * scale
-    t_star = float(rng.uniform(0.2, 2.0)) * scale
-    moved = propagate(h, phi, t_star, units).amplitudes
-    if kind == "near-gate":
-        frame = np.array([moved, h @ moved]).T
-        q, _ = np.linalg.qr(frame)
-        off = psi.amplitudes - q @ (q.conj().T @ psi.amplitudes)
-        off /= np.linalg.norm(off)
-        moved = math.cos(0.007) * moved + math.sin(0.007) * off
-    return h, phi, PureState(moved), 1.2 * t_star + 0.1 * scale
-
-
-def _reference_first_arrival(h, phi, psi, horizon, hbar):
-    """The pure search before its step followed delta_e(phi) and its phases
-    were factored: the infidelity at every point of the grid of step 0.01
-    hbar / delta_e_max, with phases exponentiated straight from the grid
-    times, the same gated local-minimum test and the former refinement,
-    golden section and a parabolic polish of the infidelity."""
-    w, v = herm_eig(h)
-    weights = (v.conj().T @ psi.amplitudes).conj() * (v.conj().T @ phi.amplitudes)
-
-    def infidelity(t):
-        return max(0.0, 1.0 - abs(complex(np.sum(np.exp(-1j * w * (t / hbar)) * weights))) ** 2)
-
-    step = 0.01 * hbar / (float(w[-1] - w[0]) / 2.0)
-    count = max(math.ceil(horizon / step), 8)
-    dt = horizon / count
-    phases = np.exp(-1j * np.outer(np.arange(count + 1) * dt, w) / hbar)
-    vals = np.append(np.maximum(0.0, 1.0 - np.abs(phases @ weights) ** 2), np.inf)
-    xtol = max(1e-12, 1e-10 * horizon)
-    for i in range(1, count + 1):
-        if not vals[i] <= min(vals[i - 1], vals[i + 1], 1e-4):
-            continue
-        lo, hi = (i - 1) * dt, (i + 1) * dt if i + 1 < count else horizon
-        tol = max(xtol, 1e-10 * (hi - lo), 4.0 * float(np.spacing(hi)))
-        t_min, f_min = refine(infidelity, lo, hi, tol, step)
-        if f_min <= 1e-9 and t_min > 0.0:
-            return min(t_min, horizon)
-    return None
-
-
 class TestFirstArrival:
     def test_qubit_oracle(self):
         t = first_arrival_time(SIGMA_Y, KET0, KET1, 10.0)
@@ -847,10 +777,6 @@ class TestFirstArrival:
         t = first_arrival_time(SIGMA_Y, KET0, KET1, 10.0, Units(hbar=2.0))
         assert t == pytest.approx(np.pi, abs=ARRIVAL_TOL)
 
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            first_arrival_time(SIGMA_Y, KET0, KET1, 0.0)
-
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             first_arrival_time(SIGMA_Y, KET0, PureState.basis_state(3, 1), 1.0)
@@ -862,105 +788,6 @@ class TestFirstArrival:
         t = first_arrival_time(SIGMA_Y, KET0, KET1, 2e5)
         assert t == pytest.approx(np.pi / 2.0, abs=1e-9)
         assert scans[0]["chunks"] == 1
-
-    @pytest.mark.parametrize("hbar", [1.0, 2.0])
-    def test_miss_scans_every_grid_point(self, record_scans, rng, hbar):
-        h = random_hermitian(rng, 6)
-        phi, psi = random_pure_state(rng, 6), random_pure_state(rng, 6)
-        scans = record_scans
-        assert first_arrival_time(h, phi, psi, 20.0, Units(hbar=hbar)) is None
-        delta_e = energy_uncertainty(h, phi)
-        assert scans[0]["grid_points"] == math.ceil(20.0 * delta_e / (0.01 * hbar)) + 1
-        assert scans[0]["step"] == pytest.approx(0.01 * hbar / delta_e, rel=1e-12)
-
-    def test_long_miss_evaluates_few_points(self, record_scans, rng):
-        # The ray stays far from the target: arccos sum_j |c_j| clears the
-        # gate, so the 4e6-point grid is decided with no chunk and no value.
-        h = random_hermitian(rng, 8)
-        phi, psi = random_pure_state(rng, 8), random_pure_state(rng, 8)
-        scans = record_scans
-        assert first_arrival_time(h, phi, psi, 3e4) is None
-        delta_e = energy_uncertainty(h, phi)
-        assert scans[0]["grid_points"] == math.ceil(3e4 * delta_e / 0.01) + 1
-        cells = (scans[0]["grid_points"] - 1) // numerics._SCAN_BLOCK + 1
-        assert (scans[0]["chunks"], scans[0]["evaluated"], scans[0]["screened"]) == (0, 0, cells)
-
-    def test_arrival_in_the_second_chunk(self, record_scans, rng):
-        # At n = 8 the first chunk holds 31 cells of 128 steps; a passage
-        # 5000 steps out is found in the second, as the reference finds it.
-        h = random_hermitian(rng, 8)
-        phi = random_pure_state(rng, 8)
-        t_star = 5000 * 0.01 / energy_uncertainty(h, phi)
-        psi = propagate(h, phi, t_star)
-        scans = record_scans
-        got = first_arrival_time(h, phi, psi, 1.5 * t_star)
-        want = _reference_first_arrival(h, phi, psi, 1.5 * t_star, 1.0)
-        assert abs(got - t_star) <= 1e-9 and abs(got - want) <= 1e-9
-        assert scans[0]["chunks"] == 2
-
-    @pytest.mark.parametrize("kind", ARRIVAL_KINDS + ("torus-miss",))
-    def test_matches_reference_across_chunk_seams(self, monkeypatch, record_scans, kind):
-        # 24 phase entries at n = 8 make cells of one step, one a batch, in
-        # a first chunk of one cell and then chunks of 24; the grids hold 53
-        # to 1304 points, so every arrival and minimum near the gate lies
-        # among many seams. The random miss's floor clears the gate, so it
-        # builds no chunk; the miss's start with a target on its torus
-        # (floor 0) streams them all.
-        monkeypatch.setattr(numerics, "_SCAN_CHUNK", 8 * 3)
-        h, phi, psi, horizon = _arrival_case(kind.replace("torus-", ""), 8, 1.0)
-        if kind == "torus-miss":
-            psi = PureState(torus_unitary(np.random.default_rng(8), h) @ phi.amplitudes)
-        scans = record_scans
-        got = first_arrival_time(h, phi, psi, horizon)
-        want = _reference_first_arrival(h, phi, psi, horizon, 1.0)
-        assert (got is None) == (want is None) == kind.endswith(("miss", "gate"))
-        if got is not None:
-            assert abs(got - want) <= 1e-9
-        if kind == "miss":
-            assert (scans[0]["chunks"], scans[0]["evaluated"], scans[0]["refined"]) == (0, 0, 0)
-            assert scans[0]["screened"] == scans[0]["grid_points"]
-        else:
-            assert scans[0]["chunks"] > 2
-
-    @pytest.mark.parametrize("hbar", [1.0, 2.0])
-    @pytest.mark.parametrize("kind, n", ARRIVAL_CASES)
-    def test_matches_reference_scan(self, record_scans, kind, n, hbar):
-        h, phi, psi, horizon = _arrival_case(kind, n, hbar)
-        scans = record_scans
-        got = first_arrival_time(h, phi, psi, horizon, Units(hbar=hbar))
-        want = _reference_first_arrival(h, phi, psi, horizon, hbar)
-        assert (got is None) == (want is None) == kind.endswith(("miss", "gate"))
-        if got is not None:
-            assert abs(got - want) <= 1e-9
-        if kind == "near-gate":
-            assert scans[0]["refined"] > 0
-
-    @pytest.mark.parametrize("hbar", [1.0, 2.0])
-    def test_newton_steps_per_minimum(self, record_scans, record_newton, hbar):
-        # From a grid point within half a step of a smooth minimum, Newton on
-        # the infidelity's derivative lands within tolerance in three steps.
-        scans = record_scans
-        for kind, n in ARRIVAL_CASES:
-            h, phi, psi, horizon = _arrival_case(kind, n, hbar)
-            first_arrival_time(h, phi, psi, horizon, Units(hbar=hbar))
-        assert len(record_newton) == sum(s["refined"] for s in scans) >= 17
-        assert sum(record_newton) == sum(s["newton_steps"] for s in scans)
-        assert max(record_newton) == 3
-        assert all(s["evaluations"] == s["refined"] for s in scans)
-
-    @pytest.mark.parametrize("hbar", [1.0, 2.0])
-    def test_shifted_generator_keeps_the_arrival(self, hbar):
-        # The refinement's derivatives take the levels relative to their
-        # mean, so an identity part of 1e4 |H|_F stays out of their roundoff.
-        for kind, n in ARRIVAL_CASES:
-            h, phi, psi, horizon = _arrival_case(kind, n, hbar)
-            units = Units(hbar=hbar)
-            want = first_arrival_time(h, phi, psi, horizon, units)
-            shifted = h + 1e4 * float(np.linalg.norm(h)) * np.eye(n)
-            got = first_arrival_time(shifted, phi, psi, horizon, units)
-            assert (got is None) == (want is None), (kind, n)
-            if got is not None:
-                assert abs(got - want) <= 1e-9, (kind, n)
 
 
 class TestEquigeodesicVector:
