@@ -11,7 +11,7 @@ import pytest
 
 from optevo import DensityMatrix, PureState, density_arrival_time, first_arrival_time
 from optevo import numerics
-from scans import HITS, KINDS, LONG, Built, build, cells, gate, golden_section_min
+from scans import HITS, LONG, TABLE, Built, build, cells, gate, golden_section_min
 from scans import grid_distances, reference, rows, search, step
 
 CHUNK = numerics._SCAN_CHUNK
@@ -74,8 +74,10 @@ def check_decided(case, r):
     """A call is decided, with no chunk, no phase row and no grid value,
     exactly when its floor clears the gate by the margin. A target on the
     start's torus has a floor of roundoff, and a random ray or a density
-    of another spectrum sits far from the start's orbit at every t; a gate
-    of pi / 2 is cleared by no floor."""
+    of another spectrum sits far from the start's orbit at every t, save a
+    routed qubit's, which may pass near its orbit, and a routed one of gap
+    0.04 or less, whose gate is wide; a gate of pi / 2 is cleared by no
+    floor."""
     scan = r.scan
     decided = scan["floor"] > scan["gate"] + scan["margin"]
     assert (scan["chunks"] == 0) == decided, case
@@ -85,7 +87,7 @@ def check_decided(case, r):
         assert scan["screened"] == cells(case, scan)[1], case
     if case.target in HITS + ("torus",):
         assert scan["floor"] < 1e-7 and not decided, case
-    if case.target == "miss" and case.kind != "routed":
+    if case.target == "miss" and (case.kind != "routed" or (case.n > 2 and case.gap > 0.04)):
         assert decided, case
     if gate(case) == math.pi / 2:
         assert not decided, case
@@ -113,61 +115,52 @@ def check_cells(case, r):
         assert low <= value <= high, (case, name, value)
 
 
-# Each shared assertion is one test per kind, run over that kind's rows of
-# the table; a failure names its row.
-@pytest.mark.parametrize("kind", KINDS)
-def test_matches_the_reference(kind, run):
+# Each shared assertion is one test run over the rows of the table, each
+# row a case of its own.
+@pytest.mark.parametrize("case", TABLE, ids=str)
+def test_matches_the_reference(case, run):
     # The reference reads the trace norm, or a ray's infidelity, at every
     # point of the scan's grid, with the same gated minimum test and the
     # former refinement. As ||D||_F <= ||D||_1 and the ray's distance is
     # its angle, the scan's candidates include the reference's, and both
     # decide alike. Hits arrive at their own time.
-    for case in rows(kind):
-        r = run(case)
-        want, refined, _ = reference(case, r.built, r.scan["step"])
-        assert (r.arrival is None) == (want is None) == (case.target not in HITS), case
-        if r.arrival is not None:
-            assert abs(r.arrival - want) <= 1e-9, case
-            assert abs(r.arrival - r.built.arrival) <= 1e-9, case
-        assert r.scan["refined"] >= refined, case
-        if case.target == "near":
-            assert refined > 0, case
+    r = run(case)
+    want, refined, _ = reference(case, r.built, r.scan["step"])
+    assert (r.arrival is None) == (want is None) == (case.target not in HITS)
+    if r.arrival is not None:
+        assert abs(r.arrival - want) <= 1e-9
+        assert abs(r.arrival - r.built.arrival) <= 1e-9
+    assert r.scan["refined"] >= refined
+    if case.target == "near":
+        assert refined > 0
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_grid_follows_the_speed(kind, run):
-    for case in rows(kind):
-        check_grid(case, run(case))
+@pytest.mark.parametrize("case", TABLE, ids=str)
+def test_grid_follows_the_speed(case, run):
+    check_grid(case, run(case))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_decided_exactly_when_the_floor_clears_the_gate(kind, run):
-    decided = 0
-    for case in rows(kind):
-        r = run(case)
-        check_decided(case, r)
-        decided += r.scan["chunks"] == 0
-    assert decided > 0
+@pytest.mark.parametrize("case", TABLE, ids=str)
+def test_decided_exactly_when_the_floor_clears_the_gate(case, run):
+    check_decided(case, run(case))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_evaluated_fits_inside_the_grid(kind, run):
-    for case in rows(kind):
-        check_cells(case, run(case))
+@pytest.mark.parametrize("case", TABLE, ids=str)
+def test_evaluated_fits_inside_the_grid(case, run):
+    check_cells(case, run(case))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_floor_is_at_most_the_grid_minimum(kind, run):
+@pytest.mark.parametrize("case", TABLE, ids=str)
+def test_floor_is_at_most_the_grid_minimum(case, run):
     # The scanned distance at every point of the scan's grid, computed
     # directly from the moved states: a floor above its minimum would let
     # the scan drop a candidate. Roundoff of the floor near zero distance is
     # about sqrt(n eps).
-    for case in rows(kind):
-        r = run(case)
-        distances = grid_distances(case, r.built, r.scan["grid_points"] - 1)
-        assert r.scan["floor"] <= distances.min() + 1e-7, case
-        if r.scan["chunks"] == 0:
-            assert distances.min() > gate(case), case
+    r = run(case)
+    distances = grid_distances(case, r.built, r.scan["grid_points"] - 1)
+    assert r.scan["floor"] <= distances.min() + 1e-7
+    if r.scan["chunks"] == 0:
+        assert distances.min() > gate(case)
 
 
 @pytest.mark.parametrize("kind, minima", [("pure", 17), ("routed", 17), ("full-rank", 18)])
@@ -185,15 +178,14 @@ def test_newton_steps_per_minimum(kind, minima, run, record_newton):
     assert all(s["evaluations"] == s["refined"] for s in scans)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_shifted_generator_keeps_the_outcome(kind, run):
+@pytest.mark.parametrize("case", TABLE, ids=str)
+def test_shifted_generator_keeps_the_outcome(case, run):
     # The refinement's derivatives take the levels relative to their mean,
     # so an identity part of 1e4 |H|_F stays out of their roundoff.
-    for case in rows(kind):
-        want, got = run(case).arrival, run(case, shift=1e4).arrival
-        assert (got is None) == (want is None), case
-        if got is not None:
-            assert abs(got - want) <= 1e-9, case
+    want, got = run(case).arrival, run(case, shift=1e4).arrival
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert abs(got - want) <= 1e-9
 
 
 @pytest.mark.parametrize("case", LONG, ids=str)
