@@ -188,7 +188,6 @@ class _Report:
         }
         self.as_json = as_json
         self.start = time.perf_counter()
-        self.stdout_closed = False
 
     def input_file(self, flag: str, path: str) -> None:
         self.doc["inputs"][flag] = {"path": path, "sha256": file_digest(path)}
@@ -213,14 +212,13 @@ class _Report:
         """Print one line. Once stdout's reader has gone, the rest of the
         report is dropped and the command runs on, so its files are written
         and it exits with its own code; stdout is pointed at the null
-        device, so the interpreter's last flush raises nothing either."""
-        if self.stdout_closed:
-            return
+        device, where the later lines and the interpreter's last flush go."""
         try:
             print(text, flush=True)
         except BrokenPipeError:
-            self.stdout_closed = True
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _load_state(path: str):

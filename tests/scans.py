@@ -8,7 +8,9 @@ A case is one arrival search. Its kind says which search runs:
   p2 I + gap |a><a| on the pure case's rays, one spectrum, so the ray
   search runs;
 - ``full-rank``: ``density_arrival_time`` between densities of full rank,
-  so the Frobenius scan runs.
+  so the Frobenius scan runs. Two levels make every density quasi-pure,
+  and a pair of one spectrum, a hit's or a torus twin's, is routed to its
+  rays: the full-rank rows at n = 2 are the misses and near targets only.
 
 Its target says what the search meets:
 
@@ -29,6 +31,7 @@ scan, ``live``, the share of its cells evaluated, or ``peak``, its traced
 peak in bytes.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -50,6 +53,7 @@ from optevo import (
     QuasiPureSpec,
 )
 from optevo import numerics
+from optevo.evolution import _density_scan
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 
 KINDS = ("pure", "routed", "full-rank")
@@ -95,8 +99,9 @@ TABLE = [
     *(
         Case("full-rank", target, n, hbar)
         for target in TARGETS[1:]
-        for n in (3, 4, 8, 16, 32)
+        for n in (2, 3, 4, 8, 16, 32)
         for hbar in (1.0, 2.0)
+        if n > 2 or target in ("miss", "near")
     ),
     # 8 phase entries at n = 8 make cells of one step, one a batch, in a
     # first chunk of one cell and then chunks of 8: every arrival and every
@@ -154,11 +159,6 @@ LONG = [
 ]
 
 
-def rows(kind: str) -> list[Case]:
-    """The table's rows of one kind."""
-    return [case for case in TABLE if case.kind == kind]
-
-
 class Built(NamedTuple):
     """A case's generator, start, target and horizon; the time of its
     arrival (None for a miss); and for a pure or routed case its two rays
@@ -172,8 +172,10 @@ class Built(NamedTuple):
     rays: tuple | None
 
 
+@functools.cache
 def build(case: Case) -> Built:
-    """A case's search, seeded by its row."""
+    """A case's search, seeded by its row, built once for all the tests
+    that read it."""
     make = _passage if case.at is not None else _densities if case.kind == "full-rank" else _rays
     h, start, goal, horizon, arrival = make(case)
     rays = None
@@ -184,11 +186,15 @@ def build(case: Case) -> Built:
     return Built(h, start, goal, case.horizon or horizon, arrival, rays)
 
 
-def search(case: Case, built: Built, h=None) -> float | None:
+def search(case: Case, built: Built, h=None, frobenius: bool = False) -> float | None:
     """The public search of a case, under ``h`` in place of its generator
-    when given."""
+    when given; with ``frobenius``, the Frobenius scan on a density case,
+    which a routed pair reaches by no public call."""
     h = built.h if h is None else h
-    find = first_arrival_time if case.kind == "pure" else density_arrival_time
+    if case.kind == "pure":
+        find = first_arrival_time
+    else:
+        find = _density_scan if frobenius else density_arrival_time
     return find(h, built.start, built.goal, built.horizon, Units(hbar=case.hbar))
 
 
@@ -366,9 +372,15 @@ def grid_distances(case: Case, built: Built, count: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-def reference(case: Case, built: Built, grid_step: float):
+def reference(case: Case, built: Built, grid_step: float | None = None):
     """The time, the minima refined and the smallest grid value of the
-    reference search on the grid of ``grid_step``."""
+    reference search on the grid of ``grid_step``, by default of step
+    0.01 hbar / delta_e_max: the grid the scans had before their step
+    followed the start's own speed, never coarser than a scan's, as no
+    speed exceeds delta_e_max."""
+    if grid_step is None:
+        w = np.linalg.eigvalsh(built.h)
+        grid_step = 0.01 * case.hbar / (float(w[-1] - w[0]) / 2.0)
     find = _reference_first_arrival if case.kind == "pure" else _reference_density_arrival
     return find(built.h, built.start, built.goal, built.horizon, case.hbar, step=grid_step)
 

@@ -12,7 +12,7 @@ import pytest
 from optevo import DensityMatrix, PureState, density_arrival_time, first_arrival_time
 from optevo import numerics
 from scans import HITS, LONG, TABLE, Built, build, cells, gate, golden_section_min
-from scans import grid_distances, reference, rows, search, step
+from scans import grid_distances, reference, search, step
 
 CHUNK = numerics._SCAN_CHUNK
 
@@ -27,8 +27,9 @@ class Run(NamedTuple):
 
 @pytest.fixture
 def run(monkeypatch, record_scans):
-    """A function that runs a case's search with its chunk budget, under
-    its generator plus ``shift`` |H|_F I, and traces its peak when asked;
+    """A function that runs a case's search, or its Frobenius scan, with
+    its chunk budget, under its generator plus ``shift`` |H|_F I, and
+    traces its peak when asked;
     it returns the built case, the outcome, the counters of its one scan,
     the calls of ``numerics._phase_rows`` and the peak. The generator is
     factorized first, so the peak is the search's own."""
@@ -41,7 +42,7 @@ def run(monkeypatch, record_scans):
 
     monkeypatch.setattr(numerics, "_phase_rows", counting)
 
-    def run(case, shift=0.0, traced=False):
+    def run(case, shift=0.0, traced=False, frobenius=False):
         monkeypatch.setattr(numerics, "_SCAN_CHUNK", case.chunk or CHUNK)
         built = build(case)
         h = built.h + shift * float(np.linalg.norm(built.h)) * np.eye(case.n) if shift else built.h
@@ -51,7 +52,7 @@ def run(monkeypatch, record_scans):
         if traced:
             tracemalloc.start()
         try:
-            arrival = search(case, built, h)
+            arrival = search(case, built, h, frobenius)
             peak = tracemalloc.get_traced_memory()[1] if traced else None
         finally:
             if traced:
@@ -71,14 +72,16 @@ def check_grid(case, r):
 
 
 def check_decided(case, r):
-    """A call is decided, with no chunk, no phase row and no grid value,
-    exactly when its floor clears the gate by the margin. A target on the
+    """The scan is given the case's gate. A call is decided, with no chunk,
+    no phase row and no grid value, exactly when its floor clears the gate
+    by the margin. A target on the
     start's torus has a floor of roundoff, and a random ray or a density
     of another spectrum sits far from the start's orbit at every t, save a
     routed qubit's, which may pass near its orbit, and a routed one of gap
     0.04 or less, whose gate is wide; a gate of pi / 2 is cleared by no
     floor."""
     scan = r.scan
+    assert scan["gate"] == pytest.approx(gate(case), rel=1e-12), case
     decided = scan["floor"] > scan["gate"] + scan["margin"]
     assert (scan["chunks"] == 0) == decided, case
     if decided:
@@ -120,15 +123,25 @@ def check_cells(case, r):
 @pytest.mark.parametrize("case", TABLE, ids=str)
 def test_matches_the_reference(case, run):
     # The reference reads the trace norm, or a ray's infidelity, at every
-    # point of the scan's grid, with the same gated minimum test and the
-    # former refinement. As ||D||_F <= ||D||_1 and the ray's distance is
-    # its angle, the scan's candidates include the reference's, and both
-    # decide alike. Hits arrive at their own time.
+    # point of its grid, with the same gated minimum test and the former
+    # refinement. On the scan's grid, as ||D||_F <= ||D||_1 and the ray's
+    # distance is its angle, the scan's candidates include the reference's,
+    # and both decide alike. On the reference's own grid of step
+    # 0.01 hbar / delta_e_max, never coarser than the scan's, it finds the
+    # same outcome; there a routed pair's trace norm costs an eigvalsh at
+    # five to ten times the scan's points, so the torus twins and the
+    # routed rows but the hits are left to the scan's grid. Hits arrive at
+    # their own time.
     r = run(case)
     want, refined, _ = reference(case, r.built, r.scan["step"])
-    assert (r.arrival is None) == (want is None) == (case.target not in HITS)
+    wants = [want]
+    if case.target != "torus" and (case.kind != "routed" or case.target == "hit"):
+        wants.append(reference(case, r.built)[0])
+    for want in wants:
+        assert (r.arrival is None) == (want is None) == (case.target not in HITS)
+        if r.arrival is not None:
+            assert abs(r.arrival - want) <= 1e-9
     if r.arrival is not None:
-        assert abs(r.arrival - want) <= 1e-9
         assert abs(r.arrival - r.built.arrival) <= 1e-9
     assert r.scan["refined"] >= refined
     if case.target == "near":
@@ -160,18 +173,27 @@ def test_floor_is_at_most_the_grid_minimum(case, run):
     distances = grid_distances(case, r.built, r.scan["grid_points"] - 1)
     assert r.scan["floor"] <= distances.min() + 1e-7
     if r.scan["chunks"] == 0:
-        assert distances.min() > gate(case)
+        assert distances.min() > r.scan["gate"]
 
 
+@pytest.mark.parametrize("hbar", [1.0, 2.0])
 @pytest.mark.parametrize("kind, minima", [("pure", 17), ("routed", 17), ("full-rank", 18)])
-def test_newton_steps_per_minimum(kind, minima, run, record_newton):
+def test_newton_steps_per_minimum(kind, minima, hbar, run, record_newton):
     # From a grid point within half a step of a smooth minimum, Newton on
     # the derivative of the infidelity, or of the squared Frobenius
     # distance, lands within tolerance in three steps; the judge is read
-    # once per refined minimum. Routed pairs of gap 0.04 and less move
-    # their ray up to 0.25 rad a step and gate it up to pi / 2: their
-    # minima take up to seven steps, and are left out.
-    scans = [run(case).scan for case in rows(kind) if case.gap > 0.04]
+    # once per refined minimum. The rows are the kind's at one hbar on the
+    # module's chunk budget; the Frobenius scan also runs on the routed
+    # rows' quasi-pure pairs. Routed pairs of gap 0.04 and less move their
+    # ray up to 0.25 rad a step and gate it up to pi / 2: their minima
+    # take up to seven steps, and are left out.
+    kinds = (kind, "routed") if kind == "full-rank" else (kind,)
+    cases = [
+        case
+        for case in TABLE
+        if case.kind in kinds and case.hbar == hbar and case.chunk is None and case.at is None
+    ]
+    scans = [run(case, frobenius=kind == "full-rank").scan for case in cases if case.gap > 0.04]
     assert len(record_newton) == sum(s["refined"] for s in scans) >= minima
     assert sum(record_newton) == sum(s["newton_steps"] for s in scans)
     assert max(record_newton) == 3
