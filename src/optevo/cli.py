@@ -10,7 +10,7 @@ Exit codes, shared across subcommands:
 * 0  success (and, for decision commands, a positive verdict)
 * 1  negative verdict or failed checks
 * 2  malformed input: bad flags, unreadable or ill-formed files, content
-     that fails its structural validation
+     that fails its structural validation, unwritable output files
 * 3  dimension mismatch between otherwise well-formed inputs
 * 4  synthesize: the two rays coincide, nothing to synthesize
 * 5  check: the state is stationary for the generator
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--trials", required=True, type=int)
+    p.add_argument("--trials", required=True, type=_positive_int)
     p.add_argument("--seed", required=True, type=int)
     p.add_argument("--n-max", type=_positive_int, default=8)
     p.add_argument("--negative-control", action="store_true",
@@ -347,8 +347,6 @@ def cmd_evolve(args) -> int:
 
 def cmd_verify(args) -> int:
     report = _Report("verify", args.json, seed=args.seed)
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     results = run_suite(
         args.suite,
         args.trials,

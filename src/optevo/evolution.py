@@ -1,15 +1,15 @@
 """Propagation and trajectory diagnostics.
 
 Pure states evolve by the unitary propagator, densities by conjugation.
-A Trajectory keeps its samples as one read-only complex array,
-``Trajectory.samples``: (T, n) for pure states, (T, n, n) for densities,
-checked once as a stack by the gates PureState and DensityMatrix apply to
-one sample. Sampling is one phase table and one batched product. The
-diagnostics are row-wise array expressions over the samples that quantify
-how geodesic a trajectory is: the endpoint-distance speed profile, the
-excess of summed segment lengths over the endpoint distance (both from the
-atan2 ray distance), and the leakage out of the plane spanned by the
-endpoints.
+A Trajectory is its times and one read-only complex array of samples,
+(T, n) for pure states or (T, n, n) for densities; it takes the samples in
+that form only and checks them once, as a stack, by the gates PureState
+and DensityMatrix apply to one sample. Sampling is one phase table and
+one batched product. The diagnostics are row-wise array expressions over
+the samples that quantify how geodesic a trajectory is: the
+endpoint-distance speed profile, the excess of summed segment lengths
+over the endpoint distance (both from the atan2 ray distance), and the
+leakage out of the plane spanned by the endpoints.
 
 The density arrival search judges the trace distance against its
 threshold whatever the pair. Two quasi-pure densities of one spectrum move
@@ -32,7 +32,6 @@ from .numerics import (
     STRUCTURAL_TOL,
     _generator_factors,
     _ray_arrival,
-    as_matrix,
     herm_eig,
     unitary_exp,
 )
@@ -65,39 +64,40 @@ HALF_PI = float(np.pi) / 2.0
 class Trajectory:
     """Sampled evolution: finite times ascending, one sample per time.
 
-    ``samples`` is a read-only complex array, (T, n) for pure states or
-    (T, n, n) for densities. The constructor takes such an array or a
-    sequence of PureState or DensityMatrix values of one kind and checks
-    the samples once, as a stack. A writeable array is copied; a read-only
-    complex C-contiguous one is kept as given, so its owner must not write
-    to its memory through another view. ``states`` wraps the samples as
-    state objects on first use. ``hamiltonian`` records the generator when
-    one produced the samples; hand-assembled trajectories may leave it None.
+    ``samples`` is one complex numpy array, (T, n) for pure states or
+    (T, n, n) for densities, with n >= 1; ``kind`` reads which from its
+    rank, whatever T. The constructor checks the samples once, as a stack,
+    and raises TypeError for anything but an array. A writeable array is
+    copied; a read-only complex C-contiguous one is kept as given, so its
+    owner must not write to its memory through another view. ``states``
+    wraps the samples as state objects on first use.
     """
 
     times: np.ndarray
     samples: np.ndarray
-    hamiltonian: np.ndarray | None
     units: Units = Units()
 
     def __post_init__(self) -> None:
+        given = self.samples
+        if not isinstance(given, np.ndarray):
+            raise TypeError(
+                f"samples must be a numpy array, (T, n) or (T, n, n), not {type(given).__name__}"
+            )
         times = _checked_times(self.times)
-        given = _as_samples(self.samples)
         samples = np.asarray(given, dtype=complex, order="C")
         if samples is given and samples.flags.writeable:
             samples = samples.copy()
+        shape = samples.shape
+        if samples.ndim not in (2, 3) or not 0 < shape[1] == shape[-1]:
+            raise DimensionMismatchError(
+                f"samples must be (T, n) or (T, n, n) with n >= 1, got shape {shape}"
+            )
         if samples.ndim == 2:
             _check_pure(samples)
-        elif samples.ndim == 3 and samples.shape[1] == samples.shape[2]:
-            _check_density(samples)
         else:
-            raise DimensionMismatchError(
-                f"samples must be (T, n) or (T, n, n), got shape {samples.shape}"
-            )
-        if times.size != samples.shape[0]:
-            raise DimensionMismatchError(
-                f"{times.size} times against {samples.shape[0]} states"
-            )
+            _check_density(samples)
+        if times.size != shape[0]:
+            raise DimensionMismatchError(f"{times.size} times against {shape[0]} states")
         times.flags.writeable = False
         samples.flags.writeable = False
         object.__setattr__(self, "times", times)
@@ -105,8 +105,6 @@ class Trajectory:
 
     @property
     def kind(self) -> str:
-        if not self.samples.shape[0]:
-            return "empty"
         return "pure" if self.samples.ndim == 2 else "density"
 
     @cached_property
@@ -126,19 +124,6 @@ def _checked_times(times) -> np.ndarray:
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise ValueError("times must strictly ascend")
     return times
-
-
-def _as_samples(samples):
-    """An array of samples as given; the arrays of a sequence of PureState
-    or DensityMatrix values, listed."""
-    if isinstance(samples, np.ndarray):
-        return samples
-    kinds = {type(s) for s in samples}
-    if not kinds <= {PureState, DensityMatrix} or len(kinds) > 1:
-        raise TypeError("states must be all PureState or all DensityMatrix")
-    if not kinds:
-        return np.empty((0, 0))
-    return [s.amplitudes if PureState in kinds else s.matrix for s in samples]
 
 
 def propagate(h, phi: PureState, t: float, units: Units = Units()) -> PureState:
@@ -168,7 +153,6 @@ def sample_trajectory(h, state, times, units: Units = Units()) -> Trajectory:
     """
     ts = _checked_times(times)
     w, v = herm_eig(h)
-    a = as_matrix(h)
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"cannot evolve a {type(state).__name__}")
     # The samples are allocated before the products' temporaries and kept
@@ -189,7 +173,7 @@ def sample_trajectory(h, state, times, units: Units = Units()) -> Trajectory:
         rotated = start * (phases[:, :, None] * phases.conj()[:, None, :])
         np.matmul(v @ rotated, v.conj().T, out=samples)
     samples.flags.writeable = False
-    return Trajectory(ts, samples, a, units)
+    return Trajectory(ts, samples, units)
 
 
 def _pure_samples(traj: Trajectory, what: str) -> np.ndarray:
@@ -255,7 +239,7 @@ def subspace_leakage(traj: Trajectory, phi: PureState, psi: PureState) -> float:
     frame = np.array([first] if rest_norm < 1e-12 else [first, rest / rest_norm])
     out = (samples @ frame.conj().T) @ frame
     np.subtract(samples, out, out=out)
-    return float(np.sqrt(np.max(np.vecdot(out, out).real)))
+    return float(np.sqrt(np.max(np.vecdot(out, out).real, initial=0.0)))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

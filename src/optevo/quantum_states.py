@@ -23,6 +23,7 @@ from .errors import (
     SpectraMismatchError,
 )
 from .numerics import (
+    SEARCH_TOL,
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
     _hermitian_part,
@@ -223,7 +224,7 @@ class QuasiPureSpec:
             raise InvalidQuasiPureError("p1 = p2 degenerates to the maximally mixed state")
         stacked = np.array([state.amplitudes for state in basis])
         overlaps = np.abs(stacked.conj() @ stacked.T)
-        pairs = np.argwhere(np.triu(overlaps, 1) > 1e-10)
+        pairs = np.argwhere(np.triu(overlaps, 1) > STRUCTURAL_TOL)
         if pairs.size:
             i, j = pairs[0]
             raise InvalidQuasiPureError(
@@ -342,7 +343,7 @@ def quasi_pure_transport(source: QuasiPureSpec, target: QuasiPureSpec, u) -> boo
     the full mixture onto the target mixture; this function checks the
     distinguished rays and then verifies the conjugation residual.
     """
-    if abs(source.p1 - target.p1) > 1e-12 or abs(source.p2 - target.p2) > 1e-12:
+    if abs(source.p1 - target.p1) > SPECTRAL_TOL or abs(source.p2 - target.p2) > SPECTRAL_TOL:
         raise SpectraMismatchError(
             f"weights differ: ({source.p1}, {source.p2}) vs ({target.p1}, {target.p2})"
         )
@@ -352,11 +353,11 @@ def quasi_pure_transport(source: QuasiPureSpec, target: QuasiPureSpec, u) -> boo
     if not is_unitary(a):
         raise NotUnitaryError("transport requires a unitary matrix")
     mapped = PureState.from_vector(a @ source.distinguished.amplitudes)
-    # The same gate as infidelity sin^2(angle) > 1e-9, stated on the angle.
-    if fs_distance(mapped, target.distinguished) > math.asin(math.sqrt(1e-9)):
+    # The same gate as infidelity sin^2(angle) > SEARCH_TOL, stated on the angle.
+    if fs_distance(mapped, target.distinguished) > math.asin(math.sqrt(SEARCH_TOL)):
         raise DistinguishedStateNotMappedError(
             "the unitary moves the distinguished ray off target"
         )
     rho = quasi_pure(source).matrix
     sigma = quasi_pure(target).matrix
-    return frobenius(a @ rho @ a.conj().T - sigma) <= 1e-9
+    return frobenius(a @ rho @ a.conj().T - sigma) <= SEARCH_TOL

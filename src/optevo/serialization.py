@@ -146,10 +146,7 @@ def state_from_json(doc) -> tuple[PureState, Units | None]:
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
-    """Encode a sampled trajectory; an empty one has no dimension to record
-    and raises SerializationError."""
-    if traj.kind == "empty":
-        raise SerializationError("an empty trajectory has no dimension to record")
+    """Encode a sampled trajectory, with or without samples."""
     return {
         "times": _encode(traj.times),
         "states": _encode(traj.samples),
@@ -160,8 +157,8 @@ def trajectory_to_json(traj: Trajectory) -> dict:
 
 
 def trajectory_from_json(doc) -> Trajectory:
-    """Decode a trajectory document (generator is not part of the format).
-    The samples are checked once, as a stack, by the trajectory."""
+    """Decode a trajectory document. The samples are checked once, as a
+    stack, by the trajectory."""
     n = _header(doc, "trajectory", ("times", "states", "kind", "n"))
     times, states = doc["times"], doc["states"]
     lists = isinstance(times, list) and isinstance(states, list)
@@ -176,7 +173,7 @@ def trajectory_from_json(doc) -> Trajectory:
     ts = _decode(times, (len(times),), "times", float)
     units = _units(doc) or Units()
     try:
-        return Trajectory(ts, samples, None, units)
+        return Trajectory(ts, samples, units)
     except ValueError as exc:
         raise SerializationError(str(exc)) from exc
 
@@ -191,21 +188,29 @@ def load_document(path: str):
 
 
 def save_document(doc, path: str) -> None:
-    """Write a JSON document compactly; rejects non-finite floats.
+    """Write a JSON document compactly; rejects non-finite floats, and
+    maps write errors to SerializationError.
 
     The document is encoded in full before the file is opened, so a
     failed encode creates no file and leaves an existing one unchanged.
     """
     text = json.dumps(doc, allow_nan=False, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise SerializationError(f"cannot write {path}: {exc}") from exc
 
 
 def file_digest(path: str) -> str:
-    """Hex sha256 of a file's bytes."""
+    """Hex sha256 of a file's bytes, mapping read errors to
+    SerializationError."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(65536), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise SerializationError(f"cannot read {path}: {exc}") from exc
     return digest.hexdigest()

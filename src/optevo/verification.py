@@ -769,7 +769,7 @@ def check_geodesic_defect_sign(rng, trials, n_max):
             raise _Fail("defect below the roundoff floor", residual=defect)
         if abs(defect) > abs(worst):
             worst = defect
-        single = Trajectory(times[:1], traj.samples[:1], None, units)
+        single = Trajectory(times[:1], traj.samples[:1], units)
         if geodesic_defect(single) != 0.0:
             raise _Fail("singleton trajectory must have zero defect")
     kink_defect = geodesic_defect(_kinked_trajectory(units))
@@ -789,7 +789,7 @@ def _kinked_trajectory(units):
     second = sample_trajectory(leg2, corner, times2, units)
     times = np.concatenate([times1, 0.5 + times2[1:]])
     samples = np.concatenate([first.samples, second.samples[1:]])
-    return Trajectory(times, samples, None, units)
+    return Trajectory(times, samples, units)
 
 
 @check("subspace-confinement", "evolution", 1e-10)

@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from optevo import numerics
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict:
+    """The environment for a child Python process: this one's, with the
+    checkout's ``src`` first on PYTHONPATH, so the child imports the
+    optevo under test whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -50,6 +50,7 @@ from optevo.verification import (
     check_speed_profile_flat,
     check_subspace_confinement,
 )
+from conftest import child_env
 
 
 def announce(number, passed, text):
@@ -241,6 +242,7 @@ def test_criterion_9_full_verification_suite():
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     elapsed = time.perf_counter() - start
     ok = proc.returncode == 0 and elapsed < 60.0

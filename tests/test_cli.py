@@ -27,6 +27,7 @@ from optevo.serialization import (
     trajectory_from_json,
 )
 from optevo.quantum_states import Units
+from conftest import child_env
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -41,6 +42,7 @@ def run_cli(*args):
         [sys.executable, "-m", "optevo.cli", *[str(a) for a in args]],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
 
 
@@ -162,7 +164,7 @@ class TestSynthesize:
             r = subprocess.run(
                 [sys.executable, "-m", "optevo.cli", "synthesize", "--from", phi, "--to", psi,
                  "--energy", "1.3", "--family-seed", "7", "--out", str(out), *report],
-                stdout=write, stderr=subprocess.PIPE, text=True,
+                stdout=write, stderr=subprocess.PIPE, text=True, env=child_env(),
             )
         finally:
             os.close(write)
@@ -222,6 +224,14 @@ class TestCheck:
         r = run_cli("check", "--ham", str(broken), "--state", qubit_files["ket0"])
         assert r.returncode == 2
         assert r.stderr.startswith("error: SerializationError: ")
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unopenable_file(self, tmp_path, name):
+        path = str(tmp_path / name)
+        r = run_cli("check", "--ham", path, "--state", path)
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: SerializationError: cannot read {path}: ")
+        assert r.stderr.count("\n") == 1
 
 
 class TestEquigeodesic:
@@ -366,6 +376,21 @@ class TestEvolve:
         assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["synthesize", "evolve"])
+def test_unwritable_out(tmp_path, qubit_files, command):
+    out = tmp_path / "nodir" / "out.json"
+    if command == "synthesize":
+        flags = ["--from", qubit_files["ket0"], "--to", qubit_files["ket1"], "--energy", 1.0]
+    else:
+        flags = ["--ham", qubit_files["sigma_y"], "--state", qubit_files["ket0"],
+                 "--t0", 0.0, "--t1", 1.0, "--steps", 4]
+    r = run_cli(command, *flags, "--out", out)
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: SerializationError: cannot write {out}: ")
+    assert r.stderr.count("\n") == 1
+    assert not out.parent.exists()
+
+
 class TestVerify:
     def test_small_suite_passes(self):
         r = run_cli("verify", "--suite", "synthesis", "--trials", 1, "--seed", 7)
@@ -385,7 +410,8 @@ class TestVerify:
     def test_zero_trials_rejected(self):
         r = run_cli("verify", "--suite", "algebra", "--trials", 0, "--seed", 7)
         assert r.returncode == 2
-        assert r.stderr == "error: ValueError: --trials must be at least 1\n"
+        last = r.stderr.splitlines()[-1]
+        assert last == "optevo verify: error: argument --trials: '0' is not a positive integer"
 
     def test_unknown_suite_rejected(self):
         r = run_cli("verify", "--suite", "bogus", "--trials", 1, "--seed", 7)

@@ -114,70 +114,84 @@ class TestTrajectory:
 
     def test_rejects_descending_times(self):
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 1.0, 0.5]), (KET0, KET0, KET0), None)
+            Trajectory(np.array([0.0, 1.0, 0.5]), np.tile(KET0.amplitudes, (3, 1)))
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            Trajectory(np.array([0.0, 1.0]), (KET0,), None)
+            Trajectory(np.array([0.0, 1.0]), KET0.amplitudes[None])
 
-    def test_rejects_mixed_kinds(self):
-        with pytest.raises(TypeError):
-            Trajectory(np.array([0.0, 1.0]), (KET0, projector(KET0)), None)
+    @pytest.mark.parametrize(
+        "samples",
+        [(KET0, KET1), (KET0, projector(KET0)), [KET0.amplitudes], [[1.0, 0.0]], ()],
+        ids=["states", "mixed-states", "list-of-arrays", "nested-lists", "empty-tuple"],
+    )
+    def test_rejects_sequences(self, samples):
+        times = np.arange(float(len(samples)))
+        with pytest.raises(TypeError, match=r"^samples must be a numpy array, \(T, n\)"):
+            Trajectory(times, samples)
 
     def test_empty_kind(self):
-        assert Trajectory(np.array([]), (), None).kind == "empty"
-        assert Trajectory(np.array([]), np.empty((0, 3, 3)), None).kind == "empty"
+        # The kind comes from the samples' rank, with or without samples.
+        assert Trajectory(np.array([]), np.empty((0, 3))).kind == "pure"
+        assert Trajectory(np.array([]), np.empty((0, 3, 3))).kind == "density"
+        traj = sample_trajectory(SIGMA_Y, KET0, np.array([]))
+        assert (traj.kind, traj.samples.shape) == ("pure", (0, 2))
+
+    def test_keeps_no_generator(self):
+        # The generator is not part of a trajectory: writing into it later
+        # cannot change what the trajectory reports.
+        h = SIGMA_Y.copy()
+        traj = sample_trajectory(h, KET0, [0.0, 0.5])
+        before = traj.samples.tobytes()
+        h[0, 1] = 7.0
+        assert not hasattr(traj, "hamiltonian")
+        assert traj.samples.tobytes() == before
 
     def test_rejects_nan_time(self):
         with pytest.raises(ValueError, match="finite"):
-            Trajectory(np.array([np.nan]), (KET0,), None)
+            Trajectory(np.array([np.nan]), KET0.amplitudes[None])
 
     @pytest.mark.parametrize("times", [[np.nan], [0.0, np.inf]])
     def test_sampling_rejects_nonfinite_times(self, times):
         with pytest.raises(ValueError, match="finite"):
             sample_trajectory(SIGMA_Z, KET0, times)
 
-    def test_samples_from_states(self):
-        traj = Trajectory(np.array([0.0, 1.0]), (KET0, KET1), None)
-        assert bit_equal(traj.samples, np.array([KET0.amplitudes, KET1.amplitudes]))
-        assert not traj.samples.flags.writeable
-
     def test_array_input_is_copied(self):
         samples = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        traj = Trajectory(np.array([0.0, 1.0]), samples, None)
+        traj = Trajectory(np.array([0.0, 1.0]), samples)
         samples[0, 0] = 0.0
         assert traj.samples[0, 0] == 1.0
 
     def test_read_only_input_is_kept(self):
         samples = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         samples.flags.writeable = False
-        traj = Trajectory(np.array([0.0, 1.0]), samples, None)
+        traj = Trajectory(np.array([0.0, 1.0]), samples)
         assert traj.samples is samples
         assert not sample_trajectory(SIGMA_Y, KET0, [0.0, 1.0]).samples.flags.writeable
 
-    @pytest.mark.parametrize("shape", [(3,), (3, 2, 4), (3, 2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 4), (3, 2, 2, 2), (3, 0), (3, 0, 0)])
     def test_rejects_bad_sample_shapes(self, shape):
-        with pytest.raises(DimensionMismatchError):
-            Trajectory(np.arange(3.0), np.ones(shape, dtype=complex), None)
+        with pytest.raises(DimensionMismatchError, match="with n >= 1"):
+            Trajectory(np.arange(3.0), np.ones(shape, dtype=complex))
 
     def test_names_the_denormalized_sample(self):
         samples = np.tile(KET0.amplitudes, (5, 1))
         samples[3] *= 1.5
         with pytest.raises(ValueError, match=r"^sample 3: state norm 1\.5 is not 1"):
-            Trajectory(np.arange(5.0), samples, None)
+            Trajectory(np.arange(5.0), samples)
 
     def test_names_the_first_nonhermitian_sample(self):
         samples = np.tile(np.eye(2, dtype=complex) / 2.0, (4, 1, 1))
         samples[2, 0, 1] = 0.5
         samples[3, 1, 0] = 0.5
         with pytest.raises(ValueError, match=r"^sample 2: density matrix is not Hermitian"):
-            Trajectory(np.arange(4.0), samples, None)
+            Trajectory(np.arange(4.0), samples)
 
     def test_names_the_negative_sample(self):
         samples = np.tile(np.eye(2, dtype=complex) / 2.0, (4, 1, 1))
         samples[1] = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match=r"^sample 1: negative eigenvalue -0\.5"):
-            Trajectory(np.arange(4.0), samples, None)
+            Trajectory(np.arange(4.0), samples)
 
 
 class TestStates:
@@ -203,7 +217,7 @@ class TestStates:
         assert abs(traj.states[0].overlap(KET0)) == pytest.approx(1.0, abs=ATOL)
 
     def test_empty(self):
-        assert Trajectory(np.array([]), (), None).states == ()
+        assert Trajectory(np.array([]), np.empty((0, 2))).states == ()
 
 
 class TestSpeedProfile:
@@ -229,7 +243,7 @@ class TestSpeedProfile:
             fs_speed_profile(traj)
 
     def test_rejects_nonuniform_grid(self):
-        traj = Trajectory(np.array([0.0, 0.1, 0.3]), (KET0, KET0, KET0), None)
+        traj = Trajectory(np.array([0.0, 0.1, 0.3]), np.tile(KET0.amplitudes, (3, 1)))
         with pytest.raises(ValueError):
             fs_speed_profile(traj)
 
@@ -255,7 +269,7 @@ def _kinked_trajectory():
     leg2_times = np.linspace(0.1, 0.5, 5)
     states += [propagate(h2, corner, t) for t in leg2_times]
     times = np.concatenate([leg1_times, 0.5 + leg2_times])
-    return Trajectory(times, tuple(states), None)
+    return Trajectory(times, np.array([s.amplitudes for s in states]))
 
 
 class TestGeodesicDefect:
@@ -277,21 +291,24 @@ class TestGeodesicDefect:
         assert results["geodesic-defect-sign"].passed
 
     def test_suite_reports_signed_defect(self, monkeypatch):
-        # Synthesized samples carry their generator; the singleton and the
-        # kinked path have none and keep their real defect.
-        defects = iter([-5e-11, 1e-15])
-        real = verification.geodesic_defect
+        # The sampled trajectories take the patched defects; the singleton
+        # and the kinked path, assembled from samples, keep their real ones.
+        sampled, defects = [], iter([-5e-11, 1e-15])
+        sample, real = verification.sample_trajectory, verification.geodesic_defect
+        monkeypatch.setattr(
+            verification, "sample_trajectory", lambda *a: sampled.append(sample(*a)) or sampled[-1]
+        )
         monkeypatch.setattr(
             verification,
             "geodesic_defect",
-            lambda traj: real(traj) if traj.hamiltonian is None else next(defects),
+            lambda traj: next(defects) if traj in sampled else real(traj),
         )
         row = verification.check_geodesic_defect_sign(np.random.default_rng(1), 2, 4)
         assert row.passed
         assert row.max_residual == -5e-11
 
     def test_singleton_trajectory(self):
-        traj = Trajectory(np.array([0.0]), (KET0,), None)
+        traj = Trajectory(np.array([0.0]), KET0.amplitudes[None])
         assert geodesic_defect(traj) == 0.0
 
     def test_corner_produces_defect(self):
@@ -322,6 +339,17 @@ class TestSubspaceLeakage:
 
     def test_dimension_gate(self):
         traj = sample_trajectory(SIGMA_Y, KET0, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(DimensionMismatchError):
+            subspace_leakage(traj, KET0, PureState.basis_state(3, 0))
+
+    def test_zero_samples(self):
+        # No sample leaves the plane; the other diagnostics keep their
+        # answers for fewer than two and three samples.
+        traj = sample_trajectory(SIGMA_Y, KET0, [])
+        assert subspace_leakage(traj, KET0, KET1) == 0.0
+        assert geodesic_defect(traj) == 0.0
+        with pytest.raises(ValueError, match="at least three"):
+            fs_speed_profile(traj)
         with pytest.raises(DimensionMismatchError):
             subspace_leakage(traj, KET0, PureState.basis_state(3, 0))
 

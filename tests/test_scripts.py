@@ -1,23 +1,22 @@
 """The demo scripts run to completion and print their conclusions."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from optevo import (
-    DensityMatrix,
     PureState,
     SerializationError,
     Trajectory,
@@ -136,8 +135,6 @@ class TestTrajectoryDocuments:
         assert bit_equal(back.times, traj.times)
         for a, b in zip(back.states, traj.states):
             assert bit_equal(a.amplitudes, b.amplitudes)
-        # The generator is not part of the format.
-        assert back.hamiltonian is None
 
     def test_density_roundtrip(self):
         rho = projector(PureState.basis_state(2, 0))
@@ -199,13 +196,17 @@ class TestTrajectoryDocuments:
 
     def test_sampleless_document_decodes_empty(self):
         doc = {"times": [], "states": [], "kind": "density", "n": 3}
-        assert trajectory_from_json(doc).kind == "empty"
+        back = trajectory_from_json(doc)
+        assert (back.kind, back.samples.shape) == ("density", (0, 3, 3))
 
-    def test_empty_trajectory_does_not_encode(self):
-        # It has no dimension, so any document written for it would be
-        # rejected on load.
-        with pytest.raises(SerializationError):
-            trajectory_to_json(Trajectory(np.array([]), (), None))
+    @pytest.mark.parametrize("density", [False, True], ids=["pure", "density"])
+    def test_empty_trajectory_roundtrips(self, density):
+        start = PureState.basis_state(3, 1)
+        traj = sample_trajectory(np.eye(3), projector(start) if density else start, [])
+        doc = json.loads(json.dumps(trajectory_to_json(traj)))
+        assert (doc["n"], doc["times"], doc["states"]) == (3, [], [])
+        back = trajectory_from_json(doc)
+        assert (back.kind, back.samples.shape) == (traj.kind, traj.samples.shape)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -224,8 +225,7 @@ class TestTrajectoryDocuments:
     )
     def test_rejects_malformed_documents(self, mutate):
         # n = 1, so a bool n would match the samples' dimension.
-        rho = DensityMatrix(np.eye(1))
-        doc = trajectory_to_json(Trajectory(np.array([0.0, 1.0]), (rho, rho), None))
+        doc = trajectory_to_json(Trajectory(np.array([0.0, 1.0]), np.ones((2, 1, 1))))
         trajectory_from_json(json.loads(json.dumps(doc)))
         mutate(doc)
         with pytest.raises(SerializationError):
@@ -278,23 +278,27 @@ class TestFiles:
         # Assembled by hand so the bits do not depend on the BLAS build.
         pure = Trajectory(
             np.array([-1e-300, -0.0, 5e-324, 1e300]),
-            (
-                PureState([1.0, -0.0]),
-                PureState([complex(-0.0, 1.0), complex(5e-324, -1e-300)]),
-                PureState([complex(0.6, -0.0), complex(-0.8, 1e-300)]),
-                PureState([complex(-1e-300, 5e-324), complex(0.0, -1.0)]),
+            np.array(
+                [
+                    [1.0, -0.0],
+                    [complex(-0.0, 1.0), complex(5e-324, -1e-300)],
+                    [complex(0.6, -0.0), complex(-0.8, 1e-300)],
+                    [complex(-1e-300, 5e-324), complex(0.0, -1.0)],
+                ],
+                dtype=complex,
             ),
-            None,
             Units(hbar=0.5),
         )
         tiny = complex(5e-324, -1e-300)
         density = Trajectory(
             np.array([0.0, 0.25]),
-            (
-                DensityMatrix(np.array([[1.0, tiny], [tiny.conjugate(), complex(-0.0, -0.0)]])),
-                DensityMatrix(np.array([[0.5, complex(-0.0, -0.5)], [complex(-0.0, 0.5), 0.5]])),
+            np.array(
+                [
+                    [[1.0, tiny], [tiny.conjugate(), complex(-0.0, -0.0)]],
+                    [[0.5, complex(-0.0, -0.5)], [complex(-0.0, 0.5), 0.5]],
+                ],
+                dtype=complex,
             ),
-            None,
             Units(hbar=1e300),
         )
         expected = [
@@ -326,6 +330,17 @@ class TestFiles:
         path.write_text("[1" + "0" * 5000 + "]")
         with pytest.raises(SerializationError):
             load_document(str(path))
+
+    def test_save_into_missing_directory(self, tmp_path):
+        path = tmp_path / "absent" / "doc.json"
+        with pytest.raises(SerializationError, match="^cannot write "):
+            save_document({}, str(path))
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("name", ["absent.bin", "."], ids=["missing", "directory"])
+    def test_file_digest_of_unreadable_path(self, tmp_path, name):
+        with pytest.raises(SerializationError, match="^cannot read "):
+            file_digest(str(tmp_path / name))
 
     def test_file_digest_oracle(self, tmp_path):
         path = tmp_path / "blob.bin"
