@@ -70,25 +70,25 @@ from .verification import SUITE_NAMES, run_suite
 __all__ = ["main", "build_parser"]
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return value
+def _flag_type(convert, accept, what: str):
+    """An argparse type: the flag's text through ``convert``, refused with
+    "'text' is not <what>" when it does not convert or fails ``accept``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+_positive_float = _flag_type(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_nonneg_int = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
 
 
 def _block_list(text: str) -> tuple[int, ...]:

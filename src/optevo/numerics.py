@@ -13,6 +13,7 @@ spectrum-derived quantities and ``SEARCH_TOL`` for criterion residuals.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -108,6 +109,9 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     ------
     NotHermitianError
         If the hermiticity defect exceeds tolerance.
+    ValueError
+        If the Frobenius norm is not finite: an inf or nan entry, or one
+        large enough that its square overflows.
     EigenConvergenceError
         If the underlying solver fails to converge.
 
@@ -152,10 +156,16 @@ def _hermitian_part(a: np.ndarray, message: str) -> np.ndarray:
     """(A + A*) / 2 of a square matrix that passes ``is_hermitian``, from
     the one adjoint the gate reads; else NotHermitianError, its ``message``
     formatted with the defect |A - A*|_F. A Hermitian A comes back bit for
-    bit."""
+    bit. A non-finite |A|_F, from an inf or nan entry or entries past about
+    1.3e154, raises ValueError: the gate's scale-relative test would pass
+    anything against an infinite scale."""
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(a))
+    if not math.isfinite(scale):
+        raise ValueError(f"|A|_F is {scale}: an entry is not finite or the norm overflows")
     adjoint = a.conj().T
     defect = float(np.linalg.norm(a - adjoint))
-    if not defect <= STRUCTURAL_TOL * float(np.linalg.norm(a)):
+    if not defect <= STRUCTURAL_TOL * scale:
         raise NotHermitianError(message.format(defect))
     return (a + adjoint) * 0.5
 
@@ -192,6 +202,25 @@ def _stationary(speed: float, scale: float) -> bool:
     STRUCTURAL_TOL * max(1, scale), ``scale`` being the generator's
     Frobenius norm: a start this slow never moves."""
     return speed <= STRUCTURAL_TOL * max(1.0, scale)
+
+
+class _gc_paused:
+    """Context manager that pauses the cyclic garbage collector for a block
+    building acyclic containers in bulk, then restores the caller's state,
+    also on error: a collector the caller disabled stays disabled. Each
+    tracked container the block allocates would count towards a young
+    collection, which walks every young object and here frees nothing.
+    Leaving allocates nothing, so the one young pass the block's
+    allocations are owed starts at the next allocation after the block,
+    not on the way out of it."""
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 def _eigen_residual(left: np.ndarray, right: np.ndarray, scale: float, dim: int) -> float:

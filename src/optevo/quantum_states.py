@@ -26,6 +26,7 @@ from .numerics import (
     SEARCH_TOL,
     SPECTRAL_TOL,
     STRUCTURAL_TOL,
+    _gc_paused,
     _hermitian_part,
     as_matrix,
     frobenius,
@@ -180,14 +181,18 @@ def _states_of(stack: np.ndarray) -> tuple:
     """The states of a read-only stack that passed its gate already: a
     PureState per row of a (T, n) stack, a DensityMatrix per matrix of a
     (T, n, n) one. Each holds a view of its sample and is neither checked
-    nor copied again."""
+    nor copied again. The cyclic garbage collector is paused while the
+    states are built: each state and its ``__dict__`` count towards a
+    collection, 2T allocations in all, and the collections they set off
+    walk every young object and find no cycle."""
     cls, name = (PureState, "amplitudes") if stack.ndim == 2 else (DensityMatrix, "matrix")
-    states = []
-    for sample in stack:
-        state = object.__new__(cls)
-        state.__dict__[name] = sample
-        states.append(state)
-    return tuple(states)
+    with _gc_paused():
+        states = []
+        for sample in stack:
+            state = object.__new__(cls)
+            state.__dict__[name] = sample
+            states.append(state)
+        return tuple(states)
 
 
 @dataclass(frozen=True, eq=False)

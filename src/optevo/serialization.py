@@ -9,6 +9,15 @@ the float pairs as complex. Floats are written with Python's shortest
 round-trip representation, so encode followed by decode reproduces every
 finite double bit for bit. Non-finite values are rejected in both
 directions; any document off the schema raises SerializationError.
+
+The cyclic garbage collector is paused while ``tolist`` builds an encoded
+tree and while ``load_document`` parses one. Such a tree is acyclic, yet
+each of its lists counts towards a collection: a pure n = 32 trajectory of
+4001 samples holds about 132,000 of them, which set off hundreds of young
+and several full collections that walk the tree and free nothing. For the
+same reason ``save_document`` writes without ``json``'s circular-reference
+bookkeeping; a document that contains itself still fails, as a
+SerializationError from the encoder's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 
 from .errors import SerializationError
 from .evolution import Trajectory
-from .numerics import as_matrix
+from .numerics import _gc_paused, as_matrix
 from .quantum_states import PureState, Units
 
 __all__ = [
@@ -49,7 +58,8 @@ def _encode(a) -> list | float:
         a = a.astype(float, copy=False)
     if not np.isfinite(a).all():
         raise SerializationError("non-finite value in an array")
-    return a.tolist()
+    with _gc_paused():
+        return a.tolist()
 
 
 def _decode(raw, shape: tuple, what: str, dtype=complex) -> np.ndarray:
@@ -146,14 +156,18 @@ def state_from_json(doc) -> tuple[PureState, Units | None]:
 
 
 def trajectory_to_json(traj: Trajectory) -> dict:
-    """Encode a sampled trajectory, with or without samples."""
-    return {
+    """Encode a sampled trajectory, with or without samples. The samples'
+    tree is built last, so the one young collection it is owed starts
+    after this returns."""
+    doc = {
         "times": _encode(traj.times),
-        "states": _encode(traj.samples),
+        "states": None,
         "kind": traj.kind,
         "n": int(traj.samples.shape[1]),
         "units": {"hbar": _encode(traj.units.hbar)},
     }
+    doc["states"] = _encode(traj.samples)
+    return doc
 
 
 def trajectory_from_json(doc) -> Trajectory:
@@ -181,20 +195,24 @@ def trajectory_from_json(doc) -> Trajectory:
 def load_document(path: str):
     """Parse a JSON file, mapping read and syntax errors to SerializationError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _gc_paused(), open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise SerializationError(f"cannot read {path}: {exc}") from exc
 
 
 def save_document(doc, path: str) -> None:
-    """Write a JSON document compactly; rejects non-finite floats, and
-    maps write errors to SerializationError.
+    """Write a JSON document compactly. A document that cannot be encoded
+    (a non-finite float, a value JSON has no form for, a container that
+    holds itself) and a failed write raise SerializationError.
 
     The document is encoded in full before the file is opened, so a
     failed encode creates no file and leaves an existing one unchanged.
     """
-    text = json.dumps(doc, allow_nan=False, separators=(",", ":"))
+    try:
+        text = json.dumps(doc, allow_nan=False, separators=(",", ":"), check_circular=False)
+    except (ValueError, RecursionError, TypeError) as exc:
+        raise SerializationError(f"cannot encode {path}: {exc}") from exc
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -1,3 +1,4 @@
+import gc
 import os
 from pathlib import Path
 
@@ -85,3 +86,37 @@ def record_newton(monkeypatch):
 
     monkeypatch.setattr(numerics, "_newton_min", recording)
     return steps
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Run the test with the cyclic garbage collector enabled or disabled,
+    as a caller may have left it; the session's state comes back after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def collections_in():
+    """A function that runs ``call()`` after a full collection and returns
+    the generations of the collections that start while it runs, with its
+    result."""
+
+    def run(call):
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            result = call()
+        finally:
+            gc.callbacks.remove(record)
+        return started, result
+
+    return run

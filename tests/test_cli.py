@@ -8,6 +8,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -389,6 +390,55 @@ def test_unwritable_out(tmp_path, qubit_files, command):
     assert r.stderr.startswith(f"error: SerializationError: cannot write {out}: ")
     assert r.stderr.count("\n") == 1
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("energy", ["1e308", "1e200", "inf"])
+def test_energy_past_the_norms_range(tmp_path, energy):
+    # |H|_F overflows once entries pass about 1.3e154: the command used to
+    # print T=nan and write its file, or call the state stationary.
+    source = write_state(tmp_path / "a.json", [1.0, 0.0])
+    target = write_state(tmp_path / "b.json", [0.6, 0.8])
+    out = tmp_path / "h.json"
+    r = run_cli("synthesize", "--from", source, "--to", target, "--energy", energy, "--out", out)
+    assert r.returncode == 2
+    assert "T=nan" not in r.stdout
+    assert "stationary" not in r.stdout + r.stderr
+    assert not out.exists()
+    lines = r.stderr.splitlines()
+    if energy == "inf":  # refused by the parser: its usage, then one error line
+        assert lines[0].startswith("usage: ")
+        assert all(line.startswith(" ") for line in lines[1:-1])
+        assert lines[-1] == (
+            "optevo synthesize: error: argument --energy: 'inf' is not a positive finite number"
+        )
+    else:
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ValueError: |A|_F is inf: ")
+
+
+@pytest.mark.parametrize(
+    "command, flag, wanted",
+    [
+        ("verify", "--trials", "a positive integer"),
+        ("verify", "--n-max", "a positive integer"),
+        ("evolve", "--steps", "a non-negative integer"),
+        ("synthesize", "--energy", "a positive finite number"),
+    ],
+)
+def test_unparsable_numeric_flag(tmp_path, qubit_files, command, flag, wanted):
+    flags = {
+        "verify": ["--suite", "algebra", "--trials", 1, "--seed", 1],
+        "evolve": ["--ham", qubit_files["sigma_y"], "--state", qubit_files["ket0"],
+                   "--t0", 0.0, "--t1", 1.0, "--steps", 4, "--out", tmp_path / "t.json"],
+        "synthesize": ["--from", qubit_files["ket0"], "--to", qubit_files["ket1"],
+                       "--energy", 1.0],
+    }[command]
+    r = run_cli(command, *flags, flag, "x")
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1] == (
+        f"optevo {command}: error: argument {flag}: 'x' is not {wanted}"
+    )
+    assert not re.search(r"(?<![\w-])_[a-z]", r.stderr)  # no private helper's name
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ differences by summing absolute eigenvalues, and the flat unit speed of a
 maximal-speed qubit transfer.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from optevo import (
 from optevo import evolution, numerics, verification
 from optevo.evolution import _density_scan
 from optevo.numerics import STRUCTURAL_TOL
+from optevo.quantum_states import _states_of
 from optevo.sampling import random_hermitian, random_pure_state, random_unitary
 from optevo.verification import run_suite
 from scans import TABLE, Case, build, search, torus_unitary
@@ -218,6 +220,28 @@ class TestStates:
 
     def test_empty(self):
         assert Trajectory(np.array([]), np.empty((0, 2))).states == ()
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_collector_state_is_restored(self, collector, density):
+        start = projector(KET0) if density else KET0
+        assert len(sample_trajectory(SIGMA_Y, start, np.linspace(0.0, 1.0, 5)).states) == 5
+        assert gc.isenabled() is collector
+
+    def test_no_collection_while_states_are_built(self, collections_in):
+        # 4001 states and their dicts, built with the collector running,
+        # set off a dozen collections. The one young pass they are owed
+        # starts at the first allocation after ``_states_of``: at most that
+        # pass runs inside the property, where cached_property releases
+        # its lock.
+        rng = np.random.default_rng(2029)
+        phi, psi = random_pure_state(rng, 32), random_pure_state(rng, 32)
+        traj = sample_trajectory(optimal_hamiltonian(phi, psi, 1.0), phi, np.linspace(0.0, 3.0, 4001))
+        started, states = collections_in(lambda: _states_of(traj.samples))
+        assert started == []
+        assert len(states) == 4001
+        started, states = collections_in(lambda: traj.states)
+        assert started in ([], [0])
+        assert len(states) == 4001
 
 
 class TestSpeedProfile:

@@ -6,8 +6,10 @@ eigenvalues of diagonal matrices by inspection.
 """
 
 import dataclasses
+import gc
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +151,18 @@ class TestHermEig:
             ):
                 herm_eig([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "entry", [1e200, np.inf, np.nan], ids=["norm-overflows", "inf", "nan"]
+    )
+    def test_rejects_a_nonfinite_norm(self, entry):
+        # Against |A|_F = inf the scale-relative gate passed any defect.
+        # The overflow raises no warning on the way to the error.
+        a = np.array([[entry, 1j * entry], [-1j * entry, entry]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^\|A\|_F is (inf|nan): "):
+                herm_eig(a)
+
 
     def test_convergence_failure_is_wrapped(self, monkeypatch):
         def boom(_):
@@ -223,6 +237,21 @@ class TestHermEig:
         assert np.all(np.diff(w) >= -1e-13)
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < RECON_TOL
         assert np.linalg.norm((v * w) @ v.conj().T - h) < RECON_TOL * max(1.0, np.linalg.norm(h))
+
+
+class TestGcPause:
+    def test_nested_blocks_restore_the_callers_state(self, collector):
+        with numerics._gc_paused():
+            with numerics._gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector
+
+    def test_restores_on_error(self, collector):
+        with pytest.raises(KeyError):
+            with numerics._gc_paused():
+                raise KeyError("raised inside the block")
+        assert gc.isenabled() is collector
 
 
 class TestUnitaryExp:

@@ -4,6 +4,7 @@ Round trips must be bit-exact for every finite double, which is compared
 through the raw byte layout of the arrays rather than through allclose.
 """
 
+import gc
 import hashlib
 import json
 
@@ -15,12 +16,14 @@ from optevo import (
     SerializationError,
     Trajectory,
     Units,
+    optimal_hamiltonian,
     projector,
     sample_trajectory,
 )
 from optevo.sampling import random_pure_state
 from optevo.serialization import (
     MATRIX_KINDS,
+    _encode,
     file_digest,
     load_document,
     matrix_from_json,
@@ -33,6 +36,8 @@ from optevo.serialization import (
 )
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+SELF_CONTAINING = {"x": [1.0]}
+SELF_CONTAINING["x"].append(SELF_CONTAINING)
 
 
 def bit_equal(a, b):
@@ -274,6 +279,36 @@ class TestFiles:
             save_document(doc, str(kept))
         assert kept.read_text() == "{}\n"
 
+    @pytest.mark.parametrize(
+        "doc", [SELF_CONTAINING, {"x": {1, 2}}, {"x": float("nan")}],
+        ids=["self-containing", "set", "nan"],
+    )
+    def test_unencodable_documents_are_typed(self, tmp_path, doc):
+        fresh = tmp_path / "fresh.json"
+        with pytest.raises(SerializationError, match=f"^cannot encode {fresh}: "):
+            save_document(doc, str(fresh))
+        assert not fresh.exists()
+        kept = tmp_path / "kept.json"
+        kept.write_text("{}\n")
+        with pytest.raises(SerializationError, match="^cannot encode "):
+            save_document(doc, str(kept))
+        assert kept.read_text() == "{}\n"
+
+    @pytest.mark.parametrize("what", ["matrix", "state", "trajectory"])
+    def test_bytes_equal_the_checked_encoder(self, tmp_path, rng, what):
+        # Writing without the circular-reference check changes no byte.
+        phi = random_pure_state(rng, 2)
+        if what == "matrix":
+            doc = matrix_to_json(projector(phi).matrix, "density")
+        elif what == "state":
+            doc = state_to_json(phi, Units(hbar=0.25))
+        else:
+            doc = trajectory_to_json(sample_trajectory(SIGMA_Y, phi, np.linspace(0.0, 2.0, 9)))
+        path = tmp_path / "doc.json"
+        save_document(doc, str(path))
+        want = json.dumps(doc, allow_nan=False, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
     def test_trajectory_bytes_are_pinned(self, tmp_path):
         # Assembled by hand so the bits do not depend on the BLAS build.
         pure = Trajectory(
@@ -347,3 +382,39 @@ class TestFiles:
         payload = b"interchange"
         path.write_bytes(payload)
         assert file_digest(str(path)) == hashlib.sha256(payload).hexdigest()
+
+
+class TestCollector:
+    """The codec pauses the cyclic garbage collector while it builds or
+    parses a JSON tree, and leaves it as the caller had it."""
+
+    def test_state_is_restored(self, tmp_path, collector):
+        good, broken = tmp_path / "good.json", tmp_path / "broken.json"
+        good.write_text("[[1.0, 2.0]]\n")
+        broken.write_text("[[1.0, ")
+        assert _encode(np.eye(2, dtype=complex)) == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        assert gc.isenabled() is collector
+        with pytest.raises(SerializationError):
+            _encode(np.array([1.0, np.nan]))
+        assert gc.isenabled() is collector
+        assert load_document(str(good)) == [[1.0, 2.0]]
+        assert gc.isenabled() is collector
+        with pytest.raises(SerializationError):
+            load_document(str(broken))
+        assert gc.isenabled() is collector
+
+    def test_no_collection_during_a_round_trip(self, tmp_path, collections_in):
+        # A pure n = 32 trajectory of 4001 samples encodes to about 132,000
+        # lists; built with the collector running they set off hundreds of
+        # collections. The one young pass they are owed starts afterwards.
+        rng = np.random.default_rng(2029)
+        phi, psi = random_pure_state(rng, 32), random_pure_state(rng, 32)
+        h = optimal_hamiltonian(phi, psi, 1.0)
+        traj = sample_trajectory(h, phi, np.linspace(0.0, 3.0, 4001))
+        path = str(tmp_path / "traj.json")
+        started, doc = collections_in(lambda: trajectory_to_json(traj))
+        assert started == []
+        save_document(doc, path)
+        started, loaded = collections_in(lambda: load_document(path))
+        assert started == []
+        assert loaded == doc
