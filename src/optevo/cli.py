@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", required=True, metavar="STATE.json")
     p.add_argument("--energy", required=True, type=_positive_float,
                    help="energy uncertainty of the synthesized generator")
-    p.add_argument("--family-seed", type=int, default=None,
+    p.add_argument("--family-seed", type=_nonneg_int, default=None,
                    help="sample a non-canonical member of the optimal family")
     p.add_argument("--out", default=None, metavar="HAM.json")
     p.add_argument("--json", action="store_true", help="emit a run report only")
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--trials", required=True, type=_positive_int)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=_nonneg_int)
     p.add_argument("--n-max", type=_positive_int, default=8)
     p.add_argument("--negative-control", action="store_true",
                    help="append one known-false check that must FAIL")

@@ -3,7 +3,10 @@
 Each check draws its own generator from the master seed, runs a stated
 number of trials, and reports the worst residual it saw next to the bound
 it enforces. A check states its name, suite and bound once, in its
-``@check`` declaration; the declaration order fixes the suites and each
+``@check`` declaration. A check whose body is one trial states its
+dimension range once too, in the ``@_each_trial`` line under it, which
+runs the trials. The worst residual carries a NaN through, so a NaN
+residual fails its row. The declaration order fixes the suites and each
 check's child seed. The command-line ``verify`` subcommand runs these; the
 acceptance tests call the same functions with pinned trial counts.
 """
@@ -11,6 +14,7 @@ acceptance tests call the same functions with pinned trial counts.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -108,13 +112,14 @@ class _Fail(Exception):
 
 def check(name, suite, bound, passes=operator.le, count=None):
     """Declare a property check ``fn(rng, trials, n_max)`` and append it to
-    the table.
+    the table: its row states the name, suite and bound once, and, through
+    ``@_each_trial`` below this decorator, the dimension range.
 
     The body returns its residual, or ``(residual, detail, side)`` with
     ``side`` a further condition that must hold; it passes when
-    ``passes(residual, bound)`` and ``side`` are true.
-    Raising ``_Fail`` fails it early. ``count`` maps the requested trials
-    to the reported count. The result carries the body's wall time.
+    ``passes(residual, bound)`` and ``side`` are true, so a NaN residual
+    fails. Raising ``_Fail`` fails it early. ``count`` maps the requested
+    trials to the reported count. The result carries the body's wall time.
     """
 
     def declare(body):
@@ -139,9 +144,38 @@ def check(name, suite, bound, passes=operator.le, count=None):
     return declare
 
 
-def _dims(rng: np.random.Generator, n_max: int, lo: int = 2) -> int:
-    hi = max(lo, n_max)
+def _dims(rng, n_max, lo=2, least=2, most=None) -> int:
+    """A trial's dimension, uniform on [lo, max(least, min(most, n_max))]."""
+    hi = max(least, n_max if most is None else min(most, n_max))
     return int(rng.integers(lo, hi + 1))
+
+
+def _worst(*residuals, pick=max):
+    """``pick`` of the residuals, or NaN if any is NaN: ``max`` and ``min``
+    keep a NaN only when it comes first, and a dropped NaN would pass."""
+    if any(math.isnan(r) for r in residuals):
+        return math.nan
+    return pick(residuals)
+
+
+def _each_trial(lo=2, least=2, most=None):
+    """Run a one-trial body ``body(rng, n, k) -> residual`` as the check
+    ``fn(rng, trials, n_max)`` returning the worst residual, at least 0.
+
+    Trial ``k`` draws its dimension ``n`` with ``_dims`` before the body
+    draws anything.
+    """
+
+    def loop(body):
+        @functools.wraps(body)
+        def run(rng, trials, n_max):
+            return _worst(0.0, *(
+                body(rng, _dims(rng, n_max, lo, least, most), k) for k in range(trials)
+            ))
+
+        return run
+
+    return loop
 
 
 def _distinct_pair(
@@ -160,59 +194,46 @@ def _distinct_pair(
 
 
 @check("eig-reconstruction", "algebra", 1e-10)
-def check_eig_reconstruction(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-        w, v = herm_eig(h)
-        scale = max(1.0, frobenius(h))
-        rebuilt = (v * w) @ v.conj().T
-        worst = max(worst, frobenius(rebuilt - h) / scale)
-        worst = max(worst, float(np.linalg.norm(v.conj().T @ v - np.eye(n))))
-        if not np.all(np.diff(w) >= 0.0):
-            raise _Fail("eigenvalues not ascending")
-    return worst
+@_each_trial()
+def check_eig_reconstruction(rng, n, k):
+    h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+    w, v = herm_eig(h)
+    if not np.all(np.diff(w) >= 0.0):
+        raise _Fail("eigenvalues not ascending")
+    rebuilt = (v * w) @ v.conj().T
+    return _worst(
+        frobenius(rebuilt - h) / max(1.0, frobenius(h)),
+        float(np.linalg.norm(v.conj().T @ v - np.eye(n))),
+    )
 
 
 @check("exp-unitarity", "algebra", 1e-10)
-def check_exp_unitarity(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        h = random_hermitian(rng, n, scale=float(rng.uniform(0.01, 40.0)))
-        t = float(rng.uniform(-1e3, 1e3))
-        u = unitary_exp(h, t, hbar=float(rng.uniform(0.5, 2.0)))
-        worst = max(worst, float(np.linalg.norm(u.conj().T @ u - np.eye(n))))
-    return worst
+@_each_trial()
+def check_exp_unitarity(rng, n, k):
+    h = random_hermitian(rng, n, scale=float(rng.uniform(0.01, 40.0)))
+    t = float(rng.uniform(-1e3, 1e3))
+    u = unitary_exp(h, t, hbar=float(rng.uniform(0.5, 2.0)))
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
 
 
 @check("exp-group-law", "algebra", 1e-9)
-def check_exp_group_law(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        h = random_hermitian(rng, n)
-        s = float(rng.uniform(-10.0, 10.0))
-        t = float(rng.uniform(-10.0, 10.0))
-        lhs = unitary_exp(h, s) @ unitary_exp(h, t)
-        worst = max(worst, frobenius(lhs - unitary_exp(h, s + t)))
-    return worst
+@_each_trial()
+def check_exp_group_law(rng, n, k):
+    h = random_hermitian(rng, n)
+    s = float(rng.uniform(-10.0, 10.0))
+    t = float(rng.uniform(-10.0, 10.0))
+    return frobenius(unitary_exp(h, s) @ unitary_exp(h, t) - unitary_exp(h, s + t))
 
 
 @check("killing-ad-invariance", "algebra", 1e-8)
-def check_killing_ad_invariance(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        x = random_su_vector(rng, n)
-        y = random_su_vector(rng, n)
-        u = random_unitary(rng, n)
-        before = killing_inner(x, y)
-        after = killing_inner(ad_conjugate(u, x), ad_conjugate(u, y))
-        denom = 1.0 + killing_norm(x) * killing_norm(y)
-        worst = max(worst, abs(after - before) / denom)
-    return worst
+@_each_trial()
+def check_killing_ad_invariance(rng, n, k):
+    x = random_su_vector(rng, n)
+    y = random_su_vector(rng, n)
+    u = random_unitary(rng, n)
+    before = killing_inner(x, y)
+    after = killing_inner(ad_conjugate(u, x), ad_conjugate(u, y))
+    return abs(after - before) / (1.0 + killing_norm(x) * killing_norm(y))
 
 
 def _random_blocks(rng, n) -> BlockStructure:
@@ -233,40 +254,36 @@ def _random_blocks(rng, n) -> BlockStructure:
 
 
 @check("split-exactness", "algebra", 1e-9)
-def check_split_exactness(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, max(3, n_max), lo=2)
-        blocks = _random_blocks(rng, n)
-        x = random_su_vector(rng, n)
-        iso, tan = reductive_split(x, blocks)
-        if not np.array_equal(iso.matrix + tan.matrix, x.matrix):
-            raise _Fail("parts do not sum back exactly")
-        iso2, tan2 = reductive_split(tan, blocks)
-        if not (np.array_equal(tan2.matrix, tan.matrix) and not np.any(iso2.matrix)):
-            raise _Fail("projection is not idempotent")
-        worst = max(worst, abs(killing_inner(iso, tan)))
-    return worst
+@_each_trial(least=3)
+def check_split_exactness(rng, n, k):
+    blocks = _random_blocks(rng, n)
+    x = random_su_vector(rng, n)
+    iso, tan = reductive_split(x, blocks)
+    if not np.array_equal(iso.matrix + tan.matrix, x.matrix):
+        raise _Fail("parts do not sum back exactly")
+    iso2, tan2 = reductive_split(tan, blocks)
+    if not (np.array_equal(tan2.matrix, tan.matrix) and not np.any(iso2.matrix)):
+        raise _Fail("projection is not idempotent")
+    return abs(killing_inner(iso, tan))
 
 
 @check("bracket-closure", "algebra", 1e-9)
-def check_bracket_closure(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        x = random_su_vector(rng, n)
-        y = random_su_vector(rng, n)
-        z = random_su_vector(rng, n)
-        b = bracket(x, y)
-        worst = max(worst, frobenius(b.matrix + b.matrix.conj().T))
-        worst = max(worst, abs(complex(np.trace(b.matrix))))
-        jacobi = (
-            bracket(x, bracket(y, z)).matrix
-            + bracket(y, bracket(z, x)).matrix
-            + bracket(z, bracket(x, y)).matrix
-        )
-        worst = max(worst, float(np.linalg.norm(jacobi)) / max(1.0, killing_norm(x)))
-    return worst
+@_each_trial()
+def check_bracket_closure(rng, n, k):
+    x = random_su_vector(rng, n)
+    y = random_su_vector(rng, n)
+    z = random_su_vector(rng, n)
+    b = bracket(x, y)
+    jacobi = (
+        bracket(x, bracket(y, z)).matrix
+        + bracket(y, bracket(z, x)).matrix
+        + bracket(z, bracket(x, y)).matrix
+    )
+    return _worst(
+        frobenius(b.matrix + b.matrix.conj().T),
+        abs(complex(np.trace(b.matrix))),
+        float(np.linalg.norm(jacobi)) / max(1.0, killing_norm(x)),
+    )
 
 
 @check("criterion-equivalence", "algebra", 1e-9, count=lambda trials: 2 * trials)
@@ -278,12 +295,10 @@ def check_criterion_equivalence(rng, trials, n_max):
     variational residual; the detail line carries the smallest generic-case
     residual, which must clear 1e-3.
     """
-    n_hi = min(6, n_max)
-    worst_true = 0.0
-    least_false = np.inf
+    residuals = {True: [0.0], False: []}
     for constructed in (True, False):
         for k in range(trials):
-            n = _dims(rng, n_hi)
+            n = _dims(rng, n_max, most=6)
             blocks = BlockStructure((1, n - 1))
             if constructed:
                 x = random_equigeodesic(rng, n, with_isotropy=bool(k % 2))
@@ -298,43 +313,38 @@ def check_criterion_equivalence(rng, trials, n_max):
                 raise _Fail(f"constructed direction rejected at trial {k}")
             if not constructed and (structural or variational):
                 raise _Fail(f"generic direction accepted at trial {k}")
-            if constructed:
-                worst_true = max(worst_true, residual)
-            else:
-                least_false = min(least_false, residual)
-    return worst_true, f"least generic residual {least_false:.3e}", least_false > 1e-3
+            residuals[constructed].append(residual)
+    least_false = _worst(*residuals[False], pick=min)
+    detail = f"least generic residual {least_false:.3e}"
+    return _worst(*residuals[True]), detail, least_false > 1e-3
 
 
 @check("orbit-translation", "algebra", 1e-9)
-def check_orbit_translation(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        x = random_su_vector(rng, n)
-        u = random_unitary(rng, n)
-        t = float(rng.uniform(0.0, 10.0))
-        s = float(rng.uniform(0.0, 10.0))
-        moved = ad_conjugate(u, x)
-        worst = max(worst, frobenius(coset_orbit(moved, t) @ u - u @ coset_orbit(x, t)))
-        group = coset_orbit(x, t) @ coset_orbit(x, s) - coset_orbit(x, t + s)
-        worst = max(worst, frobenius(group))
-    return worst
+@_each_trial()
+def check_orbit_translation(rng, n, k):
+    x = random_su_vector(rng, n)
+    u = random_unitary(rng, n)
+    t = float(rng.uniform(0.0, 10.0))
+    s = float(rng.uniform(0.0, 10.0))
+    moved = ad_conjugate(u, x)
+    return _worst(
+        frobenius(coset_orbit(moved, t) @ u - u @ coset_orbit(x, t)),
+        frobenius(coset_orbit(x, t) @ coset_orbit(x, s) - coset_orbit(x, t + s)),
+    )
 
 
 @check("isotropy-factorization", "algebra", 1e-8)
-def check_isotropy_factorization(rng, trials, n_max):
+@_each_trial(lo=3, least=3, most=6)
+def check_isotropy_factorization(rng, n, k):
     """exp(t X) exp(-t X_m) stays block-diagonal for certified directions."""
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, max(3, min(6, n_max)), lo=3)
-        blocks = BlockStructure((1, n - 1))
-        x = random_equigeodesic(rng, n, with_isotropy=True)
-        _, tan = reductive_split(x, blocks)
-        mask = blocks.diagonal_mask()
-        for t in rng.uniform(0.0, 10.0, size=10):
-            d = coset_orbit(x, float(t)) @ coset_orbit(tan, float(t)).conj().T
-            worst = max(worst, float(np.linalg.norm(d[~mask])))
-    return worst
+    blocks = BlockStructure((1, n - 1))
+    x = random_equigeodesic(rng, n, with_isotropy=True)
+    _, tan = reductive_split(x, blocks)
+    off = ~blocks.diagonal_mask()
+    return _worst(*(
+        float(np.linalg.norm((coset_orbit(x, t) @ coset_orbit(tan, t).conj().T)[off]))
+        for t in map(float, rng.uniform(0.0, 10.0, size=10))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +362,13 @@ def check_qubit_oracle(rng, trials, n_max):
     psi = PureState.basis_state(2, 1)
     h = optimal_hamiltonian(phi, psi, 1.0)
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    worst = frobenius(h - sigma_y)
-    t_bound = qsl_time(phi, psi, h)
-    worst = max(worst, abs(t_bound - HALF_PI))
     verdict = is_optimal_speed(h, phi)
-    worst = max(worst, abs(verdict.delta_e - 1.0), abs(verdict.delta_e_max - 1.0))
+    worst = _worst(
+        frobenius(h - sigma_y),
+        abs(qsl_time(phi, psi, h) - HALF_PI),
+        abs(verdict.delta_e - 1.0),
+        abs(verdict.delta_e_max - 1.0),
+    )
     arrival = first_arrival_time(h, phi, psi, horizon=10.0)
     arrival_err = np.inf if arrival is None else abs(arrival - HALF_PI)
     ok = verdict.kind is Verdict.OPTIMAL and arrival_err <= 1e-7
@@ -369,8 +381,8 @@ def check_fs_metric_axioms(rng, trials, n_max):
     takes its sine from the vectors, not from an overlap modulus near 1,
     so a ray is a few eps from itself. The remaining axioms are sharp to
     1e-10."""
-    worst = 0.0
-    worst_self = 0.0
+    residuals = [0.0]
+    self_distances = [0.0]
     for _ in range(trials):
         n = _dims(rng, n_max)
         a = random_pure_state(rng, n)
@@ -379,79 +391,71 @@ def check_fs_metric_axioms(rng, trials, n_max):
         dab = fs_distance(a, b)
         if not (0.0 <= dab <= HALF_PI) or dab != fs_distance(b, a):
             raise _Fail("range or symmetry broken")
-        worst_self = max(worst_self, fs_distance(a, a))
+        self_distances.append(fs_distance(a, a))
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rotated = PureState(a.amplitudes * phase)
-        worst = max(worst, abs(fs_distance(rotated, b) - dab))
-        violation = fs_distance(a, c) - (dab + fs_distance(b, c))
-        worst = max(worst, violation)
+        residuals.append(abs(fs_distance(rotated, b) - dab))
+        residuals.append(fs_distance(a, c) - (dab + fs_distance(b, c)))
+    worst_self = _worst(*self_distances)
     detail = f"self-distance floor {worst_self:.3e} against 1e-14"
-    return worst, detail, worst_self <= 1e-14
+    return _worst(*residuals), detail, worst_self <= 1e-14
 
 
 @check("fs-unitary-invariance", "synthesis", 1e-10)
-def check_fs_unitary_invariance(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        a = random_pure_state(rng, n)
-        b = random_pure_state(rng, n)
-        u = random_unitary(rng, n)
-        ua = PureState.from_vector(u @ a.amplitudes)
-        ub = PureState.from_vector(u @ b.amplitudes)
-        worst = max(worst, abs(fs_distance(ua, ub) - fs_distance(a, b)))
-    return worst
+@_each_trial()
+def check_fs_unitary_invariance(rng, n, k):
+    a = random_pure_state(rng, n)
+    b = random_pure_state(rng, n)
+    u = random_unitary(rng, n)
+    ua = PureState.from_vector(u @ a.amplitudes)
+    ub = PureState.from_vector(u @ b.amplitudes)
+    return abs(fs_distance(ua, ub) - fs_distance(a, b))
 
 
 @check("variance-bound-witness", "synthesis", 1e-10)
-def check_variance_bound_and_witness(rng, trials, n_max):
+@_each_trial()
+def check_variance_bound_and_witness(rng, n, k):
     """No state beats half the spectral spread, the witness attains it, and
     the balanced two-point mixture of extreme eigenvectors gives the same
     number."""
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 5.0)))
-        value, witness = energy_uncertainty_max(h)
-        phi = random_pure_state(rng, n)
-        worst = max(worst, energy_uncertainty(h, phi) - value)
-        worst = max(worst, abs(energy_uncertainty(h, witness) - value))
-        w, v = herm_eig(h)
-        mix = 0.5 * (
-            np.outer(v[:, 0], v[:, 0].conj()) + np.outer(v[:, -1], v[:, -1].conj())
-        )
-        mean = float(np.trace(mix @ h).real)
-        var = float(np.trace(mix @ h @ h).real) - mean * mean
-        worst = max(worst, abs(float(np.sqrt(max(var, 0.0))) - value))
-    return worst
+    h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 5.0)))
+    value, witness = energy_uncertainty_max(h)
+    phi = random_pure_state(rng, n)
+    w, v = herm_eig(h)
+    mix = 0.5 * (
+        np.outer(v[:, 0], v[:, 0].conj()) + np.outer(v[:, -1], v[:, -1].conj())
+    )
+    mean = float(np.trace(mix @ h).real)
+    var = float(np.trace(mix @ h @ h).real) - mean * mean
+    return _worst(
+        energy_uncertainty(h, phi) - value,
+        abs(energy_uncertainty(h, witness) - value),
+        abs(float(np.sqrt(max(var, 0.0))) - value),
+    )
 
 
 @check("uncertainty-conservation", "synthesis", 1e-10)
-def check_uncertainty_conservation(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        h = random_hermitian(rng, n)
-        phi = random_pure_state(rng, n)
-        base = energy_uncertainty(h, phi)
-        for t in rng.uniform(0.0, 10.0, size=4):
-            moved = propagate(h, phi, float(t))
-            worst = max(worst, abs(energy_uncertainty(h, moved) - base))
-    return worst
+@_each_trial()
+def check_uncertainty_conservation(rng, n, k):
+    h = random_hermitian(rng, n)
+    phi = random_pure_state(rng, n)
+    base = energy_uncertainty(h, phi)
+    return _worst(*(
+        abs(energy_uncertainty(h, propagate(h, phi, t)) - base)
+        for t in map(float, rng.uniform(0.0, 10.0, size=4))
+    ))
 
 
 @check("blocks-reassembly", "synthesis", 1e-10)
-def check_blocks_reassembly(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-        phi = random_pure_state(rng, n)
-        blocks = adapted_blocks(h, phi)
-        worst = max(worst, frobenius(blocks.reassemble() - h) / max(1.0, frobenius(h)))
-        delta = abs(float(np.linalg.norm(blocks.coupling)) - energy_uncertainty(h, phi))
-        worst = max(worst, delta)
-    return worst
+@_each_trial()
+def check_blocks_reassembly(rng, n, k):
+    h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+    phi = random_pure_state(rng, n)
+    blocks = adapted_blocks(h, phi)
+    return _worst(
+        frobenius(blocks.reassemble() - h) / max(1.0, frobenius(h)),
+        abs(float(np.linalg.norm(blocks.coupling)) - energy_uncertainty(h, phi)),
+    )
 
 
 def _synth_pair(rng, n, energy, family: bool):
@@ -464,53 +468,45 @@ def _synth_pair(rng, n, energy, family: bool):
 
 
 @check("synthesis-roundtrip", "synthesis", 1e-9)
-def check_synthesis_roundtrip(rng, trials, n_max):
+@_each_trial()
+def check_synthesis_roundtrip(rng, n, k):
     """Synthesized generators are verdict-optimal, their algebra vectors
     pass the structural certificate, and the target is reached at the
     speed-limit time. The certificate shares the verdict's kernel, so it
     tests the pull-back to the base point, not an independent route."""
-    worst = 0.0
-    units = Units()
-    for k in range(trials):
-        n = _dims(rng, n_max)
-        energy = float(rng.uniform(0.5, 2.0))
-        phi, psi, h = _synth_pair(rng, n, energy, family=bool(k % 2))
-        verdict = is_optimal_speed(h, phi)
-        if verdict.kind is not Verdict.OPTIMAL:
-            raise _Fail(f"verdict {verdict.kind.value} at trial {k}")
-        vector, base = equigeodesic_vector_of(h, phi)
-        centered = ad_conjugate(base.conj().T, vector)
-        if not is_equigeodesic_structural(centered, BlockStructure((1, n - 1))):
-            raise _Fail(f"structural certificate failed at trial {k}")
-        horizon = units.hbar * fs_distance(phi, psi) / energy
-        arrived = propagate(h, phi, horizon, units)
-        worst = max(worst, 1.0 - fidelity(arrived, psi))
-    return worst
+    energy = float(rng.uniform(0.5, 2.0))
+    phi, psi, h = _synth_pair(rng, n, energy, family=bool(k % 2))
+    verdict = is_optimal_speed(h, phi)
+    if verdict.kind is not Verdict.OPTIMAL:
+        raise _Fail(f"verdict {verdict.kind.value} at trial {k}")
+    vector, base = equigeodesic_vector_of(h, phi)
+    centered = ad_conjugate(base.conj().T, vector)
+    if not is_equigeodesic_structural(centered, BlockStructure((1, n - 1))):
+        raise _Fail(f"structural certificate failed at trial {k}")
+    arrived = propagate(h, phi, fs_distance(phi, psi) / energy)
+    return 1.0 - fidelity(arrived, psi)
 
 
 @check("saturation-equivalence", "synthesis", 1e-8)
-def check_saturation_equivalence(rng, trials, n_max):
+@_each_trial()
+def check_saturation_equivalence(rng, n, k):
     """Optimal verdicts coincide exactly with uncertainty saturation.
 
     Reports the worst |delta_e - delta_e_max| / max(1, delta_e_max) over
     optimal verdicts, the quantity saturation compares with 1e-8.
     """
-    worst = 0.0
-    for k in range(trials):
-        n = _dims(rng, n_max)
-        if k % 2 == 0:
-            energy = float(rng.uniform(0.5, 2.0))
-            phi, _, h = _synth_pair(rng, n, energy, family=bool(k % 4 == 2))
-        else:
-            h = random_hermitian(rng, n)
-            phi = random_pure_state(rng, n)
-        verdict = is_optimal_speed(h, phi)
-        gap = abs(verdict.delta_e - verdict.delta_e_max) / max(1.0, verdict.delta_e_max)
-        if (verdict.kind is Verdict.OPTIMAL) != (gap <= 1e-8):
-            raise _Fail(f"verdict and saturation disagree at trial {k}")
-        if verdict.kind is Verdict.OPTIMAL:
-            worst = max(worst, gap)
-    return worst
+    if k % 2 == 0:
+        energy = float(rng.uniform(0.5, 2.0))
+        phi, _, h = _synth_pair(rng, n, energy, family=bool(k % 4 == 2))
+    else:
+        h = random_hermitian(rng, n)
+        phi = random_pure_state(rng, n)
+    verdict = is_optimal_speed(h, phi)
+    gap = abs(verdict.delta_e - verdict.delta_e_max) / max(1.0, verdict.delta_e_max)
+    if (verdict.kind is Verdict.OPTIMAL) != (gap <= 1e-8):
+        raise _Fail(f"verdict and saturation disagree at trial {k}")
+    # Only optimal verdicts add their gap, but a NaN gap fails any trial.
+    return gap if verdict.kind is Verdict.OPTIMAL or math.isnan(gap) else 0.0
 
 
 def _violating_generator(rng, n, coupling_min, complement_min, defect_min):
@@ -536,37 +532,37 @@ def _violating_generator(rng, n, coupling_min, complement_min, defect_min):
 @check("strict-gap-when-violated", "synthesis", 1e-12, passes=operator.gt)
 def check_strict_gap_when_violated(rng, trials, n_max):
     """Violating both certificate clauses forces a strict uncertainty gap."""
-    least = np.inf
+    gaps = []
     for _ in range(trials):
-        n = _dims(rng, max(2, n_max))
+        n = _dims(rng, n_max)
         h, phi = _violating_generator(rng, n, 1e-6, 0.1, 0.1)
         verdict = is_optimal_speed(h, phi)
-        least = min(least, verdict.delta_e_max - verdict.delta_e)
-    return least, "reported value is the smallest gap seen; it must exceed the bound", True
+        gaps.append(verdict.delta_e_max - verdict.delta_e)
+    detail = "reported value is the smallest gap seen; it must exceed the bound"
+    return _worst(*gaps, pick=min), detail, True
 
 
-@check("qsl-arrival-consistency", "synthesis", 1e-6)
+@check("qsl-arrival-consistency", "synthesis", 1e-6, count=lambda trials: max(trials, 3))
 def check_qsl_arrival_consistency(rng, trials, n_max):
     """Measured arrivals never beat the speed limit, match it exactly for
-    optimal generators, and exceed it measurably for violating ones."""
-    units = Units()
-    worst_lower = -np.inf
-    worst_eq = 0.0
-    least_gap = np.inf
-    for k in range(trials):
+    optimal generators, and exceed it measurably for violating ones.
+
+    Trial k runs mode k % 3 (optimal, generic, violating), over at least
+    three trials so that each mode runs."""
+    lowers, equalities, gaps = [], [0.0], []
+    for k in range(max(trials, 3)):
         n = _dims(rng, n_max)
         mode = k % 3
         if mode == 0:
             energy = float(rng.uniform(0.5, 2.0))
             phi, target, h = _synth_pair(rng, n, energy, family=bool(k % 2))
-            t_star = float(rng.uniform(0.15, 0.95)) * HALF_PI * units.hbar / energy
-            psi = propagate(h, phi, t_star, units)
-            bound = qsl_time(phi, psi, h, units)
-            arrival = first_arrival_time(h, phi, psi, 1.3 * t_star + 0.2, units)
+            t_star = float(rng.uniform(0.15, 0.95)) * HALF_PI / energy
+            psi = propagate(h, phi, t_star)
+            bound = qsl_time(phi, psi, h)
+            arrival = first_arrival_time(h, phi, psi, 1.3 * t_star + 0.2)
             if arrival is None:
                 raise _Fail(f"optimal arrival missing at trial {k}")
-            worst_lower = max(worst_lower, bound - arrival)
-            worst_eq = max(worst_eq, abs(arrival - bound))
+            equalities.append(abs(arrival - bound))
         elif mode == 1:
             h = random_hermitian(rng, n)
             phi = random_pure_state(rng, n)
@@ -574,26 +570,26 @@ def check_qsl_arrival_consistency(rng, trials, n_max):
                 continue
             w, _ = herm_eig(h)
             spread = float(w[-1] - w[0]) / 2.0
-            t_star = float(rng.uniform(0.2, 2.0)) * units.hbar / spread
-            psi = propagate(h, phi, t_star, units)
-            bound = qsl_time(phi, psi, h, units)
-            arrival = first_arrival_time(h, phi, psi, 1.2 * t_star + 0.1, units)
+            t_star = float(rng.uniform(0.2, 2.0)) / spread
+            psi = propagate(h, phi, t_star)
+            bound = qsl_time(phi, psi, h)
+            arrival = first_arrival_time(h, phi, psi, 1.2 * t_star + 0.1)
             if arrival is None:
                 raise _Fail(f"generic arrival missing at trial {k}")
-            worst_lower = max(worst_lower, bound - arrival)
         else:
-            h, phi, t_star, bound = _violating_passage(rng, n, units)
-            psi = propagate(h, phi, t_star, units)
-            arrival = first_arrival_time(h, phi, psi, 1.1 * t_star, units)
+            h, phi, t_star, bound = _violating_passage(rng, n)
+            psi = propagate(h, phi, t_star)
+            arrival = first_arrival_time(h, phi, psi, 1.1 * t_star)
             if arrival is None:
                 raise _Fail(f"violating arrival missing at trial {k}")
-            worst_lower = max(worst_lower, bound - arrival)
-            least_gap = min(least_gap, (arrival - bound) / bound)
+            gaps.append((arrival - bound) / bound)
+        lowers.append(bound - arrival)
+    worst_lower, least_gap = _worst(*lowers), _worst(*gaps, pick=min)
     detail = f"worst bound violation {worst_lower:.3e}, least violating gap {least_gap:.3e}"
-    return worst_eq, detail, worst_lower <= 1e-7 and least_gap > 1e-3
+    return _worst(*equalities), detail, worst_lower <= 1e-7 and least_gap > 1e-3
 
 
-def _violating_passage(rng, n, units):
+def _violating_passage(rng, n):
     """Generator violating the certificate plus a passage time whose
     speed-limit bound sits measurably below it."""
     while True:
@@ -602,11 +598,11 @@ def _violating_passage(rng, n, units):
         spread = float(w[-1] - w[0]) / 2.0
         best = None
         for frac in np.linspace(0.3, 1.2, 10):
-            t_c = float(frac) * units.hbar / spread * HALF_PI
-            psi = propagate(h, phi, t_c, units)
+            t_c = float(frac) / spread * HALF_PI
+            psi = propagate(h, phi, t_c)
             if fs_distance(phi, psi) < 0.05:
                 continue
-            bound = qsl_time(phi, psi, h, units)
+            bound = qsl_time(phi, psi, h)
             gap = (t_c - bound) / bound
             if best is None or gap > best[3]:
                 best = (h, phi, t_c, gap, bound)
@@ -615,53 +611,43 @@ def _violating_passage(rng, n, units):
 
 
 @check("family-trajectory-match", "synthesis", 1e-9)
-def check_family_trajectory_match(rng, trials, n_max):
+@_each_trial()
+def check_family_trajectory_match(rng, n, k):
     """Family members share the canonical member's projector trajectory and
     its uncertainty."""
-    worst = 0.0
-    units = Units()
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        phi, psi = _distinct_pair(rng, n)
-        energy = float(rng.uniform(0.5, 2.0))
-        core = optimal_hamiltonian(phi, psi, energy)
-        member = optimal_family_sample(phi, psi, energy, int(rng.integers(2**32)))
-        worst = max(
-            worst,
-            abs(energy_uncertainty(member, phi) - energy_uncertainty(core, phi)),
+    phi, psi = _distinct_pair(rng, n)
+    energy = float(rng.uniform(0.5, 2.0))
+    core = optimal_hamiltonian(phi, psi, energy)
+    member = optimal_family_sample(phi, psi, energy, int(rng.integers(2**32)))
+    drift = abs(energy_uncertainty(member, phi) - energy_uncertainty(core, phi))
+    span = fs_distance(phi, psi) / energy
+    return _worst(drift, *(
+        frobenius(
+            projector(propagate(core, phi, t)).matrix
+            - projector(propagate(member, phi, t)).matrix
         )
-        span = units.hbar * fs_distance(phi, psi) / energy
-        for t in rng.uniform(0.0, span, size=6):
-            a = propagate(core, phi, float(t), units)
-            b = propagate(member, phi, float(t), units)
-            diff = projector(a).matrix - projector(b).matrix
-            worst = max(worst, frobenius(diff))
-    return worst
+        for t in map(float, rng.uniform(0.0, span, size=6))
+    ))
 
 
 @check("phase-gauge-independence", "synthesis", 1e-12)
-def check_phase_gauge_independence(rng, trials, n_max):
+@_each_trial()
+def check_phase_gauge_independence(rng, n, k):
     """Rephasing either input ray leaves the synthesized generator itself
     unchanged away from orthogonal pairs."""
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        while True:
-            phi = random_pure_state(rng, n)
-            psi = random_pure_state(rng, n)
-            if abs(phi.overlap(psi)) > 0.05 and fs_distance(phi, psi) > 0.05:
-                break
-        energy = float(rng.uniform(0.5, 2.0))
-        base = optimal_hamiltonian(phi, psi, energy)
-        phase_a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        phase_b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        moved = optimal_hamiltonian(
-            PureState(phi.amplitudes * phase_a),
-            PureState(psi.amplitudes * phase_b),
-            energy,
-        )
-        worst = max(worst, frobenius(moved - base))
-    return worst
+    while True:
+        phi = random_pure_state(rng, n)
+        psi = random_pure_state(rng, n)
+        if abs(phi.overlap(psi)) > 0.05 and fs_distance(phi, psi) > 0.05:
+            break
+    energy = float(rng.uniform(0.5, 2.0))
+    base = optimal_hamiltonian(phi, psi, energy)
+    phase_a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    phase_b = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    moved = optimal_hamiltonian(
+        PureState(phi.amplitudes * phase_a), PureState(psi.amplitudes * phase_b), energy
+    )
+    return frobenius(moved - base)
 
 
 # ---------------------------------------------------------------------------
@@ -669,53 +655,48 @@ def check_phase_gauge_independence(rng, trials, n_max):
 
 
 @check("flow-property", "evolution", 1e-10)
-def check_flow_property(rng, trials, n_max):
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        h = random_hermitian(rng, n)
-        phi = random_pure_state(rng, n)
-        s = float(rng.uniform(-5.0, 5.0))
-        t = float(rng.uniform(-5.0, 5.0))
-        two_step = propagate(h, propagate(h, phi, s), t)
-        one_step = propagate(h, phi, s + t)
-        worst = max(
-            worst,
-            float(np.linalg.norm(two_step.amplitudes - one_step.amplitudes)),
-        )
-        rho = projector(phi)
-        evolved = propagate_density(h, rho, t)
-        before = np.sort(np.linalg.eigvalsh(rho.matrix))
-        after = np.sort(np.linalg.eigvalsh(evolved.matrix))
-        worst = max(worst, float(np.max(np.abs(before - after))))
-    return worst
+@_each_trial()
+def check_flow_property(rng, n, k):
+    h = random_hermitian(rng, n)
+    phi = random_pure_state(rng, n)
+    s = float(rng.uniform(-5.0, 5.0))
+    t = float(rng.uniform(-5.0, 5.0))
+    two_step = propagate(h, propagate(h, phi, s), t)
+    one_step = propagate(h, phi, s + t)
+    rho = projector(phi)
+    evolved = propagate_density(h, rho, t)
+    before = np.sort(np.linalg.eigvalsh(rho.matrix))
+    after = np.sort(np.linalg.eigvalsh(evolved.matrix))
+    return _worst(
+        float(np.linalg.norm(two_step.amplitudes - one_step.amplitudes)),
+        float(np.max(np.abs(before - after))),
+    )
 
 
 @check("tangent-part-trajectories", "evolution", 1e-9)
-def check_tangent_part_trajectories(rng, trials, n_max):
+@_each_trial(lo=3, least=3, most=6)
+def check_tangent_part_trajectories(rng, n, k):
     """Certified directions and their tangent parts drive the base
     projector along one and the same curve."""
-    worst = 0.0
-    for _ in range(trials):
-        n = _dims(rng, max(3, min(6, n_max)), lo=3)
-        blocks = BlockStructure((1, n - 1))
-        x = random_equigeodesic(rng, n, with_isotropy=True)
-        _, tan = reductive_split(x, blocks)
-        p0 = np.zeros((n, n), dtype=complex)
-        p0[0, 0] = 1.0
-        for t in rng.uniform(0.0, 10.0, size=10):
-            ua = coset_orbit(x, float(t))
-            ub = coset_orbit(tan, float(t))
-            diff = ua @ p0 @ ua.conj().T - ub @ p0 @ ub.conj().T
-            worst = max(worst, frobenius(diff))
-    return worst
+    blocks = BlockStructure((1, n - 1))
+    x = random_equigeodesic(rng, n, with_isotropy=True)
+    _, tan = reductive_split(x, blocks)
+    p0 = np.zeros((n, n), dtype=complex)
+    p0[0, 0] = 1.0
+    residuals = []
+    for t in map(float, rng.uniform(0.0, 10.0, size=10)):
+        ua, ub = coset_orbit(x, t), coset_orbit(tan, t)
+        residuals.append(frobenius(ua @ p0 @ ua.conj().T - ub @ p0 @ ub.conj().T))
+    return _worst(*residuals)
 
 
-def _uniform_window(h, energy, units, fraction=0.9, points_per_unit=200):
+def _uniform_window(h, energy, fraction=0.9):
+    """Times from 0 until a ray at uncertainty ``energy`` has moved
+    ``fraction`` of pi/2, 200 points per 1 / (half the spectral spread)."""
     w, _ = herm_eig(h)
     spread = float(w[-1] - w[0]) / 2.0
-    span = fraction * HALF_PI * units.hbar / energy
-    step = (units.hbar / spread) / points_per_unit
+    span = fraction * HALF_PI / energy
+    step = 1.0 / spread / 200
     count = max(3, int(np.floor(span / step)))
     return np.linspace(0.0, span, count + 1)
 
@@ -725,28 +706,24 @@ def check_speed_profile_flat(rng, trials, n_max):
     """Optimal generators traverse rays at the constant rate delta_e/hbar;
     doubling the generator doubles the profile; violating generators stay
     below their spectral rate."""
-    units = Units()
-    worst = 0.0
+    residuals = [0.0]
     for k in range(trials):
         n = _dims(rng, n_max)
         energy = float(rng.uniform(0.5, 2.0))
         phi, psi, h = _synth_pair(rng, n, energy, family=bool(k % 2))
-        times = _uniform_window(h, energy, units)
-        traj = sample_trajectory(h, phi, times, units)
-        profile = fs_speed_profile(traj)
-        worst = max(worst, float(np.max(np.abs(profile - energy / units.hbar))))
-        doubled = sample_trajectory(2.0 * h, phi, times / 2.0, units)
-        profile2 = fs_speed_profile(doubled)
-        worst = max(worst, float(np.max(np.abs(profile2 - 2.0 * energy / units.hbar))))
+        times = _uniform_window(h, energy)
+        profile = fs_speed_profile(sample_trajectory(h, phi, times))
+        doubled = fs_speed_profile(sample_trajectory(2.0 * h, phi, times / 2.0))
+        residuals.append(float(np.max(np.abs(profile - energy))))
+        residuals.append(float(np.max(np.abs(doubled - 2.0 * energy))))
     sub = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    phi2 = PureState.basis_state(2, 0)
     w, _ = herm_eig(sub)
     spread = float(w[-1] - w[0]) / 2.0
     times = np.linspace(0.0, 0.5, 201)
-    profile = fs_speed_profile(sample_trajectory(sub, phi2, times, units))
-    ceiling = float(np.max(profile)) - spread / units.hbar
+    profile = fs_speed_profile(sample_trajectory(sub, PureState.basis_state(2, 0), times))
+    ceiling = float(np.max(profile)) - spread
     detail = f"violating-generator profile stays {abs(ceiling):.3e} below its spectral rate"
-    return worst, detail, ceiling <= 1e-6
+    return _worst(*residuals), detail, ceiling <= 1e-6
 
 
 @check("geodesic-defect-sign", "evolution", 1e-6)
@@ -756,110 +733,97 @@ def check_geodesic_defect_sign(rng, trials, n_max):
     The residual is the defect of largest magnitude, with its sign, so
     drift toward the roundoff floor below zero shows before it fails.
     """
-    units = Units()
-    worst = 0.0
+    defects = [0.0]
     for k in range(trials):
         n = _dims(rng, n_max)
         energy = float(rng.uniform(0.5, 2.0))
         phi, psi, h = _synth_pair(rng, n, energy, family=bool(k % 2))
-        times = _uniform_window(h, energy, units, fraction=0.8)
-        traj = sample_trajectory(h, phi, times, units)
+        times = _uniform_window(h, energy, fraction=0.8)
+        traj = sample_trajectory(h, phi, times)
         defect = geodesic_defect(traj)
         if defect < -1e-10:
             raise _Fail("defect below the roundoff floor", residual=defect)
-        if abs(defect) > abs(worst):
-            worst = defect
-        single = Trajectory(times[:1], traj.samples[:1], units)
-        if geodesic_defect(single) != 0.0:
+        defects.append(defect)
+        if geodesic_defect(Trajectory(times[:1], traj.samples[:1])) != 0.0:
             raise _Fail("singleton trajectory must have zero defect")
-    kink_defect = geodesic_defect(_kinked_trajectory(units))
+    kink_defect = geodesic_defect(_kinked_trajectory())
     detail = f"kinked-path defect {kink_defect:.4f} must exceed 0.01"
+    worst = _worst(*defects, pick=functools.partial(max, key=abs))
     return worst, detail, kink_defect > 0.01
 
 
-def _kinked_trajectory(units):
+def _kinked_trajectory():
     """Two geodesic legs of length 0.5 with a sharp turn between them."""
     phi = PureState.basis_state(3, 0)
     leg1 = optimal_hamiltonian(phi, PureState.basis_state(3, 1), 1.0)
     times1 = np.linspace(0.0, 0.5, 6)
-    first = sample_trajectory(leg1, phi, times1, units)
+    first = sample_trajectory(leg1, phi, times1)
     corner = PureState(first.samples[-1])
     leg2 = optimal_hamiltonian(corner, PureState.basis_state(3, 2), 1.0)
     times2 = np.linspace(0.0, 0.5, 6)
-    second = sample_trajectory(leg2, corner, times2, units)
+    second = sample_trajectory(leg2, corner, times2)
     times = np.concatenate([times1, 0.5 + times2[1:]])
     samples = np.concatenate([first.samples, second.samples[1:]])
-    return Trajectory(times, samples, units)
+    return Trajectory(times, samples)
 
 
 @check("subspace-confinement", "evolution", 1e-10)
 def check_subspace_confinement(rng, trials, n_max):
     """Synthesized evolutions never leave the endpoint plane; a generator
     coupling a third level does."""
-    units = Units()
-    worst = 0.0
+    leakages = [0.0]
     for k in range(trials):
         n = _dims(rng, n_max)
         energy = float(rng.uniform(0.5, 2.0))
         phi, psi, h = _synth_pair(rng, n, energy, family=bool(k % 2))
-        times = _uniform_window(h, energy, units, fraction=0.8)
-        traj = sample_trajectory(h, phi, times, units)
-        worst = max(worst, subspace_leakage(traj, phi, psi))
-    leaky = np.array(
-        [[0.0, 1.0, 0.7], [1.0, 0.0, 1.0], [0.7, 1.0, 0.5]], dtype=complex
-    )
+        times = _uniform_window(h, energy, fraction=0.8)
+        leakages.append(subspace_leakage(sample_trajectory(h, phi, times), phi, psi))
+    leaky = np.array([[0.0, 1.0, 0.7], [1.0, 0.0, 1.0], [0.7, 1.0, 0.5]], dtype=complex)
     phi3 = PureState.basis_state(3, 0)
     psi3 = PureState.basis_state(3, 1)
     times = np.linspace(0.0, 0.8, 41)
-    leak = subspace_leakage(sample_trajectory(leaky, phi3, times, units), phi3, psi3)
-    return worst, f"third-level coupling leaks {leak:.4f}, must exceed 0.01", leak > 0.01
+    leak = subspace_leakage(sample_trajectory(leaky, phi3, times), phi3, psi3)
+    detail = f"third-level coupling leaks {leak:.4f}, must exceed 0.01"
+    return _worst(*leakages), detail, leak > 0.01
 
 
 @check("quasi-pure-reduction", "evolution", 1e-7)
-def check_quasi_pure_reduction(rng, trials, n_max):
+@_each_trial(lo=3, least=3, most=6)
+def check_quasi_pure_reduction(rng, n, k):
     """Quasi-pure transport reduces to the distinguished rays: the unitary
     carries the mixture exactly, and the density arrival time, a search on
     the distinguished rays, equals the pure arrival time and the Frobenius
     scan's (``evolution._density_scan``), which never reads the rays."""
-    units = Units()
-    worst_time = 0.0
-    for _ in range(trials):
-        n = _dims(rng, min(6, max(3, n_max)), lo=3)
-        while True:
-            source_frame = random_unitary(rng, n)
-            target_frame = random_unitary(rng, n)
-            gap = fs_distance(
-                PureState(source_frame[:, 0]), PureState(target_frame[:, 0])
-            )
-            if 0.15 <= gap <= 1.45:
-                break
-        while True:
-            p1 = float(rng.uniform(0.01, 0.95))
-            if abs(p1 - 1.0 / n) >= 0.05:
-                break
-        p2 = (1.0 - p1) / (n - 1)
-        source = QuasiPureSpec(
-            p1, p2, tuple(PureState(source_frame[:, j]) for j in range(n))
-        )
-        target = QuasiPureSpec(
-            p1, p2, tuple(PureState(target_frame[:, j]) for j in range(n))
-        )
-        phi1 = source.distinguished
-        psi1 = target.distinguished
-        carrier = target_frame @ source_frame.conj().T
-        if not quasi_pure_transport(source, target, carrier):
-            raise _Fail("ray-matching unitary failed to carry the mixture")
-        energy = float(rng.uniform(0.5, 2.0))
-        h = optimal_hamiltonian(phi1, psi1, energy)
-        horizon = 1.4 * units.hbar * fs_distance(phi1, psi1) / energy + 0.2
-        pure_t = first_arrival_time(h, phi1, psi1, horizon, units)
-        rho, sigma = quasi_pure(source), quasi_pure(target)
-        density_t = density_arrival_time(h, rho, sigma, horizon, units)
-        frobenius_t = _density_scan(h, rho, sigma, horizon, units)
-        if pure_t is None or density_t is None or frobenius_t is None:
-            raise _Fail("an arrival search came back empty")
-        worst_time = max(worst_time, abs(pure_t - density_t), abs(frobenius_t - density_t))
-    return worst_time
+    while True:
+        source_frame = random_unitary(rng, n)
+        target_frame = random_unitary(rng, n)
+        gap = fs_distance(PureState(source_frame[:, 0]), PureState(target_frame[:, 0]))
+        if 0.15 <= gap <= 1.45:
+            break
+    while True:
+        p1 = float(rng.uniform(0.01, 0.95))
+        if abs(p1 - 1.0 / n) >= 0.05:
+            break
+    p2 = (1.0 - p1) / (n - 1)
+    source, target = (
+        QuasiPureSpec(p1, p2, tuple(PureState(frame[:, j]) for j in range(n)))
+        for frame in (source_frame, target_frame)
+    )
+    phi1 = source.distinguished
+    psi1 = target.distinguished
+    carrier = target_frame @ source_frame.conj().T
+    if not quasi_pure_transport(source, target, carrier):
+        raise _Fail("ray-matching unitary failed to carry the mixture")
+    energy = float(rng.uniform(0.5, 2.0))
+    h = optimal_hamiltonian(phi1, psi1, energy)
+    horizon = 1.4 * fs_distance(phi1, psi1) / energy + 0.2
+    pure_t = first_arrival_time(h, phi1, psi1, horizon)
+    rho, sigma = quasi_pure(source), quasi_pure(target)
+    density_t = density_arrival_time(h, rho, sigma, horizon)
+    frobenius_t = _density_scan(h, rho, sigma, horizon)
+    if pure_t is None or density_t is None or frobenius_t is None:
+        raise _Fail("an arrival search came back empty")
+    return _worst(abs(pure_t - density_t), abs(frobenius_t - density_t))
 
 
 # ---------------------------------------------------------------------------
@@ -867,25 +831,21 @@ def check_quasi_pure_reduction(rng, trials, n_max):
 
 
 @check("json-roundtrip", "interchange", 0.0)
-def check_json_roundtrip(rng, trials, n_max):
+@_each_trial()
+def check_json_roundtrip(rng, n, k):
     """Encode-decode reproduces matrices and states bit for bit."""
-    for _ in range(trials):
-        n = _dims(rng, n_max)
-        mant = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        expo = 10.0 ** rng.integers(-200, 200, size=(n, n))
-        m = mant * expo
-        doc = matrix_to_json(m, "hermitian")
-        back, kind = matrix_from_json(doc)
-        if kind != "hermitian" or back.tobytes() != m.astype(complex).tobytes():
-            raise _Fail("matrix bytes changed in flight")
-        phi = random_pure_state(rng, n)
-        state_doc = state_to_json(phi, Units(float(rng.uniform(0.5, 2.0))))
-        state_back, units_back = state_from_json(state_doc)
-        if (
-            units_back is None
-            or state_back.amplitudes.tobytes() != phi.amplitudes.tobytes()
-        ):
-            raise _Fail("state bytes changed in flight")
+    mant = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    expo = 10.0 ** rng.integers(-200, 200, size=(n, n))
+    m = mant * expo
+    back, kind = matrix_from_json(matrix_to_json(m, "hermitian"))
+    if kind != "hermitian" or back.tobytes() != m.astype(complex).tobytes():
+        raise _Fail("matrix bytes changed in flight")
+    phi = random_pure_state(rng, n)
+    state_back, units_back = state_from_json(
+        state_to_json(phi, Units(float(rng.uniform(0.5, 2.0))))
+    )
+    if units_back is None or state_back.amplitudes.tobytes() != phi.amplitudes.tobytes():
+        raise _Fail("state bytes changed in flight")
     return 0.0
 
 

@@ -441,6 +441,21 @@ def test_unparsable_numeric_flag(tmp_path, qubit_files, command, flag, wanted):
     assert not re.search(r"(?<![\w-])_[a-z]", r.stderr)  # no private helper's name
 
 
+@pytest.mark.parametrize("command, flag", [("verify", "--seed"), ("synthesize", "--family-seed")])
+def test_negative_seed_is_refused_up_front(qubit_files, command, flag):
+    flags = {
+        "verify": ["--suite", "algebra", "--trials", 1],
+        "synthesize": ["--from", qubit_files["ket0"], "--to", qubit_files["ket1"],
+                       "--energy", 1.0],
+    }[command]
+    r = run_cli(command, *flags, flag, -3)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines()[-1] == (
+        f"optevo {command}: error: argument {flag}: '-3' is not a non-negative integer"
+    )
+
+
 class TestVerify:
     def test_small_suite_passes(self):
         r = run_cli("verify", "--suite", "synthesis", "--trials", 1, "--seed", 7)

@@ -1,17 +1,22 @@
-"""The check table: each check's identity, suite, bound and child seed,
-and the way early failures and wall times reach the results.
+"""The check table: each check's identity, suite, bound, dimension range
+and child seed, and the way early failures, NaN residuals and wall times
+reach the results.
 
 The expected table was written from the values of the release before the
 checks were declared with ``@check``; the row order is the child-seed
 index ``[seed, index]``.
 """
 
+import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from optevo import verification
+from optevo import cli, verification
+from optevo.synthesis import Verdict
 from optevo.verification import SUITE_NAMES, registry, run_suite
 
 # (function name, result name, suite, bound, reported trials for 3 trials)
@@ -121,3 +126,163 @@ def test_early_failure_carries_the_signed_defect(monkeypatch):
     assert not row.passed
     assert row.detail == "defect below the roundoff floor"
     assert row.max_residual == -2e-10
+
+
+def _parent_dims(rng, n_max, lo=2):
+    """The dimension draw of the release before ``_each_trial``."""
+    return int(rng.integers(lo, max(lo, n_max) + 1))
+
+
+# (_each_trial arguments, the release's call for the same range)
+RANGES = {
+    "default": ({}, lambda rng, n_max: _parent_dims(rng, n_max)),
+    "least-3": ({"least": 3}, lambda rng, n_max: _parent_dims(rng, max(3, n_max))),
+    "most-6": ({"most": 6}, lambda rng, n_max: _parent_dims(rng, min(6, n_max))),
+    "3-to-6": (
+        {"lo": 3, "least": 3, "most": 6},
+        lambda rng, n_max: _parent_dims(rng, max(3, min(6, n_max)), lo=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("span", RANGES)
+def test_each_trial_draws_the_releases_dimensions(span, n_max):
+    kwargs, parent = RANGES[span]
+    seen = []
+
+    @verification._each_trial(**kwargs)
+    def body(rng, n, k):
+        seen.append((n, k))
+        rng.standard_normal(n)  # the body's own draws follow the dimension's
+        return 0.0
+
+    assert body(np.random.default_rng(11), 40, n_max) == 0.0
+    rng, expected = np.random.default_rng(11), []
+    for k in range(40):
+        expected.append((parent(rng, n_max), k))
+        rng.standard_normal(expected[-1][0])
+    assert seen == expected
+
+
+def test_worst_carries_a_nan_through():
+    worst = verification._worst
+    assert math.isnan(worst(0.0, 1.0, math.nan, 2.0))
+    assert math.isnan(worst(math.nan, 1.0, pick=min))
+    assert worst(0.0, -3.0, 2.0) == 2.0
+    assert worst(3.0, 1.0, pick=min) == 1.0
+
+
+def _poison(nan, when=lambda call, args: True):
+    """Wrap a function so that the calls ``when`` picks return
+    ``nan(real output)`` in place of the real output."""
+
+    def wrap(real):
+        calls = itertools.count()
+
+        def fake(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return nan(out) if when(next(calls), args) else out
+
+        return fake
+
+    return wrap
+
+
+def _nth(index):
+    return lambda call, args: call == index
+
+
+def _nan(out):
+    return math.nan
+
+
+def _nan_array(out):
+    return np.full_like(out, np.nan)
+
+
+# (check, patched name, poison, where the NaN shows: "residual" or a detail part)
+NAN_CASES = {
+    "exp-unitarity": ("check_exp_unitarity", "unitary_exp", _poison(_nan_array), "residual"),
+    "exp-unitarity-later-trial": (
+        "check_exp_unitarity", "unitary_exp", _poison(_nan_array, _nth(2)), "residual"
+    ),
+    "criterion-constructed": (
+        "check_criterion_equivalence", "is_equigeodesic_variational",
+        _poison(lambda out: (out[0], math.nan), _nth(1)), "residual",
+    ),
+    "criterion-generic": (
+        "check_criterion_equivalence", "is_equigeodesic_variational",
+        _poison(lambda out: (out[0], math.nan), _nth(4)), "least generic residual nan",
+    ),
+    "fs-self-distance": (
+        "check_fs_metric_axioms", "fs_distance",
+        _poison(_nan, lambda call, args: args[0] is args[1]), "self-distance floor nan",
+    ),
+    "strict-gap": (
+        "check_strict_gap_when_violated", "is_optimal_speed",
+        _poison(lambda v: dataclasses.replace(v, delta_e=math.nan), _nth(1)), "residual",
+    ),
+    "saturation-non-optimal": (
+        "check_saturation_equivalence", "is_optimal_speed",
+        _poison(lambda v: v if v.kind is Verdict.OPTIMAL else dataclasses.replace(
+            v, delta_e=math.nan
+        )),
+        "residual",
+    ),
+    "qsl-optimal": (
+        "check_qsl_arrival_consistency", "first_arrival_time", _poison(_nan, _nth(0)),
+        "residual",
+    ),
+    "qsl-generic": (
+        "check_qsl_arrival_consistency", "first_arrival_time", _poison(_nan, _nth(1)),
+        "worst bound violation nan",
+    ),
+    "qsl-violating": (
+        "check_qsl_arrival_consistency", "first_arrival_time", _poison(_nan, _nth(2)),
+        "least violating gap nan",
+    ),
+    "speed-profile": (
+        "check_speed_profile_flat", "fs_speed_profile", _poison(_nan_array, _nth(1)),
+        "residual",
+    ),
+    "geodesic-defect": (
+        "check_geodesic_defect_sign", "geodesic_defect", _poison(_nan, _nth(0)), "residual"
+    ),
+    "subspace-leakage": (
+        "check_subspace_confinement", "subspace_leakage", _poison(_nan, _nth(1)), "residual"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_a_nan_residual_fails_its_row(monkeypatch, case):
+    name, target, poison, shows = NAN_CASES[case]
+    monkeypatch.setattr(verification, target, poison(getattr(verification, target)))
+    row = getattr(verification, name)(np.random.default_rng(0), 3, 3)
+    assert not row.passed
+    if shows == "residual":
+        assert math.isnan(row.max_residual)
+    else:
+        assert shows in row.detail
+
+
+def test_a_nan_residual_reads_null_in_the_json_report(monkeypatch, capsys):
+    monkeypatch.setattr(
+        verification, "unitary_exp", _poison(_nan_array)(verification.unitary_exp)
+    )
+    code = cli.main(["verify", "--suite", "algebra", "--trials", "2", "--seed", "1", "--json"])
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["outputs"]["results"]}
+    assert code == 1
+    for name in ("exp-unitarity", "exp-group-law"):
+        assert (rows[name]["passed"], rows[name]["max_residual"]) == (False, None)
+    assert rows["eig-reconstruction"]["passed"]
+
+
+def test_qsl_runs_each_mode_below_three_trials():
+    row = next(
+        r for r in run_suite("synthesis", 1, 7) if r.name == "qsl-arrival-consistency"
+    )
+    gap = float(row.detail.rsplit(" ", 1)[-1])
+    assert row.passed and row.trials == 3
+    assert math.isfinite(gap) and gap > 1e-3
