@@ -51,13 +51,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Units:
-    """Physical scale of the evolution equations: the action quantum."""
+    """Physical scale of the evolution equations: the action quantum, a
+    positive finite number."""
 
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.hbar > 0.0:
-            raise ValueError("hbar must be positive")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
 
 
 def _require(ok, values, message: str) -> None:

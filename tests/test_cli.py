@@ -38,12 +38,13 @@ X_LINE_TRUE = np.array([[1j, -1.0, 0.0], [1.0, 1j, 0.0], [0.0, 0.0, -2j]])
 X_LINE_FALSE = np.array([[1j, -1.0, 0.0], [1.0, -2j, 0.0], [0.0, 0.0, 1j]])
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "optevo.cli", *[str(a) for a in args]],
         capture_output=True,
         text=True,
         env=child_env(),
+        timeout=timeout,
     )
 
 
@@ -481,6 +482,33 @@ class TestVerify:
     def test_unknown_suite_rejected(self):
         r = run_cli("verify", "--suite", "bogus", "--trials", 1, "--seed", 7)
         assert r.returncode == 2
+
+    def test_interchange_suite_runs_its_row(self):
+        r = run_cli("verify", "--suite", "interchange", "--trials", 2, "--seed", 7)
+        assert r.returncode == 0, r.stdout + r.stderr
+        rows = [line for line in r.stdout.splitlines() if line.startswith("[")]
+        assert len(rows) == 1 and rows[0].startswith("[PASS] json-roundtrip")
+        assert "suite=interchange passed=1/1" in r.stdout
+
+    def test_all_rows_pass_at_n_128(self):
+        # Every rejection draw is bounded, so the run returns; the timeout
+        # fails a run that does not.
+        r = run_cli(
+            "verify", "--suite", "all", "--trials", 10, "--seed", 42, "--n-max", 128,
+            timeout=120,
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
+        rows = [line for line in r.stdout.splitlines() if line.startswith("[")]
+        assert len(rows) == 28 and all(row.startswith("[PASS]") for row in rows)
+
+    def test_synthesis_suite_is_quick_at_n_32(self):
+        # About 0.5 s on a 2-core Xeon; the timeout sits well above that and
+        # below the 12 s that an unscaled eigen-defect filter takes there.
+        r = run_cli(
+            "verify", "--suite", "synthesis", "--trials", 30, "--seed", 42,
+            "--n-max", 32, timeout=8,
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
 
 
 def assert_report_schema(doc, inputs, outputs, extra=()):

@@ -53,6 +53,11 @@ class TestUnits:
         with pytest.raises(ValueError):
             Units(hbar=0.0)
 
+    @pytest.mark.parametrize("hbar", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            Units(hbar=hbar)
+
 
 class TestPureState:
     def test_rejects_unnormalized(self):

@@ -82,8 +82,8 @@ def test_child_seed_is_the_table_index(rows):
 
 
 def test_suites_follow_the_table():
-    assert SUITE_NAMES == ("algebra", "synthesis", "evolution", "all")
-    for suite in ("algebra", "synthesis", "evolution"):
+    assert SUITE_NAMES == ("algebra", "synthesis", "evolution", "interchange", "all")
+    for suite in ("algebra", "synthesis", "evolution", "interchange"):
         assert [fn.__name__ for fn in registry(suite)] == [
             entry[0] for entry in TABLE if entry[2] == suite
         ]
